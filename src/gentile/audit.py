@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
-from .catalog import (FORMAL_Q, FREE, MATRIX, Q_AT_N, Q_EQ_1, Q_EQ_MINUS_1,
-                      QUOTIENT, IdentityEntry, build_catalog)
+from .catalog import (FORMAL_Q, FREE, MATRIX, Q_EQ_1, Q_EQ_MINUS_1, QUOTIENT,
+                      build_catalog)
 from .errors import InconsistentVerdict
 from .linalg import max_abs_diff
 from .rep import build_rep
@@ -31,12 +31,37 @@ DEFAULT_TOL = 1e-9
 RANDOM_DIM = 5
 
 
-def eval_expr(e: Expr, assignment: dict, qval: complex, dim: int) -> np.ndarray:
-    """Numeric matrix value of an expression tree."""
+def _scalar_at(s, qval):
+    """``s`` at ``qval``, taking a stacked ``qval`` one distinct q at a time.
+
+    numpy's array ``q**2`` and ``q**-1`` differ from scalar ``pow`` in the
+    last bit, so each distinct q is evaluated as a scalar and broadcast.
+    """
+    if np.ndim(qval) == 0:
+        return s.eval_at(qval)
+    distinct, index = np.unique(np.ravel(qval), return_inverse=True)
+    values = np.array([s.eval_at(q) for q in distinct], dtype=complex)
+    return values[index].reshape(np.shape(qval))
+
+
+def _sum_of(orders, assignment, qval, dim) -> np.ndarray:
+    """Sum of the products of each factor order, starting from the first."""
+    first, *rest = (eval_expr(product(order), assignment, qval, dim)
+                    for order in orders)
+    return sum(rest, first)
+
+
+def eval_expr(e: Expr, assignment: dict, qval, dim: int) -> np.ndarray:
+    """Numeric matrix value of an expression tree.
+
+    Generators may also be stacked ``(B, dim, dim)`` arrays with ``qval`` a
+    ``(B, 1, 1)`` array; every slice of the result then equals the
+    unstacked evaluation of that slice bit for bit.
+    """
     if isinstance(e, Gen):
         return assignment[e.name]
     if isinstance(e, Scal):
-        return e.value.eval_at(qval) * np.eye(dim, dtype=complex)
+        return _scalar_at(e.value, qval) * np.eye(dim, dtype=complex)
     if isinstance(e, Add):
         return eval_expr(e.left, assignment, qval, dim) \
             + eval_expr(e.right, assignment, qval, dim)
@@ -62,17 +87,11 @@ def eval_expr(e: Expr, assignment: dict, qval: complex, dim: int) -> np.ndarray:
         y = eval_expr(e.right, assignment, qval, dim)
         return x @ y + y @ x
     if isinstance(e, SumPerm):
-        total = np.zeros((dim, dim), dtype=complex)
-        for order in permutations(e.operands):
-            total += eval_expr(product(order), assignment, qval, dim)
-        return total
+        return _sum_of(permutations(e.operands), assignment, qval, dim)
     if isinstance(e, SumCyc):
         ops = list(e.operands)
-        total = np.zeros((dim, dim), dtype=complex)
-        for shift in range(len(ops)):
-            rotated = ops[shift:] + ops[:shift]
-            total += eval_expr(product(rotated), assignment, qval, dim)
-        return total
+        return _sum_of((ops[k:] + ops[:k] for k in range(len(ops))),
+                       assignment, qval, dim)
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -143,64 +162,47 @@ def _digest(poly, limit: int = 120) -> str:
     return text if len(text) <= limit else text[:limit] + "..."
 
 
-def _free_symbolic(entry: IdentityEntry):
-    residual = expand_free(entry.lhs) - expand_free(entry.rhs)
-    if entry.specialization in (Q_EQ_1, Q_EQ_MINUS_1):
-        sign = 1 if entry.specialization == Q_EQ_1 else -1
-        remaining = residual.specialize_unit(sign)
-        passed = not remaining
-        digest = "0" if passed else _digest(remaining)
-    else:
-        passed = residual.is_zero
-        digest = "0" if passed else _digest(residual)
-    return passed, digest
+def _symbolic_suite(entries, specializations) -> AuditReport:
+    """Expand lhs - rhs of every FREE entry with a listed specialization."""
+    results = []
+    for entry in build_catalog() if entries is None else entries:
+        if entry.strategy != FREE \
+                or entry.specialization not in specializations:
+            continue
+        start = time.perf_counter()
+        residual = expand_free(entry.lhs) - expand_free(entry.rhs)
+        if entry.specialization in (Q_EQ_1, Q_EQ_MINUS_1):
+            residual = residual.specialize_unit(
+                1 if entry.specialization == Q_EQ_1 else -1)
+            passed = not residual
+        else:
+            passed = residual.is_zero
+        verdict = "PASS" if passed else "FAIL"
+        results.append(IdentityResult(
+            identity_id=entry.id, strategy=entry.strategy,
+            specialization=entry.specialization, symbolic_verdict=verdict,
+            residual_digest="0" if passed else _digest(residual),
+            numeric_residual=None, n_tested=(), verdict=verdict,
+            wall_time=time.perf_counter() - start))
+    return AuditReport(results=results, seed=0, tol=0.0)
 
 
 def run_free_suite(entries=None) -> AuditReport:
     """Expand every formal-q FREE identity to a canonical polynomial."""
-    entries = [e for e in (entries or build_catalog())
-               if e.strategy == FREE and e.specialization == FORMAL_Q]
-    results = []
-    for entry in entries:
-        start = time.perf_counter()
-        passed, digest = _free_symbolic(entry)
-        results.append(IdentityResult(
-            identity_id=entry.id, strategy=entry.strategy,
-            specialization=entry.specialization,
-            symbolic_verdict="PASS" if passed else "FAIL",
-            residual_digest=digest, numeric_residual=None, n_tested=(),
-            verdict="PASS" if passed else "FAIL",
-            wall_time=time.perf_counter() - start))
-    return AuditReport(results=results, seed=0, tol=0.0)
+    return _symbolic_suite(entries, (FORMAL_Q,))
 
 
 def run_limit_suite(entries=None) -> AuditReport:
     """Check q = 1 (commutator) and q = -1 (anticommutator) limit forms."""
-    entries = [e for e in (entries or build_catalog())
-               if e.strategy == FREE
-               and e.specialization in (Q_EQ_1, Q_EQ_MINUS_1)]
-    results = []
-    for entry in entries:
-        start = time.perf_counter()
-        passed, digest = _free_symbolic(entry)
-        results.append(IdentityResult(
-            identity_id=entry.id, strategy=entry.strategy,
-            specialization=entry.specialization,
-            symbolic_verdict="PASS" if passed else "FAIL",
-            residual_digest=digest, numeric_residual=None, n_tested=(),
-            verdict="PASS" if passed else "FAIL",
-            wall_time=time.perf_counter() - start))
-    return AuditReport(results=results, seed=0, tol=0.0)
+    return _symbolic_suite(entries, (Q_EQ_1, Q_EQ_MINUS_1))
 
 
-def _random_assignment(names, rng, dim):
-    out = {}
-    for name in sorted(names):
-        # independent entries uniform on the complex unit disk
-        r = np.sqrt(rng.uniform(0.0, 1.0, (dim, dim)))
-        phi = rng.uniform(0.0, 2.0 * np.pi, (dim, dim))
-        out[name] = r * np.exp(1j * phi)
-    return out
+def _random_draws(names, rng, batch: int) -> dict:
+    """``batch`` random matrices per name, stacked as ``(batch, dim, dim)``."""
+    u = rng.random((batch, len(names), 2, RANDOM_DIM, RANDOM_DIM))
+    # entries uniform on the complex unit disk; uniform(0, 2 pi) is 2 pi * u
+    mats = np.sqrt(u[:, :, 0]) * np.exp(1j * (2.0 * np.pi * u[:, :, 1]))
+    return {name: mats[:, i] for i, name in enumerate(sorted(names))}
 
 
 def run_matrix_suite(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS,
@@ -211,34 +213,49 @@ def run_matrix_suite(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS,
     at every n; FREE formal-q entries are spot-checked with random complex
     matrices.  Degenerate specializations of cleared-denominator entries
     (the cleared prefactor vanishing at some n) are recorded.
+
+    Draw order, which keeps a seed's output stable: one generator seeded
+    with ``seed`` serves the FREE formal-q entries in catalog order.  Each
+    entry takes, for each n, for each of ``trials`` draws, for each of its
+    generator names in sorted order, a 5x5 block of ``uniform(0, 1)``
+    numbers r and then a 5x5 block of ``uniform(0, 2 pi)`` numbers phi, and
+    sets that generator to ``sqrt(r) * exp(1j * phi)``.  All draws of an
+    entry are evaluated as one stacked batch, with q = exp(2 pi i/(n + 1))
+    computed from each Python-int n; the residual is the largest entrywise
+    |lhs - rhs| over the batch.
     """
-    catalog = entries or build_catalog()
+    catalog = build_catalog() if entries is None else list(entries)
+    return _matrix_suite(catalog, run_free_suite(catalog), n_values, trials,
+                         tol, seed)
+
+
+def _matrix_suite(catalog, free, n_values, trials, tol, seed) -> AuditReport:
+    """run_matrix_suite, with FREE symbolic verdicts taken from ``free``."""
+    free_verdicts = {r.identity_id: (r.symbolic_verdict, r.residual_digest)
+                     for r in free.results}
     rng = np.random.default_rng(seed)
     reps = {n: build_rep(n) for n in n_values}
+    q_draws = np.array([np.exp(2j * np.pi / (n + 1)) for n in n_values],
+                       dtype=complex).repeat(trials).reshape(-1, 1, 1)
     results = []
     for entry in catalog:
         start = time.perf_counter()
         worst = 0.0
         symbolic = None
         digest = "0"
-        degenerate = []
+        degenerate = ()
         if entry.strategy == FREE:
             if entry.specialization != FORMAL_Q:
                 continue  # limit forms have no finite-n specialization
-            residual_poly = expand_free(entry.lhs) - expand_free(entry.rhs)
-            symbolic = "PASS" if residual_poly.is_zero else "FAIL"
-            if symbolic == "FAIL":
-                digest = _digest(residual_poly)
-            names = generators_of(entry.lhs) | generators_of(entry.rhs)
-            for n in n_values:
-                qval = np.exp(2j * np.pi / (n + 1))
-                if entry.denominator_cleared and n == 1:
-                    degenerate.append(n)
-                for _ in range(trials):
-                    assign = _random_assignment(names, rng, RANDOM_DIM)
-                    lhs = eval_expr(entry.lhs, assign, qval, RANDOM_DIM)
-                    rhs = eval_expr(entry.rhs, assign, qval, RANDOM_DIM)
-                    worst = max(worst, max_abs_diff(lhs, rhs))
+            symbolic, digest = free_verdicts[entry.id]
+            if entry.denominator_cleared:
+                degenerate = tuple(n for n in n_values if n == 1)
+            assign = _random_draws(
+                generators_of(entry.lhs) | generators_of(entry.rhs), rng,
+                len(q_draws))
+            worst = max_abs_diff(
+                eval_expr(entry.lhs, assign, q_draws, RANDOM_DIM),
+                eval_expr(entry.rhs, assign, q_draws, RANDOM_DIM))
         elif entry.strategy == QUOTIENT:
             residual_poly = normal_order(entry.lhs) - normal_order(entry.rhs)
             symbolic = "PASS" if residual_poly.is_zero else "FAIL"
@@ -265,7 +282,7 @@ def run_matrix_suite(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS,
             residual_digest=digest, numeric_residual=worst,
             n_tested=tuple(n_values), verdict=verdict,
             wall_time=time.perf_counter() - start,
-            degenerate_specializations=tuple(degenerate)))
+            degenerate_specializations=degenerate))
     return AuditReport(results=results, seed=seed, tol=tol)
 
 
@@ -299,6 +316,5 @@ def run_full_audit(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS,
         catalog = catalog + list(extra_entries)
     free = run_free_suite(catalog)
     limit = run_limit_suite(catalog)
-    matrix = run_matrix_suite(n_values=n_values, trials=trials, tol=tol,
-                              seed=seed, entries=catalog)
+    matrix = _matrix_suite(catalog, free, n_values, trials, tol, seed)
     return free, limit, matrix

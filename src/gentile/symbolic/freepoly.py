@@ -8,13 +8,9 @@ polynomial.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from itertools import permutations
 
-import numpy as np
-
-from ..laurent import ONE, Q, ZERO, LaurentScalar
+from ..laurent import ONE, Q, LaurentScalar
 from .expr import (Add, AntiCommutator, Commutator, Expr, Gen, Mul, NBracket,
                    Pow, Scal, Sub, SumCyc, SumPerm, product)
 
@@ -106,18 +102,6 @@ class FreePoly:
             word = "*".join(w) if w else "1"
             parts.append(f"({c!r})*{word}")
         return " + ".join(parts)
-
-    def eval_matrices(self, assignment: dict, qval: complex,
-                      dim: int) -> np.ndarray:
-        """Numeric value with generators mapped to matrices, q to qval."""
-        total = np.zeros((dim, dim), dtype=complex)
-        eye = np.eye(dim, dtype=complex)
-        for w, c in self._terms.items():
-            m = eye
-            for name in w:
-                m = m @ assignment[name]
-            total = total + c.eval_at(qval) * m
-        return total
 
 
 ZERO_POLY = FreePoly()

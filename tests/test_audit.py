@@ -2,14 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from gentile.audit import (audit_crosscheck, run_free_suite, run_full_audit,
-                           run_limit_suite, run_matrix_suite)
+from gentile.audit import (audit_crosscheck, eval_expr, run_free_suite,
+                           run_full_audit, run_limit_suite, run_matrix_suite)
 from gentile.catalog import (FREE, FORMAL_Q, IdentityEntry, build_catalog,
                              load_identity_file, parse_identity_line)
 from gentile.errors import InconsistentVerdict, ParseError
-from gentile.symbolic import Gen, parse
+from gentile.linalg import max_abs_diff
+from gentile.symbolic import Gen, generators_of, parse
 
 # documented printed-relation failures; everything else must PASS
 EXPECTED_FREE_FAILS = {"appA_uvwo_brackets_printed"}
@@ -57,6 +59,63 @@ def test_full_audit_consistency():
     assert audit_crosscheck(matrix)
     assert limit.failing_ids == []
     assert set(free.failing_ids) == EXPECTED_FREE_FAILS
+
+
+def test_empty_entry_list_gives_empty_report():
+    assert run_free_suite([]).results == []
+    assert run_limit_suite([]).results == []
+    assert run_matrix_suite(n_values=(2,), trials=1, entries=[]).results == []
+
+
+# -- stacked evaluation is bit-identical to one draw at a time -----------------
+
+
+def _sequential_residuals(n_values, trials, seed):
+    """Worst residual of every formal-q FREE entry, one draw at a time."""
+    rng = np.random.default_rng(seed)
+    worst = {}
+    for entry in build_catalog():
+        if entry.strategy != FREE or entry.specialization != FORMAL_Q:
+            continue
+        names = sorted(generators_of(entry.lhs) | generators_of(entry.rhs))
+        worst[entry.id] = 0.0
+        for n in n_values:
+            qval = np.exp(2j * np.pi / (n + 1))
+            for _ in range(trials):
+                assign = {}
+                for name in names:
+                    r = np.sqrt(rng.uniform(0.0, 1.0, (5, 5)))
+                    phi = rng.uniform(0.0, 2.0 * np.pi, (5, 5))
+                    assign[name] = r * np.exp(1j * phi)
+                worst[entry.id] = max(worst[entry.id], max_abs_diff(
+                    eval_expr(entry.lhs, assign, qval, 5),
+                    eval_expr(entry.rhs, assign, qval, 5)))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_matrix_suite_residuals_match_sequential_draws(seed):
+    n_values = (1, 12, 20)
+    report = run_matrix_suite(n_values=n_values, trials=2, seed=seed)
+    stacked = {r.identity_id: r.numeric_residual for r in report.results
+               if r.strategy == FREE}
+    assert stacked == _sequential_residuals(n_values, 2, seed)
+
+
+def test_eval_expr_stacked_matches_row_by_row():
+    expr = parse("[u^2, 1/3 q^2 v]_n + q^-1 sumperm(u, v, w) "
+                 "- {sumcyc(u, 2 v, q^3 w), w}")
+    n_rows = (1, 12, 20, 12, 7)
+    q = np.array([np.exp(2j * np.pi / (n + 1)) for n in n_rows])
+    rng = np.random.default_rng(4)
+    gens = {name: rng.standard_normal((len(n_rows), 4, 4))
+            + 1j * rng.standard_normal((len(n_rows), 4, 4))
+            for name in "uvw"}
+    stacked = eval_expr(expr, gens, q.reshape(-1, 1, 1), 4)
+    assert stacked.shape == (len(n_rows), 4, 4)
+    for i, qval in enumerate(q):
+        row = eval_expr(expr, {k: v[i] for k, v in gens.items()}, qval, 4)
+        assert stacked[i].tobytes() == row.tobytes()
 
 
 # -- mutation tests: a corrupted identity must never slip through -------------
