@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -21,9 +20,8 @@ from .catalog import (FORMAL_Q, FREE, MATRIX, Q_EQ_1, Q_EQ_MINUS_1, QUOTIENT,
 from .errors import InconsistentVerdict
 from .linalg import max_abs_diff
 from .rep import build_rep
-from .symbolic import (Add, AntiCommutator, Commutator, Expr, Gen, Mul,
-                       NBracket, Pow, Scal, Sub, SumCyc, SumPerm,
-                       expand_free, generators_of, normal_order, product)
+from .symbolic import (Algebra, Expr, expand_free, fold, generators_of,
+                       normal_order)
 
 DEFAULT_N_VALUES = tuple(range(1, 9))
 DEFAULT_TRIALS = 3
@@ -44,13 +42,6 @@ def _scalar_at(s, qval):
     return values[index].reshape(np.shape(qval))
 
 
-def _sum_of(orders, assignment, qval, dim) -> np.ndarray:
-    """Sum of the products of each factor order, starting from the first."""
-    first, *rest = (eval_expr(product(order), assignment, qval, dim)
-                    for order in orders)
-    return sum(rest, first)
-
-
 def eval_expr(e: Expr, assignment: dict, qval, dim: int) -> np.ndarray:
     """Numeric matrix value of an expression tree.
 
@@ -58,41 +49,11 @@ def eval_expr(e: Expr, assignment: dict, qval, dim: int) -> np.ndarray:
     ``(B, 1, 1)`` array; every slice of the result then equals the
     unstacked evaluation of that slice bit for bit.
     """
-    if isinstance(e, Gen):
-        return assignment[e.name]
-    if isinstance(e, Scal):
-        return _scalar_at(e.value, qval) * np.eye(dim, dtype=complex)
-    if isinstance(e, Add):
-        return eval_expr(e.left, assignment, qval, dim) \
-            + eval_expr(e.right, assignment, qval, dim)
-    if isinstance(e, Sub):
-        return eval_expr(e.left, assignment, qval, dim) \
-            - eval_expr(e.right, assignment, qval, dim)
-    if isinstance(e, Mul):
-        return eval_expr(e.left, assignment, qval, dim) \
-            @ eval_expr(e.right, assignment, qval, dim)
-    if isinstance(e, Pow):
-        return np.linalg.matrix_power(
-            eval_expr(e.base, assignment, qval, dim), e.exponent)
-    if isinstance(e, NBracket):
-        x = eval_expr(e.left, assignment, qval, dim)
-        y = eval_expr(e.right, assignment, qval, dim)
-        return x @ y - qval * (y @ x)
-    if isinstance(e, Commutator):
-        x = eval_expr(e.left, assignment, qval, dim)
-        y = eval_expr(e.right, assignment, qval, dim)
-        return x @ y - y @ x
-    if isinstance(e, AntiCommutator):
-        x = eval_expr(e.left, assignment, qval, dim)
-        y = eval_expr(e.right, assignment, qval, dim)
-        return x @ y + y @ x
-    if isinstance(e, SumPerm):
-        return _sum_of(permutations(e.operands), assignment, qval, dim)
-    if isinstance(e, SumCyc):
-        ops = list(e.operands)
-        return _sum_of((ops[k:] + ops[:k] for k in range(len(ops))),
-                       assignment, qval, dim)
-    raise TypeError(f"unknown node {type(e).__name__}")
+    return fold(e, Algebra(
+        gen=assignment.__getitem__,
+        scalar=lambda s: _scalar_at(s, qval) * np.eye(dim, dtype=complex),
+        mul=np.matmul, qscale=lambda x: qval * x,
+        power=np.linalg.matrix_power))
 
 
 @dataclass

@@ -19,8 +19,7 @@ from .errors import ParseError
 from .laurent import ONE, Q, QINV, LaurentScalar
 from .rep import GentileRep, diag_of_num
 from .symbolic import (AntiCommutator, Commutator, Expr, Gen, Mul, NBracket,
-                       Pow, Scal, parse, perm_sum, cyc_sum, product,
-                       substitute)
+                       Pow, Scal, parse, perm_sum, cyc_sum, product)
 
 FREE = "FREE"
 QUOTIENT = "QUOTIENT"

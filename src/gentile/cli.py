@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -80,6 +81,15 @@ def parse_n_values(spec_text: str):
     if lo < 1 or hi < lo:
         raise OutOfRange(f"invalid n range {spec_text!r} (need 1 <= A <= B)")
     return list(range(lo, hi + 1))
+
+
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: a finite, non-negative float."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and >= 0, got {text!r}")
+    return value
 
 
 def _diagnostic(contract: str, detail) -> str:
@@ -214,8 +224,7 @@ def cmd_eval(args) -> int:
     records = []
     for n in n_values:
         rep = build_rep(n)
-        assignment = {"adag": rep.a_dag, "a": rep.a,
-                      "b": rep.b, "bdag": rep.b_dag, "N": rep.num}
+        assignment = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
         direct = eval_expr(expr, assignment, rep.q, rep.dim)
         ordered = poly.eval_rep(rep)
         records.append({"n": n,
@@ -258,21 +267,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Intermediate-statistics verification toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, default_tol):
+    def common(p, default_tol, formats=()):
         p.add_argument("--n", default=DEFAULT_SWEEP,
                        help="single n or range A..B (default %(default)s)")
-        p.add_argument("--tol", type=float, default=default_tol)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tol", type=_tolerance, default=default_tol)
         p.add_argument("--out", default=None, help="output file (UTF-8)")
-        p.add_argument("--format", choices=("json", "csv", "table"),
-                       default="json")
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
 
     p = sub.add_parser("audit", help="identity-audit catalog")
-    common(p, 1e-9)
+    common(p, 1e-9, ("json", "table"))
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("spectrum", help="oscillator spectrum crosscheck")
-    common(p, DEFAULT_TOL)
+    common(p, DEFAULT_TOL, ("json", "csv", "table"))
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("coherent", help="coherent-state construction")
@@ -289,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="normal-order and evaluate an expression")
     p.add_argument("expression")
-    common(p, DEFAULT_TOL)
+    common(p, DEFAULT_TOL, ("json", "table"))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("arcsin-audit",

@@ -1,13 +1,13 @@
-from .expr import (Add, AntiCommutator, Commutator, Expr, Gen, Mul, NBracket,
-                   Pow, Scal, Sub, SumCyc, SumPerm, cyc_sum, generators_of,
-                   perm_sum, product, substitute)
+from .expr import (Add, Algebra, AntiCommutator, Commutator, Expr, Gen, Mul,
+                   NBracket, Pow, Scal, Sub, SumCyc, SumPerm, cyc_sum, fold,
+                   generators_of, perm_sum, product, substitute)
 from .freepoly import FreePoly, expand_free
 from .parser import parse
 from .quotient import QuotientPoly, normal_order, quotient_check
 
 __all__ = [
-    "Add", "AntiCommutator", "Commutator", "Expr", "Gen", "Mul", "NBracket",
-    "Pow", "Scal", "Sub", "SumCyc", "SumPerm", "cyc_sum", "generators_of",
-    "perm_sum", "product", "substitute", "FreePoly", "expand_free", "parse",
-    "QuotientPoly", "normal_order", "quotient_check",
+    "Add", "Algebra", "AntiCommutator", "Commutator", "Expr", "Gen", "Mul",
+    "NBracket", "Pow", "Scal", "Sub", "SumCyc", "SumPerm", "cyc_sum", "fold",
+    "generators_of", "perm_sum", "product", "substitute", "FreePoly",
+    "expand_free", "parse", "QuotientPoly", "normal_order", "quotient_check",
 ]

@@ -5,14 +5,19 @@ built by left folds.  Permutation/cyclic sum nodes carry a tuple of
 operand expressions and denote the sum of products over all (cyclic)
 orderings; sums over permuted *arguments of an arbitrary body* are built
 with :func:`perm_sum` / :func:`cyc_sum`, which substitute explicitly.
+:func:`fold` maps a tree into any :class:`Algebra` (free polynomials,
+quotient normal forms, matrices).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
+from operator import add
+from typing import Callable, NamedTuple
 
-from ..laurent import LaurentScalar
+from ..laurent import ONE, LaurentScalar
 
 DEFAULT_ALPHABET = frozenset(
     {f"u{i}" for i in range(1, 10)} | {"u", "v", "w", "o",
@@ -119,12 +124,18 @@ class SumCyc(Expr):
 
 def product(factors) -> Expr:
     factors = list(factors)
-    if not factors:
-        return Scal(LaurentScalar.from_rational(1))
-    out = factors[0]
-    for f in factors[1:]:
-        out = Mul(out, f)
-    return out
+    return reduce(Mul, factors) if factors else Scal(ONE)
+
+
+def _map_children(e: Expr, f) -> Expr:
+    """A node of ``e``'s type with ``f`` applied to each child expression.
+
+    A node's ``vars`` are its dataclass fields in order, so they are also
+    its constructor arguments.
+    """
+    return type(e)(*[f(v) if isinstance(v, Expr)
+                     else tuple(map(f, v)) if isinstance(v, tuple) else v
+                     for v in vars(e).values()])
 
 
 def substitute(e: Expr, mapping: dict) -> Expr:
@@ -134,55 +145,83 @@ def substitute(e: Expr, mapping: dict) -> Expr:
         if repl is None:
             return e
         return Gen(repl) if isinstance(repl, str) else repl
-    if isinstance(e, Scal):
-        return e
-    if isinstance(e, (Add, Sub, Mul, NBracket, Commutator, AntiCommutator)):
-        return type(e)(substitute(e.left, mapping), substitute(e.right, mapping))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, mapping), e.exponent)
-    if isinstance(e, (SumPerm, SumCyc)):
-        return type(e)(tuple(substitute(x, mapping) for x in e.operands))
-    raise TypeError(f"unknown node {type(e).__name__}")
+    return _map_children(e, lambda x: substitute(x, mapping))
+
+
+def generators_of(e: Expr) -> set:
+    names = set()
+
+    def visit(x):
+        if isinstance(x, Gen):
+            names.add(x.name)
+        else:
+            _map_children(x, visit)
+        return x
+
+    visit(e)
+    return names
+
+
+def _rotations(items: list) -> list:
+    return [items[k:] + items[:k] for k in range(len(items))]
+
+
+def _sum_over(body: Expr, symbols, orders) -> Expr:
+    symbols = list(symbols)
+    return reduce(Add, [substitute(body, dict(zip(symbols, order)))
+                        for order in orders(symbols)])
 
 
 def perm_sum(body: Expr, symbols) -> Expr:
     """Sum of ``body`` over all permutations of the named generators."""
-    symbols = list(symbols)
-    terms = []
-    for perm in permutations(symbols):
-        terms.append(substitute(body, dict(zip(symbols, perm))))
-    out = terms[0]
-    for t in terms[1:]:
-        out = Add(out, t)
-    return out
+    return _sum_over(body, symbols, permutations)
 
 
 def cyc_sum(body: Expr, symbols) -> Expr:
     """Sum of ``body`` over all cyclic rotations of the named generators."""
-    symbols = list(symbols)
-    k = len(symbols)
-    terms = []
-    for shift in range(k):
-        rotated = symbols[shift:] + symbols[:shift]
-        terms.append(substitute(body, dict(zip(symbols, rotated))))
-    out = terms[0]
-    for t in terms[1:]:
-        out = Add(out, t)
-    return out
+    return _sum_over(body, symbols, _rotations)
 
 
-def generators_of(e: Expr) -> set:
+class Algebra(NamedTuple):
+    """Where :func:`fold` sends a tree; its values must support + and -."""
+    gen: Callable        # generator name -> value
+    scalar: Callable     # LaurentScalar -> value
+    mul: Callable        # (x, y) -> x y
+    qscale: Callable     # x -> q x
+    power: Callable | None = None  # (x, k) -> x^k; default repeated mul
+
+
+def fold(e: Expr, alg: Algebra):
+    """Value of ``e`` in ``alg``; every derived node is defined here.
+
+    ``[x,y]_n`` is ``x y - q (y x)``.  A permutation or cyclic sum folds
+    each operand once, multiplies each ordering left to right and adds the
+    products left to right, starting from the first.
+    """
     if isinstance(e, Gen):
-        return {e.name}
+        return alg.gen(e.name)
     if isinstance(e, Scal):
-        return set()
-    if isinstance(e, (Add, Sub, Mul, NBracket, Commutator, AntiCommutator)):
-        return generators_of(e.left) | generators_of(e.right)
+        return alg.scalar(e.value)
+    if isinstance(e, Add):
+        return fold(e.left, alg) + fold(e.right, alg)
+    if isinstance(e, Sub):
+        return fold(e.left, alg) - fold(e.right, alg)
+    if isinstance(e, Mul):
+        return alg.mul(fold(e.left, alg), fold(e.right, alg))
     if isinstance(e, Pow):
-        return generators_of(e.base)
+        base = fold(e.base, alg)
+        if alg.power is not None:
+            return alg.power(base, e.exponent)
+        return reduce(alg.mul, [base] * e.exponent, alg.scalar(ONE))
+    if isinstance(e, (NBracket, Commutator, AntiCommutator)):
+        x, y = fold(e.left, alg), fold(e.right, alg)
+        xy, yx = alg.mul(x, y), alg.mul(y, x)
+        if isinstance(e, NBracket):
+            return xy - alg.qscale(yx)
+        return xy - yx if isinstance(e, Commutator) else xy + yx
     if isinstance(e, (SumPerm, SumCyc)):
-        out = set()
-        for x in e.operands:
-            out |= generators_of(x)
-        return out
+        values = [fold(x, alg) for x in e.operands]
+        orders = (permutations(values) if isinstance(e, SumPerm)
+                  else _rotations(values))
+        return reduce(add, (reduce(alg.mul, order) for order in orders))
     raise TypeError(f"unknown node {type(e).__name__}")

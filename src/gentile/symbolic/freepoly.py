@@ -8,11 +8,10 @@ polynomial.
 
 from __future__ import annotations
 
-from itertools import permutations
+from operator import mul
 
 from ..laurent import ONE, Q, LaurentScalar
-from .expr import (Add, AntiCommutator, Commutator, Expr, Gen, Mul, NBracket,
-                   Pow, Scal, Sub, SumCyc, SumPerm, product)
+from .expr import Algebra, Expr, fold
 
 
 class FreePoly:
@@ -104,51 +103,10 @@ class FreePoly:
         return " + ".join(parts)
 
 
-ZERO_POLY = FreePoly()
-ONE_POLY = FreePoly.scalar(ONE)
+_FREE = Algebra(gen=FreePoly.generator, scalar=FreePoly.scalar, mul=mul,
+                qscale=lambda p: p.scale(Q))
 
 
 def expand_free(e: Expr) -> FreePoly:
     """Fully distribute an expression into a canonical free polynomial."""
-    if isinstance(e, Gen):
-        return FreePoly.generator(e.name)
-    if isinstance(e, Scal):
-        return FreePoly.scalar(e.value)
-    if isinstance(e, Add):
-        return expand_free(e.left) + expand_free(e.right)
-    if isinstance(e, Sub):
-        return expand_free(e.left) - expand_free(e.right)
-    if isinstance(e, Mul):
-        return expand_free(e.left) * expand_free(e.right)
-    if isinstance(e, Pow):
-        out = ONE_POLY
-        base = expand_free(e.base)
-        for _ in range(e.exponent):
-            out = out * base
-        return out
-    if isinstance(e, NBracket):
-        x = expand_free(e.left)
-        y = expand_free(e.right)
-        return x * y - (y * x).scale(Q)
-    if isinstance(e, Commutator):
-        x = expand_free(e.left)
-        y = expand_free(e.right)
-        return x * y - y * x
-    if isinstance(e, AntiCommutator):
-        x = expand_free(e.left)
-        y = expand_free(e.right)
-        return x * y + y * x
-    if isinstance(e, SumPerm):
-        factors = e.operands
-        total = ZERO_POLY
-        for order in permutations(range(len(factors))):
-            total = total + expand_free(product(factors[i] for i in order))
-        return total
-    if isinstance(e, SumCyc):
-        factors = list(e.operands)
-        total = ZERO_POLY
-        for shift in range(len(factors)):
-            rotated = factors[shift:] + factors[:shift]
-            total = total + expand_free(product(rotated))
-        return total
-    raise TypeError(f"unknown node {type(e).__name__}")
+    return fold(e, _FREE)

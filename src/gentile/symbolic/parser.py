@@ -115,7 +115,10 @@ class _Parser:
             num = int(tok.text)
             if self.peek().kind == "/":
                 self.advance()
-                den = int(self.expect("int").text)
+                den_tok = self.expect("int")
+                den = int(den_tok.text)
+                if den == 0:
+                    raise ParseError("zero denominator", den_tok.pos)
                 return Scal(LaurentScalar.from_rational(Fraction(num, den)))
             return Scal(LaurentScalar.from_rational(num))
         if tok.kind == "ident":

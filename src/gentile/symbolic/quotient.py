@@ -14,15 +14,14 @@ number of (b, adag) inversions, so rewriting terminates.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
+from operator import mul
 
 import numpy as np
 
 from ..errors import OutOfRange
 from ..laurent import ONE, Q, LaurentScalar, q_integer
-from .expr import (Add, AntiCommutator, Commutator, Expr, Gen, Mul, NBracket,
-                   Pow, Scal, Sub, SumCyc, SumPerm, generators_of, product)
+from .expr import Algebra, Expr, fold, generators_of
 
 QUOTIENT_ALPHABET = frozenset({"adag", "b", "N"})
 
@@ -141,13 +140,14 @@ def _acc(store: dict, key, value: LaurentScalar):
     store[key] = value if prev is None else prev + value
 
 
-ZERO_Q = QuotientPoly()
-ONE_Q = QuotientPoly({(0, 0, 0): ONE})
 _GEN_Q = {
     "adag": QuotientPoly({(1, 0, 0): ONE}),
     "b": QuotientPoly({(0, 1, 0): ONE}),
     "N": QuotientPoly({(0, 0, 1): ONE}),
 }
+_QUOTIENT = Algebra(gen=_GEN_Q.__getitem__,
+                    scalar=lambda s: QuotientPoly({(0, 0, 0): s}), mul=mul,
+                    qscale=lambda p: p.scale(Q))
 
 
 def normal_order(e: Expr) -> QuotientPoly:
@@ -161,49 +161,7 @@ def normal_order(e: Expr) -> QuotientPoly:
 
 
 def _normal_order(e: Expr) -> QuotientPoly:
-    if isinstance(e, Gen):
-        return _GEN_Q[e.name]
-    if isinstance(e, Scal):
-        return QuotientPoly({(0, 0, 0): e.value})
-    if isinstance(e, Add):
-        return _normal_order(e.left) + _normal_order(e.right)
-    if isinstance(e, Sub):
-        return _normal_order(e.left) - _normal_order(e.right)
-    if isinstance(e, Mul):
-        return _normal_order(e.left) * _normal_order(e.right)
-    if isinstance(e, Pow):
-        out = ONE_Q
-        base = _normal_order(e.base)
-        for _ in range(e.exponent):
-            out = out * base
-        return out
-    if isinstance(e, NBracket):
-        x = _normal_order(e.left)
-        y = _normal_order(e.right)
-        return x * y - (y * x).scale(Q)
-    if isinstance(e, Commutator):
-        x = _normal_order(e.left)
-        y = _normal_order(e.right)
-        return x * y - y * x
-    if isinstance(e, AntiCommutator):
-        x = _normal_order(e.left)
-        y = _normal_order(e.right)
-        return x * y + y * x
-    if isinstance(e, (SumPerm, SumCyc)):
-        from itertools import permutations
-        factors = list(e.operands)
-        total = ZERO_Q
-        if isinstance(e, SumPerm):
-            orders = permutations(range(len(factors)))
-            for order in orders:
-                total = total + _normal_order(
-                    product(factors[i] for i in order))
-        else:
-            for shift in range(len(factors)):
-                rotated = factors[shift:] + factors[:shift]
-                total = total + _normal_order(product(rotated))
-        return total
-    raise TypeError(f"unknown node {type(e).__name__}")
+    return fold(e, _QUOTIENT)
 
 
 def quotient_check(lhs: Expr, rhs: Expr):

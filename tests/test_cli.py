@@ -120,3 +120,29 @@ def test_table_format(capsys):
     assert main(["audit", "--n", "1..2", "--format", "table"]) == 0
     out = capsys.readouterr().out
     assert "# free suite" in out and "verdict" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["coherent", "--n", "1", "--format", "csv"],
+    ["su2", "--n", "1", "--seed", "5"],
+    ["arcsin-audit", "--n", "1", "--format", "json"],
+    ["eval", "b", "--n", "1", "--format", "csv"],
+])
+def test_unsupported_option_exit_one(argv, capsys):
+    assert main(argv) == 1
+    assert "error" in capsys.readouterr().err
+
+
+def test_eval_zero_denominator_exit_one(capsys):
+    assert main(["eval", "1/0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("subcommand", ["audit", "spectrum", "coherent",
+                                        "su2", "arcsin-audit"])
+def test_bad_tolerance_exit_one(subcommand, tol, capsys):
+    assert main([subcommand, "--n", "2", "--tol", tol]) == 1
+    assert "tolerance must be finite" in capsys.readouterr().err

@@ -1,5 +1,8 @@
 """Parser, free expansion, and quotient-algebra normal ordering."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +13,10 @@ from gentile.errors import OutOfRange, ParseError
 from gentile.laurent import ONE, Q, LaurentScalar, q_integer
 from gentile.linalg import max_abs_diff
 from gentile.rep import build_rep
-from gentile.symbolic import (Commutator, Gen, NBracket, QuotientPoly,
-                              expand_free, normal_order, parse, perm_sum,
-                              product, quotient_check)
+from gentile.symbolic import (Add, AntiCommutator, Commutator, Gen, Mul,
+                              NBracket, Pow, QuotientPoly, Scal, Sub, SumCyc,
+                              SumPerm, expand_free, normal_order, parse,
+                              perm_sum, product, quotient_check, substitute)
 
 # -- parser -------------------------------------------------------------------
 
@@ -52,6 +56,12 @@ def test_parse_error_carries_expected_set():
     with pytest.raises(ParseError) as exc_info:
         parse("[b,")
     assert exc_info.value.expected
+
+
+def test_parse_zero_denominator():
+    with pytest.raises(ParseError) as exc_info:
+        parse("u + 3/0 v")
+    assert exc_info.value.offset == 6
 
 
 def test_parse_alphabet_restriction():
@@ -95,6 +105,15 @@ def test_perm_sum_substitution_helper():
     # [u1,u2]_n + [u2,u1]_n = (1-q)(u1 u2 + u2 u1)
     expected = expand_free(parse("[u1,u2]_n + [u2,u1]_n"))
     assert (full - expected).is_zero
+
+
+def test_substitute_keeps_node_types():
+    # a renamed bracket stays a bracket: catalog trees keep their shape
+    text = "[u, v^2]_n - q^-1 sumcyc(u, {v, w}, [u, w]) + 2/3 sumperm(u, v)"
+    swapped = "[w, v^2]_n - q^-1 sumcyc(w, {v, u}, [w, u]) + 2/3 sumperm(w, v)"
+    out = substitute(parse(text), {"u": "w", "w": "u"})
+    assert out == parse(swapped)
+    assert isinstance(out.left.left, NBracket)
 
 
 def test_specialize_unit():
@@ -162,3 +181,74 @@ def test_normal_order_matches_representation(word, n):
     ordered = normal_order(expr).eval_rep(rep)
     scale = max(1.0, float(np.max(np.abs(direct))))
     assert max_abs_diff(direct, ordered) <= 1e-10 * scale
+
+
+# -- fold: normal form against direct evaluation, every node kind -------------
+
+_NODES = (Add, Sub, Mul, NBracket, Commutator, AntiCommutator, Pow, SumPerm,
+          SumCyc)
+_GENERATORS = st.sampled_from(["adag", "b", "N"]).map(Gen)
+_SCALARS = st.builds(
+    lambda num, den, k: Scal(LaurentScalar({k: Fraction(num, den)})),
+    st.integers(-3, 3), st.integers(1, 3), st.integers(-2, 2))
+
+
+@st.composite
+def _trees(draw, depth, degree):
+    """A tree of at most ``depth`` levels and word length ``degree``."""
+    inner = _NODES if depth and degree >= 2 else ()
+    cls = draw(st.sampled_from((None,) + inner))
+    if cls is None:
+        return draw(_GENERATORS | _SCALARS if degree else _SCALARS)
+    if cls is Pow:
+        k = draw(st.integers(0, 3))
+        return Pow(draw(_trees(depth - 1, degree // max(k, 1))), k)
+    if cls in (SumPerm, SumCyc):
+        m = draw(st.integers(1, 3))
+        return cls(tuple(draw(_trees(depth - 1, degree // m))
+                         for _ in range(m)))
+    left = degree if cls in (Add, Sub) else degree // 2
+    right = degree if cls in (Add, Sub) else degree - left
+    return cls(draw(_trees(depth - 1, left)), draw(_trees(depth - 1, right)))
+
+
+def _norm_bound(e, norms) -> float:
+    """Upper bound on the operator norm of every subexpression value."""
+    if isinstance(e, Gen):
+        return norms[e.name]
+    if isinstance(e, Scal):
+        return float(sum(abs(c) for c in e.value.coeffs.values()))
+    if isinstance(e, (Add, Sub)):
+        return _norm_bound(e.left, norms) + _norm_bound(e.right, norms)
+    if isinstance(e, Pow):
+        return _norm_bound(e.base, norms) ** e.exponent
+    if isinstance(e, (SumPerm, SumCyc)):
+        m = len(e.operands)
+        orders = math.factorial(m) if isinstance(e, SumPerm) else m
+        return orders * math.prod(_norm_bound(x, norms) for x in e.operands)
+    product_bound = _norm_bound(e.left, norms) * _norm_bound(e.right, norms)
+    return product_bound if isinstance(e, Mul) else 2.0 * product_bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(_trees(3, 6))
+def test_normal_order_matches_eval_expr_every_node(expr):
+    """Quotient normal form and direct matrix evaluation agree at finite n.
+
+    Both round off in proportion to their operand sizes, so the tolerance
+    scales with the tree's norm bound plus the normal form's term sizes.
+    """
+    poly = normal_order(expr)
+    for n in (1, 2, 3, 5):
+        rep = build_rep(n)
+        assignment = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
+        norms = {name: float(np.linalg.norm(mat, 2))
+                 for name, mat in assignment.items()}
+        direct = eval_expr(expr, assignment, rep.q, rep.dim)
+        ordered = poly.eval_rep(rep)
+        nf_size = sum(
+            float(sum(abs(c) for c in coeff.coeffs.values()))
+            * norms["adag"] ** j * norms["b"] ** k * norms["N"] ** m
+            for (j, k, m), coeff in poly.terms.items())
+        size = 1.0 + _norm_bound(expr, norms) + nf_size
+        assert max_abs_diff(direct, ordered) <= 64 * (n + 1) * 2.2e-16 * size
