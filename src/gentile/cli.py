@@ -70,6 +70,10 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+# Largest n accepted: every n builds dense (n+1) x (n+1) matrices.
+MAX_N = 1024
+
+
 def parse_n_values(spec_text: str):
     """Parse '--n 5' or '--n 2..6' into an ascending list of ints."""
     text = spec_text.strip()
@@ -80,6 +84,8 @@ def parse_n_values(spec_text: str):
         lo = hi = int(text)
     if lo < 1 or hi < lo:
         raise OutOfRange(f"invalid n range {spec_text!r} (need 1 <= A <= B)")
+    if hi > MAX_N:
+        raise OutOfRange(f"n = {hi} is above the maximum {MAX_N}")
     return list(range(lo, hi + 1))
 
 

@@ -11,25 +11,83 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from itertools import chain
 
 from .errors import OutOfRange
 
 
-class LaurentScalar:
-    __slots__ = ("_coeffs",)
+class Terms:
+    """A finite sum of coefficient x key, zero coefficients dropped.
 
-    def __init__(self, coeffs=None):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                f = v if isinstance(v, Fraction) else Fraction(v)
-                if f:
-                    clean[int(k)] = f
-        self._coeffs = clean
+    Sums keep self's keys first, then the other operand's new keys, in
+    their order; a product's keys combine by ``+`` (exponent addition for
+    :class:`LaurentScalar`, word concatenation for words) with the outer
+    loop over self.  Numeric evaluation sums in this insertion order, so
+    the order fixes the floating-point bits.
+    """
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms=None):
+        self._terms = {k: c for k, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def collect(cls, pairs):
+        """Sum of (key, coefficient) pairs, keys in first-seen order."""
+        out = {}
+        for k, c in pairs:
+            prev = out.get(k)
+            out[k] = c if prev is None else prev + c
+        return cls(out)
 
     @property
-    def coeffs(self):
-        return dict(self._coeffs)
+    def terms(self):
+        return dict(self._terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.collect(chain(self._terms.items(), other._terms.items()))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.collect(chain(self._terms.items(),
+                                  ((k, -c) for k, c in other._terms.items())))
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self._terms.items()})
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.collect((k1 + k2, c1 * c2)
+                            for k1, c1 in self._terms.items()
+                            for k2, c2 in other._terms.items())
+
+    def scale(self, s):
+        """Every coefficient multiplied by ``s`` on the left."""
+        return type(self)({k: s * c for k, c in self._terms.items()})
+
+
+class LaurentScalar(Terms):
+    __slots__ = ()
+
+    coeffs = Terms.terms
 
     @classmethod
     def from_rational(cls, value) -> "LaurentScalar":
@@ -39,54 +97,10 @@ class LaurentScalar:
     def q_power(cls, k: int) -> "LaurentScalar":
         return cls({k: Fraction(1)})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __bool__(self):
-        return bool(self._coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return LaurentScalar(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            out[k] = out.get(k, Fraction(0)) - v
-        return LaurentScalar(out)
-
-    def __neg__(self):
-        return LaurentScalar({k: -v for k, v in self._coeffs.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
-        out: dict[int, Fraction] = {}
-        for k1, v1 in self._coeffs.items():
-            for k2, v2 in other._coeffs.items():
-                k = k1 + k2
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return LaurentScalar(out)
-
     def __pow__(self, exponent: int):
         if exponent < 0:
-            if len(self._coeffs) == 1:
-                ((k, v),) = self._coeffs.items()
+            if len(self._terms) == 1:
+                ((k, v),) = self._terms.items()
                 return LaurentScalar({k * exponent: v ** exponent})
             raise OutOfRange("negative powers only defined for monomials")
         result = ONE
@@ -101,25 +115,25 @@ class LaurentScalar:
 
     def eval_at(self, q: complex) -> complex:
         """Numeric value with q set to an arbitrary complex number."""
-        if not self._coeffs:
+        if not self._terms:
             return 0j
-        return sum(complex(v) * q ** k for k, v in self._coeffs.items())
+        return sum(complex(v) * q ** k for k, v in self._terms.items())
 
     def subs_unit(self, sign: int) -> Fraction:
         """Exact value at q = +1 or q = -1."""
         if sign not in (1, -1):
             raise OutOfRange("sign must be +1 or -1")
         total = Fraction(0)
-        for k, v in self._coeffs.items():
+        for k, v in self._terms.items():
             total += v if (sign == 1 or k % 2 == 0) else -v
         return total
 
     def __repr__(self):
-        if not self._coeffs:
+        if not self._terms:
             return "0"
         parts = []
-        for k in sorted(self._coeffs):
-            v = self._coeffs[k]
+        for k in sorted(self._terms):
+            v = self._terms[k]
             if k == 0:
                 parts.append(str(v))
             elif k == 1:

@@ -148,17 +148,23 @@ def substitute(e: Expr, mapping: dict) -> Expr:
     return _map_children(e, lambda x: substitute(x, mapping))
 
 
-def generators_of(e: Expr) -> set:
-    names = set()
+def _children(e: Expr):
+    """The child expressions of ``e``, in field order."""
+    for v in vars(e).values():
+        if isinstance(v, Expr):
+            yield v
+        elif isinstance(v, tuple):
+            yield from v
 
-    def visit(x):
+
+def generators_of(e: Expr) -> set:
+    names, stack = set(), [e]
+    while stack:
+        x = stack.pop()
         if isinstance(x, Gen):
             names.add(x.name)
         else:
-            _map_children(x, visit)
-        return x
-
-    visit(e)
+            stack.extend(_children(x))
     return names
 
 

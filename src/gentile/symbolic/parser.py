@@ -12,7 +12,8 @@ Grammar:
     SCALAR := INT ('/' INT)? | 'q' ('^' '-'? INT)?
 
 The generator alphabet is declared per call; identifiers outside it are
-parse errors (catches typos in identity entry).
+parse errors (catches typos in identity entry).  Input nested or built
+deeper than :data:`MAX_DEPTH` levels is a parse error too.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ _TOKEN_RE = re.compile(r"""
   | (?P<ident>[A-Za-z][A-Za-z0-9]*)
   | (?P<op>[-+^/(),\[\]{}])
 """, re.VERBOSE)
+
+
+# Python's default limit on the digits int() converts from a string.
+_MAX_DIGITS = 4300
 
 
 class _Token:
@@ -54,6 +59,8 @@ def _tokenize(text: str):
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         kind = m.lastgroup
+        if kind == "int" and m.end() - pos > _MAX_DIGITS:
+            raise ParseError(f"integer longer than {_MAX_DIGITS} digits", pos)
         if kind != "ws":
             tok_kind = m.group() if kind == "op" else kind
             tokens.append(_Token(tok_kind, m.group(), pos))
@@ -64,12 +71,19 @@ def _tokenize(text: str):
 
 _TERM_START = {"int", "ident", "(", "[", "{"}
 
+# Deepest bracket nesting and deepest syntax tree accepted.  The parser
+# takes four frames per nesting level, and fold and substitute one to four
+# per tree level, so every walk stays well inside Python's default
+# recursion limit of 1000.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, tokens, alphabet):
         self.tokens = tokens
         self.i = 0
         self.alphabet = alphabet
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -86,29 +100,46 @@ class _Parser:
                              tok.pos, {kind})
         return self.advance()
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
+    def deeper(self, tok, *depths) -> int:
+        """Depth of a node over children of the given depths."""
+        depth = 1 + max(depths)
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression deeper than {MAX_DEPTH} levels",
+                             tok.pos)
+        return depth
+
+    # Each parse_* method returns (node, depth of node).
+
+    def parse_expr(self):
+        # one nesting level per opening token, reported at that token
+        self.nesting = self.deeper(self.tokens[self.i - 1], self.nesting)
+        node, depth = self.parse_term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            rhs = self.parse_term()
+            rhs, rhs_depth = self.parse_term()
+            depth = self.deeper(op, depth, rhs_depth)
             node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
-        return node
+        self.nesting -= 1
+        return node, depth
 
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
+    def parse_term(self):
+        node, depth = self.parse_factor()
         while self.peek().kind in _TERM_START:
-            node = Mul(node, self.parse_factor())
-        return node
+            tok = self.peek()
+            rhs, rhs_depth = self.parse_factor()
+            depth = self.deeper(tok, depth, rhs_depth)
+            node = Mul(node, rhs)
+        return node, depth
 
-    def parse_factor(self) -> Expr:
-        base = self.parse_base()
+    def parse_factor(self):
+        base, depth = self.parse_base()
         if self.peek().kind == "^":
-            self.advance()
+            tok = self.advance()
             k = int(self.expect("int").text)
-            return Pow(base, k)
-        return base
+            return Pow(base, k), self.deeper(tok, depth)
+        return base, depth
 
-    def parse_base(self) -> Expr:
+    def parse_base(self):
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
@@ -119,13 +150,13 @@ class _Parser:
                 den = int(den_tok.text)
                 if den == 0:
                     raise ParseError("zero denominator", den_tok.pos)
-                return Scal(LaurentScalar.from_rational(Fraction(num, den)))
-            return Scal(LaurentScalar.from_rational(num))
+                num = Fraction(num, den)
+            return Scal(LaurentScalar.from_rational(num)), 1
         if tok.kind == "ident":
             self.advance()
             name = tok.text
             if name in ("sumperm", "sumcyc"):
-                return self.parse_sum_node(name)
+                return self.parse_sum_node(tok)
             if name == "q":
                 # 'q', 'q^2', or 'q^-2' are scalars
                 if self.peek().kind == "^":
@@ -137,53 +168,50 @@ class _Parser:
                         sign = -1
                     if self.peek().kind == "int":
                         k = int(self.advance().text)
-                        return Scal(LaurentScalar.q_power(sign * k))
+                        return Scal(LaurentScalar.q_power(sign * k)), 1
                     self.i = save  # '^' belongs to an outer power
-                return Scal(LaurentScalar.q_power(1))
+                return Scal(LaurentScalar.q_power(1)), 1
             if name not in self.alphabet:
                 raise ParseError(f"unknown generator {name!r}", tok.pos,
                                  {"declared generator"})
-            return Gen(name)
+            return Gen(name), 1
         if tok.kind == "(":
             self.advance()
             node = self.parse_expr()
             self.expect(")")
             return node
-        if tok.kind == "[":
+        if tok.kind in ("[", "{"):
             self.advance()
-            left = self.parse_expr()
+            left, left_depth = self.parse_expr()
             self.expect(",")
-            right = self.parse_expr()
-            self.expect("]")
+            right, right_depth = self.parse_expr()
+            self.expect("]" if tok.kind == "[" else "}")
+            depth = self.deeper(tok, left_depth, right_depth)
+            if tok.kind == "{":
+                return AntiCommutator(left, right), depth
             if self.peek().kind == "tag":
                 self.advance()
-                return NBracket(left, right)
-            return Commutator(left, right)
-        if tok.kind == "{":
-            self.advance()
-            left = self.parse_expr()
-            self.expect(",")
-            right = self.parse_expr()
-            self.expect("}")
-            return AntiCommutator(left, right)
+                return NBracket(left, right), depth
+            return Commutator(left, right), depth
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}",
                          tok.pos, _TERM_START)
 
-    def parse_sum_node(self, name) -> Expr:
+    def parse_sum_node(self, tok):
         self.expect("(")
         operands = [self.parse_expr()]
         while self.peek().kind == ",":
             self.advance()
             operands.append(self.parse_expr())
         self.expect(")")
-        cls = SumPerm if name == "sumperm" else SumCyc
-        return cls(tuple(operands))
+        nodes, depths = zip(*operands)
+        cls = SumPerm if tok.text == "sumperm" else SumCyc
+        return cls(nodes), self.deeper(tok, *depths)
 
 
 def parse(text: str, alphabet=DEFAULT_ALPHABET) -> Expr:
     """Parse an operator expression over the declared generator alphabet."""
     parser = _Parser(_tokenize(text), frozenset(alphabet))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.pos, {"eof"})

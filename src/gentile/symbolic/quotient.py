@@ -20,84 +20,43 @@ from operator import mul
 import numpy as np
 
 from ..errors import OutOfRange
-from ..laurent import ONE, Q, LaurentScalar, q_integer
+from ..laurent import ONE, Q, LaurentScalar, Terms, q_integer
 from .expr import Algebra, Expr, fold, generators_of
 
 QUOTIENT_ALPHABET = frozenset({"adag", "b", "N"})
 
 
-class QuotientPoly:
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    clean[tuple(key)] = coeff
-        self._terms = clean
-
-    @property
-    def terms(self):
-        return dict(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other):
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            prev = out.get(k)
-            out[k] = c if prev is None else prev + c
-        return QuotientPoly(out)
-
-    def __sub__(self, other):
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            prev = out.get(k)
-            out[k] = -c if prev is None else prev - c
-        return QuotientPoly(out)
-
-    def __neg__(self):
-        return QuotientPoly({k: -c for k, c in self._terms.items()})
-
-    def scale(self, s: LaurentScalar) -> "QuotientPoly":
-        return QuotientPoly({k: s * c for k, c in self._terms.items()})
+class QuotientPoly(Terms):
+    __slots__ = ()
 
     def _mul_adag(self) -> "QuotientPoly":
-        out: dict = {}
+        pairs = []
         for (j, k, m), c in self._terms.items():
             # N^m adag = adag (N+1)^m ; b^k adag = q^k adag b^k + <k> b^(k-1)
             for i in range(m + 1):
                 binom = LaurentScalar.from_rational(comb(m, i))
-                lead = (Q ** k) * c * binom
-                _acc(out, (j + 1, k, i), lead)
+                pairs.append(((j + 1, k, i), (Q ** k) * c * binom))
                 if k >= 1:
-                    tail = q_integer(k) * c * binom
-                    _acc(out, (j, k - 1, i), tail)
-        return QuotientPoly(out)
+                    pairs.append(((j, k - 1, i), q_integer(k) * c * binom))
+        return self.collect(pairs)
 
     def _mul_b(self) -> "QuotientPoly":
-        out: dict = {}
+        pairs = []
         for (j, k, m), c in self._terms.items():
             # N^m b = b (N-1)^m
             for i in range(m + 1):
                 sign = 1 if (m - i) % 2 == 0 else -1
                 binom = LaurentScalar.from_rational(sign * comb(m, i))
-                _acc(out, (j, k + 1, i), c * binom)
-        return QuotientPoly(out)
+                pairs.append(((j, k + 1, i), c * binom))
+        return self.collect(pairs)
 
     def _mul_num(self) -> "QuotientPoly":
         return QuotientPoly({(j, k, m + 1): c
                              for (j, k, m), c in self._terms.items()})
 
     def __mul__(self, other):
+        if type(other) is not QuotientPoly:
+            return NotImplemented
         total = QuotientPoly()
         for (j, k, m), c in other._terms.items():
             part = self.scale(c)
@@ -133,11 +92,6 @@ class QuotientPoly:
             mat = mat @ np.linalg.matrix_power(rep.num, m)
             total += c.eval_at(rep.q) * mat
         return total
-
-
-def _acc(store: dict, key, value: LaurentScalar):
-    prev = store.get(key)
-    store[key] = value if prev is None else prev + value
 
 
 _GEN_Q = {

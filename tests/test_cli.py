@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from gentile.cli import main, parse_n_values
+from gentile.cli import MAX_N, main, parse_n_values
 from gentile.errors import OutOfRange
 
 
@@ -17,6 +17,10 @@ def test_parse_n_values():
         parse_n_values("0")
     with pytest.raises(OutOfRange):
         parse_n_values("5..2")
+    assert parse_n_values("1024")[-1] == MAX_N == 1024
+    for spec in ("1..1025", "1025"):
+        with pytest.raises(OutOfRange, match="above the maximum 1024"):
+            parse_n_values(spec)
 
 
 def test_audit_exit_zero(capsys):
@@ -137,6 +141,19 @@ def test_eval_zero_denominator_exit_one(capsys):
     assert main(["eval", "1/0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expression", [
+    "adag " * 3000,
+    " + ".join(["adag"] * 3000),
+    "(" * 2000 + "adag" + ")" * 2000,
+    "[" * 2000 + "adag" + ", b]_n" * 2000,
+], ids=["product", "sum", "parentheses", "brackets"])
+def test_eval_deep_input_exit_one(expression, capsys):
+    assert main(["eval", expression, "--n", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: expression deeper than 100 levels")
     assert "Traceback" not in err
 
 

@@ -5,18 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gentile.audit import eval_expr
 from gentile.errors import OutOfRange, ParseError
-from gentile.laurent import ONE, Q, LaurentScalar, q_integer
+from gentile.laurent import ONE, Q, QINV, ZERO, LaurentScalar, q_integer
 from gentile.linalg import max_abs_diff
 from gentile.rep import build_rep
-from gentile.symbolic import (Add, AntiCommutator, Commutator, Gen, Mul,
-                              NBracket, Pow, QuotientPoly, Scal, Sub, SumCyc,
-                              SumPerm, expand_free, normal_order, parse,
-                              perm_sum, product, quotient_check, substitute)
+from gentile.symbolic import (Add, AntiCommutator, Commutator, Expr,
+                              FreePoly, Gen, Mul, NBracket, Pow, QuotientPoly,
+                              Scal, Sub, SumCyc, SumPerm, expand_free,
+                              normal_order, parse, perm_sum, product,
+                              quotient_check, substitute)
+from gentile.symbolic.parser import MAX_DEPTH
 
 # -- parser -------------------------------------------------------------------
 
@@ -64,10 +66,64 @@ def test_parse_zero_denominator():
     assert exc_info.value.offset == 6
 
 
+def test_parse_depth_limit():
+    # MAX_DEPTH levels parse; the first token past them is the error offset
+    assert isinstance(parse("u " * MAX_DEPTH), Mul)
+    parse("(" * (MAX_DEPTH - 1) + "u" + ")" * (MAX_DEPTH - 1))
+    for text, offset in [("u " * (MAX_DEPTH + 1), 2 * MAX_DEPTH),
+                         ("u+" * MAX_DEPTH + "u", 2 * MAX_DEPTH - 1),
+                         ("(" * MAX_DEPTH + "u" + ")" * MAX_DEPTH,
+                          MAX_DEPTH - 1)]:
+        with pytest.raises(ParseError) as exc_info:
+            parse(text)
+        assert exc_info.value.offset == offset
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+@example("1" * 5000)
+def test_parse_any_text_gives_expr_or_parse_error(text):
+    try:
+        assert isinstance(parse(text), Expr)
+    except ParseError:
+        pass
+
+
 def test_parse_alphabet_restriction():
     parse("u v", alphabet={"u", "v"})
     with pytest.raises(ParseError):
         parse("u w", alphabet={"u", "v"})
+
+
+# -- the shared sparse-term contract -----------------------------------------
+
+# class -> two keys, two nonzero coefficients and the zero coefficient
+_SPARSE = {
+    LaurentScalar: ((0, -2), Fraction(3, 2), Fraction(-1), Fraction(0)),
+    FreePoly: ((("u",), ("v", "u")), Q, ONE + QINV, ZERO),
+    QuotientPoly: (((1, 0, 0), (0, 1, 2)), QINV, Q + Q, ZERO),
+}
+
+
+def _sparse_pair(cls):
+    (k1, k2), c1, c2, zero = _SPARSE[cls]
+    return cls({k1: c1, k2: zero}), cls({k2: c1, k1: c2})
+
+
+@pytest.mark.parametrize("cls", list(_SPARSE), ids=lambda c: c.__name__)
+def test_sparse_terms_contract(cls):
+    (k1, _), c1, _, _ = _SPARSE[cls]
+    a, b = _sparse_pair(cls)
+    assert a.terms == {k1: c1}
+    assert a and (a - a).is_zero and not (a - a)
+    assert -(-a) == a and (a + b) - b == a
+    assert hash(cls({k1: c1})) == hash(a)
+    for other in _SPARSE:
+        if other is not cls:
+            x, _ = _sparse_pair(other)
+            with pytest.raises(TypeError):
+                a + x
+            assert (a == x) is False
 
 
 # -- free expansion -----------------------------------------------------------
