@@ -34,9 +34,9 @@ from .audit import (
     run_matrix_suite, audit_crosscheck, run_full_audit, eval_expr,
 )
 from .coherent import (
-    LambdaChoice, lambda_value, GrassmannElement, GrassmannOps,
-    CoherentState, build_coherent, eigenstate_residual, closed_form_delta,
-    compare_closed_form, normalization_poly, move_relation_check,
+    LambdaChoice, lambda_value, GrassmannOps, CoherentState, build_coherent,
+    eigenstate_residual, closed_form_delta, compare_closed_form,
+    normalization_poly, move_relation_check,
 )
 from .oscillator import (
     OscillatorSpec, build_hamiltonian, per_state_energy, case_class,

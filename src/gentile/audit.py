@@ -67,7 +67,6 @@ class IdentityResult:
     n_tested: tuple
     verdict: str
     wall_time: float = 0.0
-    degenerate_specializations: tuple = ()
 
     def to_record(self, seed: int) -> dict:
         return {
@@ -172,8 +171,7 @@ def run_matrix_suite(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS,
 
     QUOTIENT and MATRIX entries are evaluated in the Gentile representation
     at every n; FREE formal-q entries are spot-checked with random complex
-    matrices.  Degenerate specializations of cleared-denominator entries
-    (the cleared prefactor vanishing at some n) are recorded.
+    matrices.
 
     Draw order, which keeps a seed's output stable: one generator seeded
     with ``seed`` serves the FREE formal-q entries in catalog order.  Each
@@ -204,13 +202,10 @@ def _matrix_suite(catalog, free, n_values, trials, tol, seed) -> AuditReport:
         worst = 0.0
         symbolic = None
         digest = "0"
-        degenerate = ()
         if entry.strategy == FREE:
             if entry.specialization != FORMAL_Q:
                 continue  # limit forms have no finite-n specialization
             symbolic, digest = free_verdicts[entry.id]
-            if entry.denominator_cleared:
-                degenerate = tuple(n for n in n_values if n == 1)
             assign = _random_draws(
                 generators_of(entry.lhs) | generators_of(entry.rhs), rng,
                 len(q_draws))
@@ -242,8 +237,7 @@ def _matrix_suite(catalog, free, n_values, trials, tol, seed) -> AuditReport:
             specialization=entry.specialization, symbolic_verdict=symbolic,
             residual_digest=digest, numeric_residual=worst,
             n_tested=tuple(n_values), verdict=verdict,
-            wall_time=time.perf_counter() - start,
-            degenerate_specializations=degenerate))
+            wall_time=time.perf_counter() - start))
     return AuditReport(results=results, seed=seed, tol=tol)
 
 

@@ -8,8 +8,9 @@ k, l, i are instantiated up to total degree 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
 from typing import Callable, Optional
 
@@ -18,8 +19,8 @@ import numpy as np
 from .errors import ParseError
 from .laurent import ONE, Q, QINV, LaurentScalar
 from .rep import GentileRep, diag_of_num
-from .symbolic import (AntiCommutator, Commutator, Expr, Gen, Mul, NBracket,
-                       Pow, Scal, parse, perm_sum, cyc_sum, product)
+from .symbolic import (Add, AntiCommutator, Commutator, Expr, Gen, Mul,
+                       NBracket, Pow, Scal, parse, perm_sum, cyc_sum, product)
 
 FREE = "FREE"
 QUOTIENT = "QUOTIENT"
@@ -37,7 +38,6 @@ class IdentityEntry:
     lhs: Expr
     rhs: Expr
     strategy: str
-    denominator_cleared: bool = False
     specialization: str = FORMAL_Q
     # MATRIX-strategy sides that need functions of N are built per rep
     lhs_builder: Optional[Callable[[GentileRep], np.ndarray]] = None
@@ -71,12 +71,9 @@ def _product_rule(us, vs, deformed: bool):
             core = Commutator(us[i], vs[j])
             factors = us[:i] + vs[:j] + [core] + vs[j + 1:] + us[i + 1:]
             terms.append(product(factors))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
+    total = reduce(Add, terms)
     if deformed:
-        tail = Mul(_scal(_ONE_MINUS_Q), product(vs + us))
-        total = total + tail
+        total = total + Mul(_scal(_ONE_MINUS_Q), product(vs + us))
     return total
 
 
@@ -120,11 +117,10 @@ def _eps_sum(bracket_cls, signed: bool):
 def build_catalog() -> list:
     entries = []
 
-    def add(id_, lhs, rhs, strategy=FREE, cleared=False, spec=FORMAL_Q,
-            lhs_builder=None, rhs_builder=None):
+    def add(id_, lhs, rhs, strategy=FREE, spec=FORMAL_Q, lhs_builder=None,
+            rhs_builder=None):
         entries.append(IdentityEntry(
-            id=id_, lhs=lhs, rhs=rhs, strategy=strategy,
-            denominator_cleared=cleared, specialization=spec,
+            id=id_, lhs=lhs, rhs=rhs, strategy=strategy, specialization=spec,
             lhs_builder=lhs_builder, rhs_builder=rhs_builder))
 
     u, v, w, o = Gen("u"), Gen("v"), Gen("w"), Gen("o")
@@ -230,7 +226,7 @@ def build_catalog() -> list:
             NBracket(product(us), v), _product_rule(us, [v], deformed=True))
         add(f"appA_eq22_k{k}",
             NBracket(v, product(us)),
-            _product_rule_right(us, v))
+            _product_rule([v], us, deformed=True))
 
     for k, l in ((2, 2), (3, 2), (2, 3), (3, 3)):
         add(f"appA_eq41_k{k}l{l}",
@@ -242,7 +238,7 @@ def build_catalog() -> list:
         lhs = Mul(_scal(_ONE_MINUS_Q ** (k + m - 2)),
                   NBracket(Pow(u, k), Pow(v, m)))
         rhs = NBracket(_nested_self_power(u, k), _nested_self_power(v, m))
-        add(f"appA_nested_power_k{k}m{m}", lhs, rhs, cleared=True)
+        add(f"appA_nested_power_k{k}m{m}", lhs, rhs)
 
     # step-down recursions
     for k in (2, 3, 4):
@@ -285,10 +281,10 @@ def build_catalog() -> list:
         + Mul(_scal(Q * Q), NBracket(NBracket(v, u), NBracket(o, w))))
     add("appA_uvwo_brackets",
         Mul(_scal((ONE - Q * Q) ** 2), NBracket(Mul(u, v), Mul(w, o))),
-        double_bracket_sum, cleared=True)
+        double_bracket_sum)
     add("appA_uvwo_brackets_printed",
         Mul(_scal(ONE - Q * Q), NBracket(Mul(u, v), Mul(w, o))),
-        double_bracket_sum, cleared=True)
+        double_bracket_sum)
     add("appA_uvwo_mixed",
         NBracket(Mul(u, v), Mul(w, o)),
         product([u, NBracket(v, w), o])
@@ -419,20 +415,6 @@ def build_catalog() -> list:
     return entries
 
 
-def _product_rule_right(us, v):
-    """Expansion of the bracket with the single operator on the left."""
-    k = len(us)
-    terms = []
-    for i in range(k):
-        core = Commutator(v, us[i])
-        factors = us[:i] + [core] + us[i + 1:]
-        terms.append(product(factors))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total + Mul(_scal(_ONE_MINUS_Q), Mul(product(us), v))
-
-
 def _power_rule(u, v, k, l):
     """Eq.-(41)-style expansion of the bracket of two pure powers."""
     terms = []
@@ -449,10 +431,8 @@ def _power_rule(u, v, k, l):
             if k - i > 0:
                 factors.append(Pow(u, k - i))
             terms.append(product(factors))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total + Mul(_scal(_ONE_MINUS_Q), Mul(Pow(v, l), Pow(u, k)))
+    return reduce(Add, terms) + Mul(_scal(_ONE_MINUS_Q),
+                                    Mul(Pow(v, l), Pow(u, k)))
 
 
 def parse_identity_line(line: str, alphabet=None):

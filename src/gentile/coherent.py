@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import OutOfRange
-from .rep import bracket_number
+from .rep import build_rep
 
 
 class LambdaChoice(Enum):
@@ -47,67 +47,51 @@ def lambda_value(choice, v: int, n: int, custom_table=None) -> complex:
     raise OutOfRange(f"unknown lambda choice {choice!r}")
 
 
-@dataclass(frozen=True)
-class GrassmannElement:
-    """Element of the module spanned by |nu> psi^k, 0 <= nu, k <= n."""
+def _lower(e: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """Move every row nu of e to nu - 1 with amplitude amp[nu - 1]."""
+    out = np.zeros(e.shape, dtype=complex)
+    out[..., :-1, :] += amp[:, None] * e[..., 1:, :]
+    return out
 
-    n: int
-    coeffs: np.ndarray  # (n+1, n+1) complex, indexed [nu, k]
 
-    @classmethod
-    def zero(cls, n: int) -> "GrassmannElement":
-        return cls(n, np.zeros((n + 1, n + 1), dtype=complex))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-    def sub(self, other: "GrassmannElement") -> "GrassmannElement":
-        return GrassmannElement(self.n, self.coeffs - other.coeffs)
-
-    def scaled(self, s: complex) -> "GrassmannElement":
-        return GrassmannElement(self.n, s * self.coeffs)
+def _raise(e: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """Move every row nu of e to nu + 1 with amplitude amp[nu]."""
+    out = np.zeros(e.shape, dtype=complex)
+    out[..., 1:, :] += amp[:, None] * e[..., :-1, :]
+    return out
 
 
 class GrassmannOps:
-    """Operator actions on the module for one (n, lambda) choice."""
+    """Operator actions on the module for one (n, lambda) choice.
+
+    Module elements are (n+1, n+1) complex arrays indexed [nu, k], or
+    stacks of them along leading axes.  The ladder amplitudes are the
+    off-diagonals of the ``build_rep(n)`` matrices, conjugated for a and
+    b_dag.
+    """
 
     def __init__(self, n: int, choice, custom_table=None):
         self.n = n
+        self.rep = build_rep(n)
         self.lam = [lambda_value(choice, v, n, custom_table)
                     for v in range(n + 1)]
-        self.sqrt_br = [cmath.sqrt(bracket_number(n, v))
-                        for v in range(n + 2)]
 
-    def apply_b(self, e: GrassmannElement) -> GrassmannElement:
-        out = GrassmannElement.zero(self.n)
-        for v in range(1, self.n + 1):
-            out.coeffs[v - 1, :] += self.sqrt_br[v] * e.coeffs[v, :]
-        return out
+    def apply_b(self, e: np.ndarray) -> np.ndarray:
+        return _lower(e, self.rep.b.diagonal(1))
 
-    def apply_a(self, e: GrassmannElement) -> GrassmannElement:
-        out = GrassmannElement.zero(self.n)
-        for v in range(1, self.n + 1):
-            out.coeffs[v - 1, :] += self.sqrt_br[v].conjugate() * e.coeffs[v, :]
-        return out
+    def apply_a(self, e: np.ndarray) -> np.ndarray:
+        return _lower(e, self.rep.a.diagonal(1))
 
-    def apply_adag(self, e: GrassmannElement) -> GrassmannElement:
-        out = GrassmannElement.zero(self.n)
-        for v in range(self.n):
-            out.coeffs[v + 1, :] += self.sqrt_br[v + 1] * e.coeffs[v, :]
-        return out
+    def apply_adag(self, e: np.ndarray) -> np.ndarray:
+        return _raise(e, self.rep.a_dag.diagonal(-1))
 
-    def apply_bdag(self, e: GrassmannElement) -> GrassmannElement:
-        out = GrassmannElement.zero(self.n)
-        for v in range(self.n):
-            out.coeffs[v + 1, :] += self.sqrt_br[v + 1].conjugate() \
-                * e.coeffs[v, :]
-        return out
+    def apply_bdag(self, e: np.ndarray) -> np.ndarray:
+        return _raise(e, self.rep.b_dag.diagonal(-1))
 
-    def apply_psi(self, e: GrassmannElement) -> GrassmannElement:
+    def apply_psi(self, e: np.ndarray) -> np.ndarray:
         """Left multiplication by psi; the k = n column truncates away."""
-        out = GrassmannElement.zero(self.n)
-        for v in range(self.n + 1):
-            out.coeffs[v, 1:] += self.lam[v] * e.coeffs[v, :-1]
+        out = np.zeros(e.shape, dtype=complex)
+        out[..., 1:] += np.array(self.lam)[:, None] * e[..., :-1]
         return out
 
 
@@ -116,30 +100,28 @@ class CoherentState:
     n: int
     choice: LambdaChoice
     delta: tuple  # delta(0, n) .. delta(n, n)
-    element: GrassmannElement
+    element: np.ndarray  # (n+1, n+1), delta on the diagonal
     ops: GrassmannOps
 
 
 def build_coherent(n: int, choice, custom_table=None) -> CoherentState:
     """Coherent state from the delta recursion, diagonal in (nu, k)."""
-    if n < 1:
-        raise OutOfRange(f"n must be >= 1, got {n}")
     ops = GrassmannOps(n, choice, custom_table)
+    amp = ops.rep.a_dag.diagonal(-1)  # sqrt(<1>) .. sqrt(<n>)
     delta = [1 + 0j]
     for v in range(n):
-        delta.append(delta[v] * ops.lam[v] / ops.sqrt_br[v + 1])
-    element = GrassmannElement.zero(n)
-    for v in range(n + 1):
-        element.coeffs[v, v] = delta[v]
+        # a Python complex divisor: numpy's complex division rounds
+        # differently
+        delta.append(delta[v] * ops.lam[v] / complex(amp[v]))
     return CoherentState(n=n, choice=choice, delta=tuple(delta),
-                         element=element, ops=ops)
+                         element=np.diag(delta), ops=ops)
 
 
 def eigenstate_residual(state: CoherentState) -> float:
     """Max-abs coefficient of b|psi> - psi|psi>; zero by construction."""
     lhs = state.ops.apply_b(state.element)
     rhs = state.ops.apply_psi(state.element)
-    return lhs.sub(rhs).max_abs()
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def closed_form_delta(n: int, sign: int, v: int) -> complex:
@@ -209,31 +191,24 @@ def move_relation_check(n: int, choice, power: int, custom_table=None):
     ops = GrassmannOps(n, choice, custom_table)
     ratio = ops.lam[power] / ops.lam[0]
 
-    def repeat(f, e, times):
-        for _ in range(times):
+    def repeat(f, e):
+        for _ in range(power):
             e = f(e)
         return e
 
-    checks = {
-        "psi_bdag": (lambda e: ops.apply_psi(repeat(ops.apply_bdag, e, power)),
-                     lambda e: repeat(ops.apply_bdag,
-                                      ops.apply_psi(e), power)),
-        "psi_adag": (lambda e: ops.apply_psi(repeat(ops.apply_adag, e, power)),
-                     lambda e: repeat(ops.apply_adag,
-                                      ops.apply_psi(e), power)),
-        "b_psi": (lambda e: repeat(ops.apply_b, ops.apply_psi(e), power),
-                  lambda e: ops.apply_psi(repeat(ops.apply_b, e, power))),
-        "a_psi": (lambda e: repeat(ops.apply_a, ops.apply_psi(e), power),
-                  lambda e: ops.apply_psi(repeat(ops.apply_a, e, power))),
-    }
     residuals = {}
-    for name, (lhs_f, rhs_f) in checks.items():
+    for name, f, psi_left in (("psi_bdag", ops.apply_bdag, True),
+                              ("psi_adag", ops.apply_adag, True),
+                              ("b_psi", ops.apply_b, False),
+                              ("a_psi", ops.apply_a, False)):
         worst = 0.0
-        for v in range(n + 1):
-            for k in range(n + 1):
-                e = GrassmannElement.zero(n)
-                e.coeffs[v, k] = 1.0
-                diff = lhs_f(e).sub(rhs_f(e).scaled(ratio))
-                worst = max(worst, diff.max_abs())
+        for k in range(n + 1):
+            # the basis elements |nu> psi^k, nu = 0..n, stacked on axis 0
+            e = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
+            e[range(n + 1), range(n + 1), k] = 1.0
+            psi_f = ops.apply_psi(repeat(f, e))
+            f_psi = repeat(f, ops.apply_psi(e))
+            lhs, rhs = (psi_f, f_psi) if psi_left else (f_psi, psi_f)
+            worst = max(worst, float(np.max(np.abs(lhs - ratio * rhs))))
         residuals[name] = worst
     return residuals

@@ -53,14 +53,9 @@ def hermitian_eigen(m: np.ndarray, tol: float = DEFAULT_TOL,
     scale = float(np.max(np.abs(a))) or 1.0
     stop = 1e-15 * scale * dim
 
-    converged = False
     for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                off = max(off, abs(a[p, q]))
+        off = float(np.max(np.abs(np.triu(a, 1))))
         if off <= stop:
-            converged = True
             break
         # one cyclic sweep; skip pivots already below threshold
         threshold = max(off / dim, stop)
@@ -93,10 +88,9 @@ def hermitian_eigen(m: np.ndarray, tol: float = DEFAULT_TOL,
                 ucol_q = u[:, q].copy()
                 u[:, p] = c * ucol_p + s * np.conj(phase) * ucol_q
                 u[:, q] = -s * phase * ucol_p + c * ucol_q
-    if not converged:
+    else:
         # final check: the loop may have exhausted sweeps exactly at convergence
-        off = max(abs(a[p, q]) for p in range(dim - 1)
-                  for q in range(p + 1, dim))
+        off = float(np.max(np.abs(np.triu(a, 1))))
         if off > stop:
             raise NoConvergence(
                 f"Jacobi iteration did not converge in {max_sweeps} sweeps "

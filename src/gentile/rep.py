@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -64,21 +65,17 @@ def build_rep(n: int) -> GentileRep:
         raise OutOfRange(f"n must be >= 1, got {n}")
     theta = 2.0 * math.pi / (n + 1)
     q = cmath.exp(1j * theta)
-    brackets = tuple(bracket_number(n, v) for v in range(n + 2))
-    dim = n + 1
-    a_dag = np.zeros((dim, dim), dtype=complex)
-    b = np.zeros((dim, dim), dtype=complex)
-    for v in range(n):
-        amp = cmath.sqrt(brackets[v + 1])
-        a_dag[v + 1, v] = amp
-        b[v, v + 1] = amp
-    num = np.diag(np.arange(dim, dtype=float)).astype(complex)
-    for m in (a_dag, b, num):
+    # <0>_n .. <n+1>_n as running sums: the additions of bracket_number,
+    # in the same order and from the same int 0, so the values are equal
+    brackets = tuple(accumulate(
+        (cmath.exp(1j * theta * j) for j in range(n + 1)), initial=0))
+    amp = [cmath.sqrt(br) for br in brackets[1:n + 1]]
+    a_dag = np.diag(amp, -1)
+    b = np.diag(amp, 1)
+    num = np.diag(np.arange(n + 1, dtype=float)).astype(complex)
+    a, b_dag = a_dag.conj().T, b.conj().T
+    for m in (a_dag, b, num, a, b_dag):
         m.flags.writeable = False
-    a = a_dag.conj().T
-    b_dag = b.conj().T
-    a.flags.writeable = False
-    b_dag.flags.writeable = False
     return GentileRep(n=n, theta=theta, q=q, bracket_numbers=brackets,
                       a_dag=a_dag, b=b, a=a, b_dag=b_dag, num=num)
 

@@ -81,16 +81,15 @@ def newton_eval(nodes, divided, z: complex) -> complex:
     return acc
 
 
-def newton_coefficients(nodes, values):
-    """Monomial coefficients of the interpolating polynomial.
+def newton_coefficients(nodes, divided):
+    """Monomial coefficients of the Newton-form interpolant.
 
-    Newton divided differences over (possibly complex) nodes, then
-    expansion of the Newton basis into powers.  Nodes must be distinct.
-    The monomial form is for reporting; assembly and residual checks
-    stay in the Newton basis, which is far better conditioned here.
+    ``divided`` is the divided-difference table of ``nodes``; the Newton
+    basis is expanded into powers.  The monomial form is for reporting;
+    assembly and residual checks stay in the Newton basis, which is far
+    better conditioned here.
     """
     m = len(nodes)
-    divided = divided_differences(nodes, values)
     # accumulate prod_(j<k) (x - x_j) in the monomial basis
     coeffs = np.zeros(m, dtype=complex)
     basis = np.zeros(m, dtype=complex)
@@ -124,35 +123,36 @@ class Su2Rep:
     weight: float = 1.0
 
 
-def _assemble(rep: GentileRep, a_matrix: np.ndarray, nodes, divided,
-              raiser: np.ndarray) -> np.ndarray:
-    """J_+ = p(A) raiser with p evaluated by Horner in the Newton basis."""
-    dim = rep.dim
-    eye = np.eye(dim, dtype=complex)
+def _branch(rep: GentileRep, choice: DiagonalChoice, raiser: np.ndarray,
+            weight: float):
+    """One branch p(A) raiser of J_+, carrying ``weight`` of the target.
+
+    p interpolates weight * c_+(nu) / <nu+1|raiser|nu> at the nodes
+    A|nu+1>; returns the nodes, their divided differences, the monomial
+    coefficients of p (these are conj(lambda_l)) and p(A) raiser, with
+    p(A) evaluated by Horner in the Newton basis.
+    """
+    a_matrix = diagonal_operator(rep, choice)
+    nodes = [a_matrix[v, v] for v in range(1, rep.dim)]
+    _check_nodes(nodes)
+    c_plus = ladder_targets(rep.n)
+    targets = [weight * c_plus[v] / raiser[v + 1, v] for v in range(rep.n)]
+    divided = divided_differences(nodes, targets)
+    eye = np.eye(rep.dim, dtype=complex)
     poly = divided[-1] * eye
     for k in range(len(divided) - 2, -1, -1):
         poly = poly @ (a_matrix - nodes[k] * eye) + divided[k] * eye
-    return poly @ raiser
+    return nodes, divided, newton_coefficients(nodes, divided), poly @ raiser
 
 
 def solve_representation(n: int, choice: DiagonalChoice) -> Su2Rep:
     """Solve the raising-operator interpolation for one diagonal choice."""
     rep = build_rep(n)
-    a_matrix = diagonal_operator(rep, choice)
-    nodes = [a_matrix[v, v] for v in range(1, n + 1)]
-    _check_nodes(nodes)
-    targets = []
-    c_plus = ladder_targets(n)
-    for v in range(n):
-        amp = rep.a_dag[v + 1, v]  # sqrt(<v+1>)
-        targets.append(c_plus[v] / amp)
-    divided = divided_differences(nodes, targets)
-    coeffs = newton_coefficients(nodes, targets)  # these are conj(lambda_l)
-    j_plus = _assemble(rep, a_matrix, nodes, divided, rep.a_dag)
-    j_z = rep.num - (n / 2.0) * np.eye(n + 1)
+    nodes, divided, coeffs, j_plus = _branch(rep, choice, rep.a_dag, 1.0)
     return Su2Rep(n=n, j=n / 2.0, choice=choice,
                   lambdas=tuple(np.conj(coeffs)),
-                  j_plus=j_plus, j_minus=j_plus.conj().T, j_z=j_z,
+                  j_plus=j_plus, j_minus=j_plus.conj().T,
+                  j_z=rep.num - (n / 2.0) * np.eye(n + 1),
                   nodes=tuple(nodes), divided=tuple(divided))
 
 
@@ -162,28 +162,15 @@ def solve_extended(n: int, choice_a: DiagonalChoice,
     if not 0.0 <= weight <= 1.0:
         raise OutOfRange(f"weight must lie in [0, 1], got {weight}")
     rep = build_rep(n)
-    a_matrix = diagonal_operator(rep, choice_a)
-    b_matrix = diagonal_operator(rep, choice_b)
-    nodes_a = [a_matrix[v, v] for v in range(1, n + 1)]
-    nodes_b = [b_matrix[v, v] for v in range(1, n + 1)]
-    _check_nodes(nodes_a)
-    _check_nodes(nodes_b)
-    c_plus = ladder_targets(n)
-    targets_a, targets_b = [], []
-    for v in range(n):
-        targets_a.append(weight * c_plus[v] / rep.a_dag[v + 1, v])
-        targets_b.append((1.0 - weight) * c_plus[v] / rep.b_dag[v + 1, v])
-    divided_a = divided_differences(nodes_a, targets_a)
-    divided_b = divided_differences(nodes_b, targets_b)
-    coeffs_a = newton_coefficients(nodes_a, targets_a)
-    coeffs_b = newton_coefficients(nodes_b, targets_b)
-    j_plus = _assemble(rep, a_matrix, nodes_a, divided_a, rep.a_dag) \
-        + _assemble(rep, b_matrix, nodes_b, divided_b, rep.b_dag)
-    j_z = rep.num - (n / 2.0) * np.eye(n + 1)
+    nodes, divided, coeffs_a, part_a = _branch(rep, choice_a, rep.a_dag,
+                                               weight)
+    _, _, coeffs_b, part_b = _branch(rep, choice_b, rep.b_dag, 1.0 - weight)
+    j_plus = part_a + part_b
     return Su2Rep(n=n, j=n / 2.0, choice=choice_a,
                   lambdas=tuple(np.conj(coeffs_a)),
-                  j_plus=j_plus, j_minus=j_plus.conj().T, j_z=j_z,
-                  nodes=tuple(nodes_a), divided=tuple(divided_a),
+                  j_plus=j_plus, j_minus=j_plus.conj().T,
+                  j_z=rep.num - (n / 2.0) * np.eye(n + 1),
+                  nodes=tuple(nodes), divided=tuple(divided),
                   choice_b=choice_b, lambdas_b=tuple(np.conj(coeffs_b)),
                   weight=weight)
 

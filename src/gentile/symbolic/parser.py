@@ -13,7 +13,8 @@ Grammar:
 
 The generator alphabet is declared per call; identifiers outside it are
 parse errors (catches typos in identity entry).  Input nested or built
-deeper than :data:`MAX_DEPTH` levels is a parse error too.
+deeper than :data:`MAX_DEPTH` levels, and an operator exponent above
+:data:`MAX_POWER`, are parse errors too.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ _TERM_START = {"int", "ident", "(", "[", "{"}
 # recursion limit of 1000.
 MAX_DEPTH = 100
 
+# Largest operator exponent accepted.  u^K costs K products in every
+# algebra the tree is folded over; the catalog and the benchmark
+# expressions use at most 4.
+MAX_POWER = 64
+
 
 class _Parser:
     def __init__(self, tokens, alphabet):
@@ -135,7 +141,10 @@ class _Parser:
         base, depth = self.parse_base()
         if self.peek().kind == "^":
             tok = self.advance()
-            k = int(self.expect("int").text)
+            k_tok = self.expect("int")
+            k = int(k_tok.text)
+            if k > MAX_POWER:
+                raise ParseError(f"exponent above {MAX_POWER}", k_tok.pos)
             return Pow(base, k), self.deeper(tok, depth)
         return base, depth
 

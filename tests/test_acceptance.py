@@ -14,7 +14,7 @@ from gentile.coherent import (LambdaChoice, build_coherent,
                               compare_closed_form, eigenstate_residual,
                               move_relation_check)
 from gentile.errors import DegenerateNodes
-from gentile.linalg import max_abs_diff
+from gentile.linalg import hermitian_eigen, max_abs_diff
 from gentile.oscillator import (OscillatorSpec, bose_limit_check,
                                 build_hamiltonian, closed_form_spectrum,
                                 per_state_energy, spectrum_crosscheck)
@@ -62,8 +62,22 @@ def test_criterion_3_spectrum_triangulation():
                        for v in range(n + 1))
         worst = max(worst, diag_dev)
         ok = ok and diag_dev <= 1e-10
+    # Jacobi with rotations: U H U^dag for a seeded random unitary U has
+    # the closed-form levels, with multiplicity
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 12, 32):
+        g = rng.normal(size=(n + 1, n + 1)) \
+            + 1j * rng.normal(size=(n + 1, n + 1))
+        u, _ = np.linalg.qr(g)
+        h = build_hamiltonian(OscillatorSpec(n))
+        eigvals, _ = hermitian_eigen(u @ h @ u.conj().T)
+        expected = sorted(e for e, m in closed_form_spectrum(n).levels
+                          for _ in range(m))
+        ok = ok and len(expected) == n + 1
+        worst = max(worst, max(abs(a - b) for a, b in zip(expected, eigvals)))
     elapsed = time.perf_counter() - start
-    record(3, "spectrum triangulation (cases/diagonal/Jacobi) for n in 1..64",
+    record(3, "spectrum triangulation (cases/diagonal/Jacobi, plain and "
+           "rotated) for n in 1..64",
            ok and worst <= 1e-10 and elapsed < 30.0,
            f"max deviation {worst:.2e}, {elapsed:.2f}s")
 

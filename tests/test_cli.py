@@ -8,6 +8,7 @@ import pytest
 
 from gentile.cli import MAX_N, main, parse_n_values
 from gentile.errors import OutOfRange
+from gentile.symbolic.parser import MAX_POWER
 
 
 def test_parse_n_values():
@@ -155,6 +156,21 @@ def test_eval_deep_input_exit_one(expression, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: expression deeper than 100 levels")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expression", [
+    "adag^100000000000000000000", f"adag^{MAX_POWER + 1}"],
+    ids=["above-maxsize", "cap-plus-one"])
+def test_eval_exponent_above_cap_exit_one(expression, capsys):
+    assert main(["eval", expression, "--n", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: exponent above {MAX_POWER} at offset 5")
+    assert "Traceback" not in err
+
+
+def test_eval_exponent_at_cap(capsys):
+    assert main(["eval", f"adag^{MAX_POWER}", "--n", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -3,12 +3,13 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
-from gentile.coherent import (GrassmannElement, GrassmannOps, LambdaChoice,
-                              build_coherent, compare_closed_form,
-                              eigenstate_residual, lambda_value,
-                              move_relation_check, normalization_poly)
+from gentile.coherent import (GrassmannOps, LambdaChoice, build_coherent,
+                              compare_closed_form, eigenstate_residual,
+                              lambda_value, move_relation_check,
+                              normalization_poly)
 from gentile.errors import OutOfRange
 
 PRINTED_CHOICES = (LambdaChoice.ROOT_OF_UNITY_PLUS,
@@ -107,6 +108,22 @@ def test_grassmann_truncation():
     # psi^(n+1) = 0: raising the psi power past n annihilates the element
     n = 2
     ops = GrassmannOps(n, LambdaChoice.ROOT_OF_UNITY_PLUS)
-    e = GrassmannElement.zero(n)
-    e.coeffs[0, n] = 1.0  # |0> psi^n
-    assert ops.apply_psi(e).max_abs() == 0.0
+    e = np.zeros((n + 1, n + 1), dtype=complex)
+    e[0, n] = 1.0  # |0> psi^n
+    assert np.max(np.abs(ops.apply_psi(e))) == 0.0
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, 16))
+@pytest.mark.parametrize("choice", PRINTED_CHOICES)
+def test_ladder_actions_match_rep_matrices(n, choice):
+    # the module actions are the rep matrices acting on the state index,
+    # on single elements and on stacks of them
+    ops = GrassmannOps(n, choice)
+    rng = np.random.default_rng(n)
+    shape = (3, n + 1, n + 1)
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for action, matrix in ((ops.apply_b, ops.rep.b), (ops.apply_a, ops.rep.a),
+                           (ops.apply_adag, ops.rep.a_dag),
+                           (ops.apply_bdag, ops.rep.b_dag)):
+        assert np.max(np.abs(action(c) - matrix @ c)) <= 1e-13
+        assert np.max(np.abs(action(c[0]) - matrix @ c[0])) <= 1e-13

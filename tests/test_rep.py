@@ -27,6 +27,18 @@ def test_bracket_number_fermi():
     assert abs(bracket_number(1, 2)) <= 1e-15
 
 
+def test_build_rep_brackets_equal_bracket_number():
+    # the one-pass running sums are the per-v sums, bit for bit and type
+    # for type (<0>_n is the int 0)
+    for n in range(1, 65):
+        brackets = build_rep(n).bracket_numbers
+        assert len(brackets) == n + 2
+        for v, value in enumerate(brackets):
+            reference = bracket_number(n, v)
+            assert type(value) is type(reference)
+            assert value == reference
+
+
 def test_bracket_number_recursion():
     # <v+1> = 1 + q <v>, including the top wraparound <n+1> = 0
     for n in range(1, 12):

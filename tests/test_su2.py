@@ -42,7 +42,7 @@ def test_newton_interpolation_exactness():
     nodes = [1.0 + 0j, 2.0 + 1j, -1.0 - 1j, 0.5j]
     values = [3.0 + 0j, -1j, 2.0 + 2j, 0j]
     divided = divided_differences(nodes, values)
-    coeffs = newton_coefficients(nodes, values)
+    coeffs = newton_coefficients(nodes, divided)
     for node, value in zip(nodes, values):
         assert abs(newton_eval(nodes, divided, node) - value) <= 1e-12
         assert abs(sum(c * node ** k for k, c in enumerate(coeffs))
