@@ -31,7 +31,7 @@ def _check_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {m.shape}")
     dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if dev > tol:
+    if not dev <= tol:  # a NaN or infinite entry makes dev NaN
         raise NotHermitian(f"max |m - m^H| = {dev:.3e} exceeds tol {tol:.3e}")
     return m
 
@@ -111,7 +111,7 @@ def matrix_function(m: np.ndarray, f, tol: float = DEFAULT_TOL,
     w, u = hermitian_eigen(m, tol)
     if domain is not None:
         lo, hi = domain
-        if np.any(w < lo - tol) or np.any(w > hi + tol):
+        if not (np.all(w >= lo - tol) and np.all(w <= hi + tol)):
             raise DomainError(
                 f"eigenvalue outside domain [{lo}, {hi}] by more than {tol}")
         w = np.clip(w, lo, hi)

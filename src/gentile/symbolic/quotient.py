@@ -1,19 +1,27 @@
 """Normal ordering in the quotient algebra of adag, b, N.
 
-Rewrite rules (q formal):
+The defining relations (q formal) are
 
-    b * adag  ->  q * adag * b + 1
-    N * adag  ->  adag * (N + 1)
-    N * b     ->  b * (N - 1)
+    b adag - q adag b = 1,    N adag = adag (N + 1),    N b = b (N - 1).
 
-Every word reduces to the canonical form adag^j b^k N^m; a
-:class:`QuotientPoly` maps (j, k, m) triples to Laurent-scalar
-coefficients.  Each application of the first rule strictly reduces the
-number of (b, adag) inversions, so rewriting terminates.
+Every element has a unique normal form, a sum of words adag^j b^k N^m;
+a :class:`QuotientPoly` maps (j, k, m) triples to Laurent-scalar
+coefficients.  The first relation is the Arik-Coon q-oscillator, whose
+reordering formula (Katriel and Kibler, J. Phys. A 25 (1992) 2683)
+
+    b^k adag^j = sum_r q^((k-r)(j-r)) [k r]_q [j r]_q [r]_q!
+                       adag^(j-r) b^(k-r)
+
+with Gaussian binomials [k r]_q and the q-integer [r]_q = 1 + ... + q^(r-1),
+together with N^m adag^j b^k = adag^j b^k (N + j - k)^m, gives the product
+of two normal-ordered words directly as a normal-ordered sum.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+from itertools import groupby
 from math import comb
 from operator import mul
 
@@ -26,48 +34,63 @@ from .expr import Algebra, Expr, fold, generators_of
 QUOTIENT_ALPHABET = frozenset({"adag", "b", "N"})
 
 
+@lru_cache(maxsize=None)
+def _q_factorial(r: int) -> LaurentScalar:
+    """[r]_q! = [1]_q [2]_q ... [r]_q."""
+    return ONE if r == 0 else _q_factorial(r - 1) * q_integer(r)
+
+
+@lru_cache(maxsize=None)
+def _gauss_binomial(k: int, r: int) -> LaurentScalar:
+    """[k r]_q by the q-Pascal rule [k r] = [k-1 r-1] + q^r [k-1 r]."""
+    if r == 0 or r == k:
+        return ONE
+    return (_gauss_binomial(k - 1, r - 1)
+            + LaurentScalar.q_power(r) * _gauss_binomial(k - 1, r))
+
+
+@lru_cache(maxsize=None)
+def _reorder(k: int, j: int) -> tuple:
+    """(r, coefficient) pairs of b^k adag^j = sum_r c_r adag^(j-r) b^(k-r)."""
+    return tuple((r, LaurentScalar.q_power((k - r) * (j - r))
+                  * _gauss_binomial(k, r) * _gauss_binomial(j, r)
+                  * _q_factorial(r))
+                 for r in range(min(k, j) + 1))
+
+
+@lru_cache(maxsize=None)
+def _shift(m: int, d: int) -> tuple:
+    """(i, C(m, i) d^(m-i)) pairs of (N + d)^m = sum_i C(m, i) d^(m-i) N^i."""
+    return tuple((i, Fraction(comb(m, i) * d ** (m - i)))
+                 for i in range(m + 1) if d or i == m)
+
+
 class QuotientPoly(Terms):
-    __slots__ = ()
-
-    def _mul_adag(self) -> "QuotientPoly":
-        pairs = []
-        for (j, k, m), c in self._terms.items():
-            # N^m adag = adag (N+1)^m ; b^k adag = q^k adag b^k + <k> b^(k-1)
-            for i in range(m + 1):
-                binom = LaurentScalar.from_rational(comb(m, i))
-                pairs.append(((j + 1, k, i), (Q ** k) * c * binom))
-                if k >= 1:
-                    pairs.append(((j, k - 1, i), q_integer(k) * c * binom))
-        return self.collect(pairs)
-
-    def _mul_b(self) -> "QuotientPoly":
-        pairs = []
-        for (j, k, m), c in self._terms.items():
-            # N^m b = b (N-1)^m
-            for i in range(m + 1):
-                sign = 1 if (m - i) % 2 == 0 else -1
-                binom = LaurentScalar.from_rational(sign * comb(m, i))
-                pairs.append(((j, k + 1, i), c * binom))
-        return self.collect(pairs)
-
-    def _mul_num(self) -> "QuotientPoly":
-        return QuotientPoly({(j, k, m + 1): c
-                             for (j, k, m), c in self._terms.items()})
+    # the float tables of eval_rep, filled on first use
+    __slots__ = ("_bands",)
 
     def __mul__(self, other):
         if type(other) is not QuotientPoly:
             return NotImplemented
-        total = QuotientPoly()
-        for (j, k, m), c in other._terms.items():
-            part = self.scale(c)
-            for _ in range(j):
-                part = part._mul_adag()
-            for _ in range(k):
-                part = part._mul_b()
-            for _ in range(m):
-                part = part._mul_num()
-            total = total + part
-        return total
+        return self.collect(self._product_terms(other))
+
+    def _product_terms(self, other):
+        """The (key, coefficient) pairs of self * other, by
+
+            adag^j1 b^k1 N^m1 adag^j2 b^k2 N^m2
+                = adag^j1 (b^k1 adag^j2) b^k2 (N + j2 - k2)^m1 N^m2.
+
+        Generated rather than listed, so that collect sums a large product
+        without holding all its pairs at once.
+        """
+        for (j1, k1, m1), c1 in self._terms.items():
+            for (j2, k2, m2), c2 in other._terms.items():
+                c = c1 * c2
+                shift = _shift(m1, j2 - k2)
+                for r, coef in _reorder(k1, j2):
+                    cr = c * coef
+                    for i, s in shift:
+                        yield (j1 + j2 - r, k1 + k2 - r, i + m2), cr.scale(s)
 
     def sorted_keys(self):
         return sorted(self._terms, key=lambda t: (sum(t), t))
@@ -82,15 +105,67 @@ class QuotientPoly(Terms):
             parts.append(f"({c!r})*{word}")
         return " + ".join(parts)
 
+    def _band_tables(self):
+        """Float form of the coefficients, converted once per normal form.
+
+        Returns ``(exps, values, groups)``: coefficient t is
+        ``sum_e values[t, e] q^exps[e]``; each group is
+        ``(j, k, rows, ms)``, the terms adag^j b^k N^m at ``rows``, in
+        (j, k, m) order.
+        """
+        try:
+            return self._bands
+        except AttributeError:
+            pass
+        keys = sorted(self._terms)
+        exps = sorted({e for c in self._terms.values() for e in c.coeffs})
+        column = {e: i for i, e in enumerate(exps)}
+        values = np.zeros((len(keys), len(exps)))
+        for t, key in enumerate(keys):
+            for e, v in self._terms[key].coeffs.items():
+                values[t, column[e]] = v
+        groups = []
+        for (j, k), run in groupby(enumerate(keys), key=lambda tk: tk[1][:2]):
+            run = list(run)
+            groups.append((j, k, slice(run[0][0], run[-1][0] + 1),
+                           np.array([key[2] for _, key in run])))
+        self._bands = (np.array(exps, dtype=np.int64), values, tuple(groups))
+        return self._bands
+
     def eval_rep(self, rep) -> np.ndarray:
-        """Numeric value in the matrix representation of one Gentile mode."""
-        dim = rep.dim
+        """Numeric value in the matrix representation of one Gentile mode.
+
+        adag^j b^k N^m maps |nu> to nu^m times the product of the ladder
+        amplitudes along the way to |nu - k + j>, so each (j, k) group
+        fills one band of the matrix; words with j or k above n vanish.
+        """
+        exps, values, groups = self._band_tables()
+        n, dim = rep.n, rep.dim
         total = np.zeros((dim, dim), dtype=complex)
-        for (j, k, m), c in self._terms.items():
-            mat = np.linalg.matrix_power(rep.a_dag, j)
-            mat = mat @ np.linalg.matrix_power(rep.b, k)
-            mat = mat @ np.linalg.matrix_power(rep.num, m)
-            total += c.eval_at(rep.q) * mat
+        coefs = values @ (rep.q ** exps)
+        amp_b = np.diagonal(rep.b, 1)       # b |nu> = amp_b[nu-1] |nu-1>
+        amp_a = np.diagonal(rep.a_dag, -1)  # adag |mu> = amp_a[mu] |mu+1>
+        max_j = max((j for j, _, _, _ in groups if j <= n), default=0)
+        max_k = max((k for _, k, _, _ in groups if k <= n), default=0)
+        # lowered[k, nu]: amplitude of b^k on |nu>, for nu >= k
+        lowered = np.ones((max_k + 1, dim), dtype=complex)
+        for k in range(1, max_k + 1):
+            lowered[k, k:] = lowered[k - 1, k:] * amp_b[:dim - k]
+        # raised[j, mu]: amplitude of adag^j on |mu>, for mu + j <= n
+        raised = np.ones((max_j + 1, dim), dtype=complex)
+        for j in range(1, max_j + 1):
+            raised[j, :dim - j] = raised[j - 1, :dim - j] * amp_a[j - 1:]
+        flat = total.reshape(-1)
+        for j, k, rows, ms in groups:
+            width = n + 1 - max(j, k)
+            if width <= 0:
+                continue
+            nu = np.arange(k, k + width, dtype=float)
+            band = coefs[rows] @ nu ** ms[:, None]
+            band *= lowered[k, k:k + width] * raised[j, :width]
+            # entries (nu - k + j, nu), nu = k .. k + width - 1
+            start = j * dim + k
+            flat[start:start + width * (dim + 1):dim + 1] += band
         return total
 
 

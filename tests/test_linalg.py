@@ -60,6 +60,26 @@ def test_not_hermitian_raises():
         hermitian_eigen(np.zeros((2, 3), dtype=complex))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_entry_is_not_hermitian(bad):
+    # NaN compares False with every bound, so the checks must be written
+    # as "not within" rather than "beyond"
+    m = np.array([[bad, 0.5], [0.5, 1.0]], dtype=complex)
+    with pytest.raises(NotHermitian):
+        hermitian_eigen(m)
+    with pytest.raises(NotHermitian):
+        matrix_function(m, math.asin, domain=(-1.0, 1.0))
+
+
+def test_matrix_function_domain_rejects_nan_eigenvalue(monkeypatch):
+    monkeypatch.setattr("gentile.linalg.hermitian_eigen",
+                        lambda m, tol: (np.array([0.0, math.nan]),
+                                        np.eye(2, dtype=complex)))
+    with pytest.raises(DomainError):
+        matrix_function(np.eye(2), math.asin, domain=(-1.0, 1.0))
+
+
 def test_no_convergence_raises():
     rng = np.random.default_rng(0)
     with pytest.raises(NoConvergence):

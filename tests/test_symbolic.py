@@ -221,6 +221,96 @@ def test_quotientpoly_repr():
     assert "adag*b" in repr(normal_order(parse("adag b")))
 
 
+def test_normal_form_bytes_frozen():
+    # the printed normal form is canonical, so these bytes are fixed
+    # whatever algorithm computes the product
+    assert repr(normal_order(parse("b^3 adag^3"))) == (
+        "(1 + 2*q + 2*q^2 + q^3)*1"
+        " + (q + 3*q^2 + 5*q^3 + 5*q^4 + 3*q^5 + q^6)*adag*b"
+        " + (q^4 + 2*q^5 + 3*q^6 + 2*q^7 + q^8)*adag*adag*b*b"
+        " + (q^9)*adag*adag*adag*b*b*b")
+    assert repr(normal_order(parse("(N^2 b^2) (adag^3 N)"))) == (
+        "(1 + 2*q + 2*q^2 + q^3)*adag*N"
+        " + (2 + 4*q + 4*q^2 + 2*q^3)*adag*N*N"
+        " + (1 + 2*q + 2*q^2 + q^3)*adag*N*N*N"
+        " + (q^2 + 2*q^3 + 2*q^4 + q^5)*adag*adag*b*N"
+        " + (2*q^2 + 4*q^3 + 4*q^4 + 2*q^5)*adag*adag*b*N*N"
+        " + (q^2 + 2*q^3 + 2*q^4 + q^5)*adag*adag*b*N*N*N"
+        " + (q^6)*adag*adag*adag*b*b*N"
+        " + (2*q^6)*adag*adag*adag*b*b*N*N"
+        " + (q^6)*adag*adag*adag*b*b*N*N*N")
+
+
+# -- closed-form product against the one-letter rewriting rules ---------------
+#
+# The reference multiplies by one letter at a time:
+#     N^m adag = adag (N+1)^m,   b^k adag = q^k adag b^k + [k]_q b^(k-1),
+#     N^m b = b (N-1)^m.
+
+
+def _ref_mul_adag(p):
+    pairs = []
+    for (j, k, m), c in p.terms.items():
+        for i in range(m + 1):
+            binom = LaurentScalar.from_rational(math.comb(m, i))
+            pairs.append(((j + 1, k, i), (Q ** k) * c * binom))
+            if k >= 1:
+                pairs.append(((j, k - 1, i), q_integer(k) * c * binom))
+    return QuotientPoly.collect(pairs)
+
+
+def _ref_mul_b(p):
+    pairs = []
+    for (j, k, m), c in p.terms.items():
+        for i in range(m + 1):
+            binom = LaurentScalar.from_rational((-1) ** (m - i)
+                                                * math.comb(m, i))
+            pairs.append(((j, k + 1, i), c * binom))
+    return QuotientPoly.collect(pairs)
+
+
+def _ref_mul_num(p):
+    return QuotientPoly({(j, k, m + 1): c for (j, k, m), c in p.terms.items()})
+
+
+def _ref_product(x, y):
+    total = QuotientPoly()
+    for (j, k, m), c in y.terms.items():
+        part = x.scale(c)
+        for step, count in ((_ref_mul_adag, j), (_ref_mul_b, k),
+                            (_ref_mul_num, m)):
+            for _ in range(count):
+                part = step(part)
+        total = total + part
+    return total
+
+
+def test_closed_form_b3_adag2_frozen():
+    # b^3 adag^2 = q^6 adag^2 b^3 + q^2 [3 1][2 1] adag b^2 + [3 2][2]! b,
+    # [3 1][2 1] = [3 2][2]! = (1 + q + q^2)(1 + q) = 1 + 2q + 2q^2 + q^3
+    b3, adag2 = QuotientPoly({(0, 3, 0): ONE}), QuotientPoly({(2, 0, 0): ONE})
+    q32 = LaurentScalar({0: 1, 1: 2, 2: 2, 3: 1})
+    expected = {(2, 3, 0): LaurentScalar.q_power(6),
+                (1, 2, 0): LaurentScalar.q_power(2) * q32,
+                (0, 1, 0): q32}
+    assert (b3 * adag2).terms == expected
+    assert _ref_product(b3, adag2).terms == expected
+
+
+_COEFFS = st.dictionaries(
+    st.integers(-2, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    max_size=2).map(LaurentScalar)
+_QPOLYS = st.dictionaries(st.tuples(*[st.integers(0, 5)] * 3), _COEFFS,
+                          max_size=3).map(QuotientPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_QPOLYS, _QPOLYS)
+def test_closed_form_product_matches_rewriting(x, y):
+    assert x * y == _ref_product(x, y)
+
+
 # -- rewriter / representation compatibility ----------------------------------
 
 _words = st.lists(st.sampled_from(["adag", "b", "N"]), min_size=1, max_size=6)
@@ -237,6 +327,30 @@ def test_normal_order_matches_representation(word, n):
     ordered = normal_order(expr).eval_rep(rep)
     scale = max(1.0, float(np.max(np.abs(direct))))
     assert max_abs_diff(direct, ordered) <= 1e-10 * scale
+
+
+# -- banded eval_rep against dense matrix powers ------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 32])
+def test_eval_rep_matches_dense_powers(n):
+    rep = build_rep(n)
+    coef = LaurentScalar({-1: Fraction(1, 3), 2: Fraction(2)})
+    eps = np.finfo(float).eps
+    for j in sorted({0, 1, 2, 3, 6, n, n + 1}):
+        for k in sorted({0, 1, 2, 3, 6, n, n + 1}):
+            for m in range(5):
+                got = QuotientPoly({(j, k, m): coef}).eval_rep(rep)
+                dense = (np.linalg.matrix_power(rep.a_dag, j)
+                         @ np.linalg.matrix_power(rep.b, k)
+                         @ np.linalg.matrix_power(rep.num, m))
+                want = coef.eval_at(rep.q) * dense
+                if j > n or k > n:
+                    assert not got.any() and not dense.any()
+                # one product per entry, so the error is relative entrywise
+                # and every entry off the band is exactly zero
+                bound = 8 * (j + k + m + 4) * eps * np.abs(want)
+                assert np.all(np.abs(got - want) <= bound), (j, k, m)
 
 
 # -- fold: normal form against direct evaluation, every node kind -------------
