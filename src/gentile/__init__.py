@@ -24,11 +24,9 @@ from .symbolic import (
     Expr, Gen, Scal, Add, Sub, Mul, Pow, NBracket, Commutator,
     AntiCommutator, SumPerm, SumCyc, product, substitute, perm_sum,
     cyc_sum, generators_of, parse, FreePoly, expand_free, QuotientPoly,
-    normal_order, quotient_check,
+    normal_order,
 )
-from .catalog import (
-    IdentityEntry, build_catalog, parse_identity_line, load_identity_file,
-)
+from .catalog import IdentityEntry, build_catalog
 from .audit import (
     IdentityResult, AuditReport, run_free_suite, run_limit_suite,
     run_matrix_suite, audit_crosscheck, run_full_audit, eval_expr,
@@ -39,7 +37,7 @@ from .coherent import (
     normalization_poly, move_relation_check,
 )
 from .oscillator import (
-    OscillatorSpec, build_hamiltonian, per_state_energy, case_class,
+    build_hamiltonian, per_state_energy, case_class,
     SpectrumReport, closed_form_spectrum, spectrum_crosscheck,
     ladder_commutation_check, bose_limit_check,
 )

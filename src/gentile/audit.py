@@ -9,8 +9,6 @@ between the two pipelines is an error.
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +64,6 @@ class IdentityResult:
     numeric_residual: float | None
     n_tested: tuple
     verdict: str
-    wall_time: float = 0.0
 
     def to_record(self, seed: int) -> dict:
         return {
@@ -101,19 +98,14 @@ class AuditReport:
     def failing_ids(self):
         return [r.identity_id for r in self.results if r.verdict == "FAIL"]
 
-    def to_json(self) -> str:
-        return json.dumps([r.to_record(self.seed) for r in self.results],
-                          indent=2)
-
     def table(self) -> str:
         lines = [f"{'identity':36} {'strategy':9} {'spec':12} "
-                 f"{'verdict':7} {'time/s':>8}  residual"]
+                 f"{'verdict':7}  residual"]
         for r in self.results:
             resid = (r.residual_digest if r.numeric_residual is None
                      else f"{r.numeric_residual:.3e}")
             lines.append(f"{r.identity_id:36} {r.strategy:9} "
-                         f"{r.specialization:12} {r.verdict:7} "
-                         f"{r.wall_time:8.4f}  {resid}")
+                         f"{r.specialization:12} {r.verdict:7}  {resid}")
         return "\n".join(lines)
 
 
@@ -129,7 +121,6 @@ def _symbolic_suite(entries, specializations) -> AuditReport:
         if entry.strategy != FREE \
                 or entry.specialization not in specializations:
             continue
-        start = time.perf_counter()
         residual = expand_free(entry.lhs) - expand_free(entry.rhs)
         if entry.specialization in (Q_EQ_1, Q_EQ_MINUS_1):
             residual = residual.specialize_unit(
@@ -142,8 +133,7 @@ def _symbolic_suite(entries, specializations) -> AuditReport:
             identity_id=entry.id, strategy=entry.strategy,
             specialization=entry.specialization, symbolic_verdict=verdict,
             residual_digest="0" if passed else _digest(residual),
-            numeric_residual=None, n_tested=(), verdict=verdict,
-            wall_time=time.perf_counter() - start))
+            numeric_residual=None, n_tested=(), verdict=verdict))
     return AuditReport(results=results, seed=0, tol=0.0)
 
 
@@ -198,7 +188,6 @@ def _matrix_suite(catalog, free, n_values, trials, tol, seed) -> AuditReport:
                        dtype=complex).repeat(trials).reshape(-1, 1, 1)
     results = []
     for entry in catalog:
-        start = time.perf_counter()
         worst = 0.0
         symbolic = None
         digest = "0"
@@ -236,8 +225,7 @@ def _matrix_suite(catalog, free, n_values, trials, tol, seed) -> AuditReport:
             identity_id=entry.id, strategy=entry.strategy,
             specialization=entry.specialization, symbolic_verdict=symbolic,
             residual_digest=digest, numeric_residual=worst,
-            n_tested=tuple(n_values), verdict=verdict,
-            wall_time=time.perf_counter() - start))
+            n_tested=tuple(n_values), verdict=verdict))
     return AuditReport(results=results, seed=seed, tol=tol)
 
 
@@ -264,11 +252,9 @@ def audit_crosscheck(matrix_report: AuditReport) -> bool:
 
 
 def run_full_audit(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS,
-                   tol=DEFAULT_TOL, seed=0, extra_entries=None):
+                   tol=DEFAULT_TOL, seed=0):
     """Run every suite; returns (free, limit, matrix) reports."""
     catalog = build_catalog()
-    if extra_entries:
-        catalog = catalog + list(extra_entries)
     free = run_free_suite(catalog)
     limit = run_limit_suite(catalog)
     matrix = _matrix_suite(catalog, free, n_values, trials, tol, seed)

@@ -16,11 +16,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ParseError
 from .laurent import ONE, Q, QINV, LaurentScalar
 from .rep import GentileRep, diag_of_num
 from .symbolic import (Add, AntiCommutator, Commutator, Expr, Gen, Mul,
-                       NBracket, Pow, Scal, parse, perm_sum, cyc_sum, product)
+                       NBracket, Pow, Scal, perm_sum, cyc_sum, product)
 
 FREE = "FREE"
 QUOTIENT = "QUOTIENT"
@@ -433,36 +432,3 @@ def _power_rule(u, v, k, l):
             terms.append(product(factors))
     return reduce(Add, terms) + Mul(_scal(_ONE_MINUS_Q),
                                     Mul(Pow(v, l), Pow(u, k)))
-
-
-def parse_identity_line(line: str, alphabet=None):
-    """Parse one 'name : lhs == rhs' identity-file line.
-
-    Returns (name, lhs, rhs) or None for blank/comment lines.
-    """
-    stripped = line.strip()
-    if not stripped or stripped.startswith("#"):
-        return None
-    if ":" not in stripped:
-        raise ParseError("missing ':' separator", 0, {":"})
-    name, rest = stripped.split(":", 1)
-    if "==" not in rest:
-        raise ParseError("missing '==' separator", len(name) + 1, {"=="})
-    lhs_text, rhs_text = rest.split("==", 1)
-    kwargs = {} if alphabet is None else {"alphabet": alphabet}
-    return name.strip(), parse(lhs_text, **kwargs), parse(rhs_text, **kwargs)
-
-
-def load_identity_file(path, strategy=FREE, specialization=FORMAL_Q):
-    """Read a UTF-8 identity file into catalog entries."""
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parsed = parse_identity_line(line)
-            if parsed is None:
-                continue
-            name, lhs, rhs = parsed
-            entries.append(IdentityEntry(
-                id=name, lhs=lhs, rhs=rhs, strategy=strategy,
-                specialization=specialization))
-    return entries

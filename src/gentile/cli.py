@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, default_tol, formats=()):
         p.add_argument("--n", default=DEFAULT_SWEEP,
                        help="single n or range A..B (default %(default)s)")
-        p.add_argument("--tol", type=_tolerance, default=default_tol)
+        if default_tol is not None:  # eval compares nothing against a tol
+            p.add_argument("--tol", type=_tolerance, default=default_tol)
         p.add_argument("--out", default=None, help="output file (UTF-8)")
         if formats:
             p.add_argument("--format", choices=formats, default="json")
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="normal-order and evaluate an expression")
     p.add_argument("expression")
-    common(p, DEFAULT_TOL, ("json", "table"))
+    common(p, None, ("json", "table"))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("arcsin-audit",
@@ -324,6 +325,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParseError, OutOfRange, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except OSError as exc:  # only _emit touches the file system
+        sys.stderr.write(f"error: cannot write {args.out or 'stdout'}: "
+                         f"{exc.strerror or exc}\n")
         return 1
     except InconsistentVerdict as exc:
         sys.stderr.write(_diagnostic("consistency", str(exc)))

@@ -25,10 +25,9 @@ class LambdaChoice(Enum):
     ROOT_OF_UNITY_PLUS = "root_of_unity_plus"
     ROOT_OF_UNITY_MINUS = "root_of_unity_minus"
     ALTERNATING = "alternating"
-    CUSTOM = "custom"
 
 
-def lambda_value(choice, v: int, n: int, custom_table=None) -> complex:
+def lambda_value(choice, v: int, n: int) -> complex:
     """The twist phase lambda(nu, n) for the chosen construction."""
     if not 0 <= v <= n:
         raise OutOfRange(f"v must lie in [0, {n}], got {v}")
@@ -38,12 +37,6 @@ def lambda_value(choice, v: int, n: int, custom_table=None) -> complex:
         return cmath.exp(-2j * math.pi * v / (n + 1))
     if choice is LambdaChoice.ALTERNATING:
         return complex((-1) ** v)
-    if choice is LambdaChoice.CUSTOM:
-        if custom_table is None:
-            raise OutOfRange("CUSTOM choice requires a lambda table")
-        if custom_table[0] == 0:
-            raise OutOfRange("CUSTOM lambda(0, n) must be nonzero")
-        return complex(custom_table[v])
     raise OutOfRange(f"unknown lambda choice {choice!r}")
 
 
@@ -70,11 +63,10 @@ class GrassmannOps:
     b_dag.
     """
 
-    def __init__(self, n: int, choice, custom_table=None):
+    def __init__(self, n: int, choice):
         self.n = n
         self.rep = build_rep(n)
-        self.lam = [lambda_value(choice, v, n, custom_table)
-                    for v in range(n + 1)]
+        self.lam = [lambda_value(choice, v, n) for v in range(n + 1)]
 
     def apply_b(self, e: np.ndarray) -> np.ndarray:
         return _lower(e, self.rep.b.diagonal(1))
@@ -104,9 +96,9 @@ class CoherentState:
     ops: GrassmannOps
 
 
-def build_coherent(n: int, choice, custom_table=None) -> CoherentState:
+def build_coherent(n: int, choice) -> CoherentState:
     """Coherent state from the delta recursion, diagonal in (nu, k)."""
-    ops = GrassmannOps(n, choice, custom_table)
+    ops = GrassmannOps(n, choice)
     amp = ops.rep.a_dag.diagonal(-1)  # sqrt(<1>) .. sqrt(<n>)
     delta = [1 + 0j]
     for v in range(n):
@@ -153,14 +145,11 @@ def compare_closed_form(state: CoherentState):
     """Per-nu comparison of recursion delta with the printed closed form.
 
     Returns rows (nu, recursion, closed form, sign in {+1,-1} relating
-    them, |difference of moduli|).  Only meaningful for the three printed
-    lambda choices.
+    them, |difference of moduli|).
     """
     sign = {LambdaChoice.ROOT_OF_UNITY_PLUS: 1,
             LambdaChoice.ROOT_OF_UNITY_MINUS: -1,
-            LambdaChoice.ALTERNATING: 0}.get(state.choice)
-    if sign is None:
-        raise OutOfRange("no printed closed form for CUSTOM lambda")
+            LambdaChoice.ALTERNATING: 0}[state.choice]
     rows = []
     for v in range(state.n + 1):
         rec = state.delta[v]
@@ -179,7 +168,7 @@ def normalization_poly(state: CoherentState):
     return [1.0] + [abs(d) ** 2 for d in state.delta[1:]]
 
 
-def move_relation_check(n: int, choice, power: int, custom_table=None):
+def move_relation_check(n: int, choice, power: int):
     """Residuals of the four psi move relations at the given power.
 
     Relations checked (as module transformations, on every basis element):
@@ -188,7 +177,7 @@ def move_relation_check(n: int, choice, power: int, custom_table=None):
     """
     if not 0 <= power <= n:
         raise OutOfRange(f"power must lie in [0, {n}], got {power}")
-    ops = GrassmannOps(n, choice, custom_table)
+    ops = GrassmannOps(n, choice)
     ratio = ops.lam[power] / ops.lam[0]
 
     def repeat(f, e):

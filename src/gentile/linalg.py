@@ -8,6 +8,7 @@ iteration is accurate and entirely adequate.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -42,9 +43,18 @@ def hermitian_eigen(m: np.ndarray, tol: float = DEFAULT_TOL,
 
     Cyclic Jacobi with threshold pivoting.  Returns ``(w, u)`` with
     ``m = u @ diag(w) @ u^H`` up to the documented residual bound.
+
+    Every intermediate is bounded by 2 * dim * max|m|, so entries above
+    float max / (2 * dim) raise DomainError instead of overflowing.
     """
     m = _check_hermitian(m, tol)
     dim = m.shape[0]
+    biggest = float(np.max(np.abs(m)))
+    limit = sys.float_info.max / (2 * dim)
+    if biggest > limit:
+        raise DomainError(
+            f"entry of modulus {biggest:.3e} would overflow the Jacobi "
+            f"iteration (limit {limit:.3e} at dimension {dim})")
     a = (m + m.conj().T) / 2.0
     u = np.eye(dim, dtype=complex)
     if dim == 1:

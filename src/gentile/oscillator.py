@@ -1,6 +1,6 @@
 """The intermediate-statistics oscillator: Hamiltonian, spectrum, limits.
 
-The default quadratic form (alpha = 1, beta = conj(q)) is diagonal in the
+The quadratic form (alpha = 1, beta = conj(q)) is diagonal in the
 Fock basis, so three independent routes to the spectrum are available:
 the per-state closed form, the residue-case level formulas, and the
 Jacobi eigensolver.  Degeneracies are always computed by clustering the
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,29 +22,12 @@ from .rep import GentileRep, build_rep, diag_of_num
 CLUSTER_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class OscillatorSpec:
-    """Coefficients of the quadratic Hamiltonian (1/4)[alpha a^dag b
-    + beta b a^dag + h.c.]."""
-
-    n: int
-    alpha: complex = None
-    beta: complex = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise OutOfRange(f"n must be >= 1, got {self.n}")
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", 1 + 0j)
-        if self.beta is None:
-            object.__setattr__(
-                self, "beta", cmath.exp(-2j * math.pi / (self.n + 1)))
-
-
-def build_hamiltonian(spec: OscillatorSpec, rep: GentileRep = None) -> np.ndarray:
+def build_hamiltonian(n: int, rep: GentileRep = None) -> np.ndarray:
+    """The quadratic Hamiltonian (1/4)[alpha a^dag b + beta b a^dag + h.c.]
+    with alpha = 1 and beta = conj(q)."""
     if rep is None:
-        rep = build_rep(spec.n)
-    alpha, beta = complex(spec.alpha), complex(spec.beta)
+        rep = build_rep(n)
+    alpha, beta = 1 + 0j, cmath.exp(-2j * math.pi / (n + 1))
     h = (alpha * (rep.a_dag @ rep.b) + beta * (rep.b @ rep.a_dag)
          + np.conj(alpha) * (rep.b_dag @ rep.a)
          + np.conj(beta) * (rep.a @ rep.b_dag)) / 4.0
@@ -52,7 +35,7 @@ def build_hamiltonian(spec: OscillatorSpec, rep: GentileRep = None) -> np.ndarra
 
 
 def per_state_energy(n: int, v: int) -> float:
-    """Closed-form diagonal energy E(nu) of the default Hamiltonian."""
+    """Closed-form diagonal energy E(nu) of the Hamiltonian."""
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
     if not 0 <= v <= n:
@@ -158,7 +141,7 @@ def spectrum_crosscheck(n: int, tol: float = 1e-10):
     Returns (passed, max deviation, report).
     """
     report = closed_form_spectrum(n)
-    h = build_hamiltonian(OscillatorSpec(n))
+    h = build_hamiltonian(n)
     eigvals, _ = hermitian_eigen(h, tol=tol)
     expanded = []
     for e, m in report.levels:
@@ -177,7 +160,7 @@ def ladder_commutation_check(n: int, tol: float = 1e-12):
     the overall pass flag.
     """
     rep = build_rep(n)
-    h = build_hamiltonian(OscillatorSpec(n), rep)
+    h = build_hamiltonian(n, rep)
     cos_n = diag_of_num(rep, lambda v: math.cos(2 * math.pi * v / (n + 1)))
     cos_nm1 = diag_of_num(rep,
                           lambda v: math.cos(2 * math.pi * (v - 1) / (n + 1)))

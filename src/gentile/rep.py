@@ -40,7 +40,6 @@ class GentileRep:
     """Matrices of one Gentile mode on the (n+1)-dimensional Fock space."""
 
     n: int
-    theta: float
     q: complex
     bracket_numbers: tuple  # <0>_n ... <n+1>_n
     a_dag: np.ndarray
@@ -76,7 +75,7 @@ def build_rep(n: int) -> GentileRep:
     a, b_dag = a_dag.conj().T, b.conj().T
     for m in (a_dag, b, num, a, b_dag):
         m.flags.writeable = False
-    return GentileRep(n=n, theta=theta, q=q, bracket_numbers=brackets,
+    return GentileRep(n=n, q=q, bracket_numbers=brackets,
                       a_dag=a_dag, b=b, a=a, b_dag=b_dag, num=num)
 
 

@@ -3,11 +3,11 @@ from .expr import (Add, Algebra, AntiCommutator, Commutator, Expr, Gen, Mul,
                    generators_of, perm_sum, product, substitute)
 from .freepoly import FreePoly, expand_free
 from .parser import parse
-from .quotient import QuotientPoly, normal_order, quotient_check
+from .quotient import QuotientPoly, normal_order
 
 __all__ = [
     "Add", "Algebra", "AntiCommutator", "Commutator", "Expr", "Gen", "Mul",
     "NBracket", "Pow", "Scal", "Sub", "SumCyc", "SumPerm", "cyc_sum", "fold",
     "generators_of", "perm_sum", "product", "substitute", "FreePoly",
-    "expand_free", "parse", "QuotientPoly", "normal_order", "quotient_check",
+    "expand_free", "parse", "QuotientPoly", "normal_order",
 ]

@@ -191,9 +191,3 @@ def normal_order(e: Expr) -> QuotientPoly:
 
 def _normal_order(e: Expr) -> QuotientPoly:
     return fold(e, _QUOTIENT)
-
-
-def quotient_check(lhs: Expr, rhs: Expr):
-    """True plus zero residual iff lhs == rhs in the quotient algebra."""
-    residual = normal_order(lhs) - normal_order(rhs)
-    return residual.is_zero, residual

@@ -15,7 +15,7 @@ from gentile.coherent import (LambdaChoice, build_coherent,
                               move_relation_check)
 from gentile.errors import DegenerateNodes
 from gentile.linalg import hermitian_eigen, max_abs_diff
-from gentile.oscillator import (OscillatorSpec, bose_limit_check,
+from gentile.oscillator import (bose_limit_check,
                                 build_hamiltonian, closed_form_spectrum,
                                 per_state_energy, spectrum_crosscheck)
 from gentile.rep import build_rep, gentile_bracket, number_from_arcsin
@@ -57,7 +57,7 @@ def test_criterion_3_spectrum_triangulation():
         worst = max(worst, deviation)
         ok = ok and sum(m for _, m in report.levels) == n + 1
         # closed-form per-state energies against the Hamiltonian diagonal
-        h = build_hamiltonian(OscillatorSpec(n))
+        h = build_hamiltonian(n)
         diag_dev = max(abs(h[v, v].real - per_state_energy(n, v))
                        for v in range(n + 1))
         worst = max(worst, diag_dev)
@@ -69,7 +69,7 @@ def test_criterion_3_spectrum_triangulation():
         g = rng.normal(size=(n + 1, n + 1)) \
             + 1j * rng.normal(size=(n + 1, n + 1))
         u, _ = np.linalg.qr(g)
-        h = build_hamiltonian(OscillatorSpec(n))
+        h = build_hamiltonian(n)
         eigvals, _ = hermitian_eigen(u @ h @ u.conj().T)
         expected = sorted(e for e, m in closed_form_spectrum(n).levels
                           for _ in range(m))
@@ -219,7 +219,8 @@ def test_criterion_10_arcsin_audit():
 def test_criterion_11_determinism(tmp_path):
     report_a = run_matrix_suite(n_values=(1, 2, 3, 5), trials=2, seed=0)
     report_b = run_matrix_suite(n_values=(1, 2, 3, 5), trials=2, seed=0)
-    ok = report_a.to_json() == report_b.to_json()
+    ok = [r.to_record(0) for r in report_a.results] \
+        == [r.to_record(0) for r in report_b.results]
     paths = [tmp_path / "run_a.json", tmp_path / "run_b.json"]
     for path in paths:
         code = cli_main(["audit", "--n", "1..4", "--seed", "3",

@@ -7,11 +7,10 @@ import pytest
 
 from gentile.audit import (audit_crosscheck, eval_expr, run_free_suite,
                            run_full_audit, run_limit_suite, run_matrix_suite)
-from gentile.catalog import (FREE, FORMAL_Q, IdentityEntry, build_catalog,
-                             load_identity_file, parse_identity_line)
-from gentile.errors import InconsistentVerdict, ParseError
+from gentile.catalog import FREE, FORMAL_Q, IdentityEntry, build_catalog
+from gentile.errors import InconsistentVerdict
 from gentile.linalg import max_abs_diff
-from gentile.symbolic import Gen, generators_of, parse
+from gentile.symbolic import generators_of, parse
 
 # documented printed-relation failures; everything else must PASS
 EXPECTED_FREE_FAILS = {"appA_uvwo_brackets_printed"}
@@ -152,46 +151,20 @@ def test_crosscheck_detects_pipeline_disagreement():
         audit_crosscheck(matrix)
 
 
-# -- identity-file interface ---------------------------------------------------
-
-
-def test_parse_identity_line():
-    name, lhs, rhs = parse_identity_line(
-        "defining : [b,adag]_n == 1")
-    assert name == "defining"
-    assert parse_identity_line("   ") is None
-    assert parse_identity_line("# comment") is None
-    with pytest.raises(ParseError):
-        parse_identity_line("no separator here")
-    with pytest.raises(ParseError):
-        parse_identity_line("name : lhs rhs")
-
-
-def test_load_identity_file(tmp_path):
-    path = tmp_path / "identities.txt"
-    path.write_text(
-        "# demo file\n"
-        "swap : [u,v]_n + q [v,u]_n == u v - q^2 u v\n"
-        "bad_sign : [u,v]_n == u v + q v u\n",
-        encoding="utf-8")
-    entries = load_identity_file(path)
-    assert [e.id for e in entries] == ["swap", "bad_sign"]
-    report = run_free_suite(entries)
-    assert report.by_id("swap").verdict == "PASS"
-    assert report.by_id("bad_sign").verdict == "FAIL"
-
-
 # -- report serialization -------------------------------------------------------
 
 
 def test_report_json_shape_and_determinism():
     report_a = run_matrix_suite(n_values=(2, 3), trials=2, seed=5)
     report_b = run_matrix_suite(n_values=(2, 3), trials=2, seed=5)
-    assert report_a.to_json() == report_b.to_json()
-    records = json.loads(report_a.to_json())
+    text_a, text_b = (
+        json.dumps([r.to_record(5) for r in report.results], indent=2)
+        for report in (report_a, report_b))
+    assert text_a == text_b
+    records = json.loads(text_a)
     assert {"identity_id", "strategy", "specialization", "verdict",
             "residual", "n_tested", "seed"} <= set(records[0])
-    # wall time is deliberately excluded for byte-level determinism
+    # no timing field: records are byte-identical for one (config, seed)
     assert "wall_time" not in records[0]
 
 

@@ -1,12 +1,14 @@
 """Batch CLI: exit codes, formats, determinism."""
 
+import argparse
 import csv
+import inspect
 import io
 import json
 
 import pytest
 
-from gentile.cli import MAX_N, main, parse_n_values
+from gentile.cli import MAX_N, build_parser, main, parse_n_values
 from gentile.errors import OutOfRange
 from gentile.symbolic.parser import MAX_POWER
 
@@ -122,9 +124,22 @@ def test_output_file_and_determinism(tmp_path):
 
 
 def test_table_format(capsys):
-    assert main(["audit", "--n", "1..2", "--format", "table"]) == 0
-    out = capsys.readouterr().out
-    assert "# free suite" in out and "verdict" in out
+    outs = []
+    for _ in range(2):
+        assert main(["audit", "--n", "1..2", "--format", "table"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert "# free suite" in outs[0] and "verdict" in outs[0]
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."],
+                         ids=["missing-directory", "is-a-directory"])
+def test_unwritable_out_exit_one(target, tmp_path, capsys):
+    path = tmp_path / target
+    assert main(["spectrum", "--n", "1", "--out", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -132,6 +147,7 @@ def test_table_format(capsys):
     ["su2", "--n", "1", "--seed", "5"],
     ["arcsin-audit", "--n", "1", "--format", "json"],
     ["eval", "b", "--n", "1", "--format", "csv"],
+    ["eval", "b", "--n", "1", "--tol", "1e-3"],
 ])
 def test_unsupported_option_exit_one(argv, capsys):
     assert main(argv) == 1
@@ -179,3 +195,21 @@ def test_eval_exponent_at_cap(capsys):
 def test_bad_tolerance_exit_one(subcommand, tol, capsys):
     assert main([subcommand, "--n", "2", "--tol", tol]) == 1
     assert "tolerance must be finite" in capsys.readouterr().err
+
+
+def _subparsers():
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("subcommand", sorted(_subparsers()))
+def test_every_option_is_read(subcommand):
+    # an option the handler never reads would be accepted and ignored
+    sub = _subparsers()[subcommand]
+    source = inspect.getsource(sub.get_default("func"))
+    dests = [a.dest for a in sub._actions
+             if not isinstance(a, argparse._HelpAction)]
+    assert dests
+    for dest in dests:
+        assert f"args.{dest}" in source, f"{subcommand}: {dest} is never read"

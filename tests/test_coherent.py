@@ -25,13 +25,6 @@ def test_lambda_values():
     assert lambda_value(LambdaChoice.ALTERNATING, 3, n) == -1.0
     with pytest.raises(OutOfRange):
         lambda_value(LambdaChoice.ALTERNATING, 4, n)
-    with pytest.raises(OutOfRange):
-        lambda_value(LambdaChoice.CUSTOM, 0, n)  # needs a table
-
-
-def test_custom_lambda_zero_rejected():
-    with pytest.raises(OutOfRange):
-        lambda_value(LambdaChoice.CUSTOM, 0, 2, custom_table=[0.0, 1.0, 1.0])
 
 
 def test_fermi_case_delta():
@@ -72,13 +65,6 @@ def test_closed_form_modulus(n, choice):
         assert modulus_gap <= 1e-12
         assert rel in (1, -1)
         assert min(abs(closed - rec), abs(closed + rec)) <= 1e-12
-
-
-def test_closed_form_custom_rejected():
-    state = build_coherent(2, LambdaChoice.CUSTOM,
-                           custom_table=[1.0, 1.0, 1.0])
-    with pytest.raises(OutOfRange):
-        compare_closed_form(state)
 
 
 @pytest.mark.parametrize("n", (1, 3, 6))

@@ -1,6 +1,7 @@
 """Jacobi eigensolver and spectral functions, with numpy as the test oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,17 @@ def test_matrix_function_domain_rejects_nan_eigenvalue(monkeypatch):
                                         np.eye(2, dtype=complex)))
     with pytest.raises(DomainError):
         matrix_function(np.eye(2), math.asin, domain=(-1.0, 1.0))
+
+
+def test_entries_near_float_max_raise_domain_error():
+    # (m + m^H) / 2 and the rotations would overflow to inf eigenvalues
+    m = np.array([[1e308, 1e308], [1e308, -1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflow"):
+            hermitian_eigen(m)
+        w, _ = hermitian_eigen(m / 1e8)
+    assert np.allclose(w, [-math.sqrt(2) * 1e300, math.sqrt(2) * 1e300])
 
 
 def test_no_convergence_raises():

@@ -7,7 +7,7 @@ import pytest
 
 from gentile.errors import PreconditionViolation
 from gentile.linalg import max_abs_diff
-from gentile.oscillator import (OscillatorSpec, bose_limit_check,
+from gentile.oscillator import (bose_limit_check,
                                 build_hamiltonian, case_class,
                                 closed_form_spectrum,
                                 ladder_commutation_check, per_state_energy,
@@ -39,7 +39,7 @@ def test_n3_spectrum_oracle():
 
 def test_hamiltonian_diagonal():
     for n in (1, 2, 3, 5, 8):
-        h = build_hamiltonian(OscillatorSpec(n))
+        h = build_hamiltonian(n)
         assert max_abs_diff(h, np.diag(np.diag(h))) <= 1e-12
         for v in range(n + 1):
             assert abs(h[v, v].real - per_state_energy(n, v)) <= 1e-12
@@ -91,7 +91,6 @@ def test_bose_limit_precondition():
 
 
 def test_custom_coefficients_hermitian():
-    # defaults alpha=1, beta=conj(q) make H Hermitian by construction
-    spec = OscillatorSpec(4)
-    h = build_hamiltonian(spec)
+    # alpha=1, beta=conj(q) make H Hermitian by construction
+    h = build_hamiltonian(4)
     assert max_abs_diff(h, h.conj().T) <= 1e-14

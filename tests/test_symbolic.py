@@ -17,7 +17,7 @@ from gentile.symbolic import (Add, AntiCommutator, Commutator, Expr,
                               FreePoly, Gen, Mul, NBracket, Pow, QuotientPoly,
                               Scal, Sub, SumCyc, SumPerm, expand_free,
                               normal_order, parse, perm_sum, product,
-                              quotient_check, substitute)
+                              substitute)
 from gentile.symbolic.parser import MAX_DEPTH
 
 # -- parser -------------------------------------------------------------------
@@ -204,11 +204,11 @@ def test_rewrite_number_moves():
     assert normal_order(parse("N b - b N + b")).is_zero
 
 
-def test_quotient_check():
-    ok, residual = quotient_check(parse("[b,adag]_n"), parse("1"))
-    assert ok and residual.is_zero
-    ok, residual = quotient_check(parse("[b,adag]_n"), parse("2"))
-    assert not ok and residual.terms == {(0, 0, 0): -ONE}
+def test_quotient_residual():
+    residual = normal_order(parse("[b,adag]_n")) - normal_order(parse("1"))
+    assert residual.is_zero
+    residual = normal_order(parse("[b,adag]_n")) - normal_order(parse("2"))
+    assert not residual.is_zero and residual.terms == {(0, 0, 0): -ONE}
 
 
 def test_normal_order_rejects_free_symbols():
