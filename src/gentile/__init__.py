@@ -33,7 +33,7 @@ from .audit import (
 )
 from .coherent import (
     LambdaChoice, lambda_value, GrassmannOps, CoherentState, build_coherent,
-    eigenstate_residual, closed_form_delta, compare_closed_form,
+    eigenstate_residual, closed_form_deltas, compare_closed_form,
     normalization_poly, move_relation_check,
 )
 from .oscillator import (

@@ -60,7 +60,7 @@ class IdentityResult:
     strategy: str
     specialization: str
     symbolic_verdict: str | None  # PASS / FAIL / None (matrix-only)
-    residual_digest: str
+    residual_digest: str | None  # None when numeric_residual is set
     numeric_residual: float | None
     n_tested: tuple
     verdict: str
@@ -180,8 +180,7 @@ def run_matrix_suite(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS,
 
 def _matrix_suite(catalog, free, n_values, trials, tol, seed) -> AuditReport:
     """run_matrix_suite, with FREE symbolic verdicts taken from ``free``."""
-    free_verdicts = {r.identity_id: (r.symbolic_verdict, r.residual_digest)
-                     for r in free.results}
+    free_verdicts = {r.identity_id: r.symbolic_verdict for r in free.results}
     rng = np.random.default_rng(seed)
     reps = {n: build_rep(n) for n in n_values}
     q_draws = np.array([np.exp(2j * np.pi / (n + 1)) for n in n_values],
@@ -190,11 +189,10 @@ def _matrix_suite(catalog, free, n_values, trials, tol, seed) -> AuditReport:
     for entry in catalog:
         worst = 0.0
         symbolic = None
-        digest = "0"
         if entry.strategy == FREE:
             if entry.specialization != FORMAL_Q:
                 continue  # limit forms have no finite-n specialization
-            symbolic, digest = free_verdicts[entry.id]
+            symbolic = free_verdicts[entry.id]
             assign = _random_draws(
                 generators_of(entry.lhs) | generators_of(entry.rhs), rng,
                 len(q_draws))
@@ -204,8 +202,6 @@ def _matrix_suite(catalog, free, n_values, trials, tol, seed) -> AuditReport:
         elif entry.strategy == QUOTIENT:
             residual_poly = normal_order(entry.lhs) - normal_order(entry.rhs)
             symbolic = "PASS" if residual_poly.is_zero else "FAIL"
-            if symbolic == "FAIL":
-                digest = _digest(residual_poly)
             for n in n_values:
                 rep = reps[n]
                 assign = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
@@ -224,7 +220,7 @@ def _matrix_suite(catalog, free, n_values, trials, tol, seed) -> AuditReport:
         results.append(IdentityResult(
             identity_id=entry.id, strategy=entry.strategy,
             specialization=entry.specialization, symbolic_verdict=symbolic,
-            residual_digest=digest, numeric_residual=worst,
+            residual_digest=None, numeric_residual=worst,
             n_tested=tuple(n_values), verdict=verdict))
     return AuditReport(results=results, seed=seed, tol=tol)
 

@@ -31,35 +31,18 @@ from .symbolic import normal_order, parse
 
 DEFAULT_SWEEP = "1..24"
 
-LAMBDA_BY_NAME = {
-    "plus": LambdaChoice.ROOT_OF_UNITY_PLUS,
-    "minus": LambdaChoice.ROOT_OF_UNITY_MINUS,
-    "alternating": LambdaChoice.ALTERNATING,
-}
-
-
-def _f17(x: float) -> float:
-    """Round-trip a float through its 17-significant-digit decimal form."""
-    return float(format(float(x), ".17g"))
-
-
-def _jsonable(obj):
-    """Recursively convert report values to deterministic JSON types."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """JSON form of the report values json cannot encode itself."""
     if isinstance(obj, complex):
-        return [_f17(obj.real), _f17(obj.imag)]
-    if isinstance(obj, float):
-        return _f17(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonable(obj.item())
-    return obj
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      default=_json_default) + "\n"
 
 
 def _emit(text: str, out_path):
@@ -168,7 +151,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_coherent(args) -> int:
     n_values = parse_n_values(args.n)
-    choice = LAMBDA_BY_NAME[args.lam]
+    choice = LambdaChoice(args.lam)
     records, failures = [], []
     for n in n_values:
         state = build_coherent(n, choice)
@@ -294,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coherent", help="coherent-state construction")
     common(p, 1e-12)
     p.add_argument("--lambda", dest="lam", default="plus",
-                   choices=sorted(LAMBDA_BY_NAME))
+                   choices=sorted(c.value for c in LambdaChoice))
     p.set_defaults(func=cmd_coherent)
 
     p = sub.add_parser("su2", help="su(2) representation solver")

@@ -22,8 +22,8 @@ from .rep import build_rep
 
 
 class LambdaChoice(Enum):
-    ROOT_OF_UNITY_PLUS = "root_of_unity_plus"
-    ROOT_OF_UNITY_MINUS = "root_of_unity_minus"
+    ROOT_OF_UNITY_PLUS = "plus"
+    ROOT_OF_UNITY_MINUS = "minus"
     ALTERNATING = "alternating"
 
 
@@ -116,29 +116,26 @@ def eigenstate_residual(state: CoherentState) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def closed_form_delta(n: int, sign: int, v: int) -> complex:
-    """Printed closed form for delta(nu, n), principal square roots.
+def closed_form_deltas(n: int, sign: int) -> list:
+    """Printed closed form for delta(0, n) .. delta(n, n), principal roots.
 
     ``sign`` +1/-1 selects the two root-of-unity lambda choices, 0 the
     alternating choice.  Nested principal roots need not distribute over
-    the product, so the result can differ from the recursion by a sign.
+    the product, so a value can differ from the recursion by a sign.
     """
-    if not 0 <= v <= n:
-        raise OutOfRange(f"v must lie in [0, {n}], got {v}")
-    if v == 0:
-        return 1 + 0j
-    q = cmath.exp(2j * math.pi / (n + 1))
-    if sign == 0:
-        phase = complex((-1) ** ((v - 1) * v // 2))
-    elif sign in (1, -1):
-        phase = cmath.exp(sign * 1j * math.pi * v * (v - 1) / (n + 1))
-    else:
+    if sign not in (1, -1, 0):
         raise OutOfRange(f"sign must be +1, -1, or 0, got {sign}")
-    numerator = phase * (1 - q) ** (v / 2)
+    q = cmath.exp(2j * math.pi / (n + 1))
+    deltas = [1 + 0j]
     denominator = 1 + 0j
-    for j in range(1, v + 1):
-        denominator *= cmath.sqrt(1 - cmath.exp(2j * math.pi * j / (n + 1)))
-    return numerator / denominator
+    for v in range(1, n + 1):
+        if sign == 0:
+            phase = complex((-1) ** ((v - 1) * v // 2))
+        else:
+            phase = cmath.exp(sign * 1j * math.pi * v * (v - 1) / (n + 1))
+        denominator *= cmath.sqrt(1 - cmath.exp(2j * math.pi * v / (n + 1)))
+        deltas.append(phase * (1 - q) ** (v / 2) / denominator)
+    return deltas
 
 
 def compare_closed_form(state: CoherentState):
@@ -151,9 +148,8 @@ def compare_closed_form(state: CoherentState):
             LambdaChoice.ROOT_OF_UNITY_MINUS: -1,
             LambdaChoice.ALTERNATING: 0}[state.choice]
     rows = []
-    for v in range(state.n + 1):
-        rec = state.delta[v]
-        closed = closed_form_delta(state.n, sign, v)
+    for v, (rec, closed) in enumerate(
+            zip(state.delta, closed_form_deltas(state.n, sign))):
         rel = 1 if abs(closed - rec) <= abs(closed + rec) else -1
         rows.append((v, rec, closed, rel, abs(abs(closed) - abs(rec))))
     return rows

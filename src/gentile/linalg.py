@@ -49,6 +49,8 @@ def hermitian_eigen(m: np.ndarray, tol: float = DEFAULT_TOL,
     """
     m = _check_hermitian(m, tol)
     dim = m.shape[0]
+    if dim == 0:
+        return np.empty(0), np.empty((0, 0), dtype=complex)
     biggest = float(np.max(np.abs(m)))
     limit = sys.float_info.max / (2 * dim)
     if biggest > limit:

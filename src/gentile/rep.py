@@ -124,10 +124,6 @@ def number_from_arcsin(rep: GentileRep, tol: float = 1e-12) -> ArcsinAudit:
     """
     m = 0.5j * (rep.a_dag @ rep.b - rep.b_dag @ rep.a
                 + rep.a @ rep.b_dag - rep.b @ rep.a_dag)
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
-    if herm_dev > tol:
-        raise DimensionMismatch(
-            f"sine combination not Hermitian: deviation {herm_dev:.3e}")
     scale = (rep.n + 1) / (2.0 * math.pi)
     rec = scale * matrix_function(m, math.asin, tol=tol, domain=(-1.0, 1.0))
 

@@ -129,8 +129,8 @@ def _branch(rep: GentileRep, choice: DiagonalChoice, raiser: np.ndarray,
 
     p interpolates weight * c_+(nu) / <nu+1|raiser|nu> at the nodes
     A|nu+1>; returns the nodes, their divided differences, the monomial
-    coefficients of p (these are conj(lambda_l)) and p(A) raiser, with
-    p(A) evaluated by Horner in the Newton basis.
+    coefficients of p (these are conj(lambda_l)) and p(A) raiser.  A is
+    diagonal: p(A) is p at its diagonal, by Horner in the Newton basis.
     """
     a_matrix = diagonal_operator(rep, choice)
     nodes = [a_matrix[v, v] for v in range(1, rep.dim)]
@@ -138,11 +138,9 @@ def _branch(rep: GentileRep, choice: DiagonalChoice, raiser: np.ndarray,
     c_plus = ladder_targets(rep.n)
     targets = [weight * c_plus[v] / raiser[v + 1, v] for v in range(rep.n)]
     divided = divided_differences(nodes, targets)
-    eye = np.eye(rep.dim, dtype=complex)
-    poly = divided[-1] * eye
-    for k in range(len(divided) - 2, -1, -1):
-        poly = poly @ (a_matrix - nodes[k] * eye) + divided[k] * eye
-    return nodes, divided, newton_coefficients(nodes, divided), poly @ raiser
+    p = [newton_eval(nodes, divided, a) for a in a_matrix.diagonal()]
+    return (nodes, divided, newton_coefficients(nodes, divided),
+            np.array(p)[:, None] * raiser)
 
 
 def solve_representation(n: int, choice: DiagonalChoice) -> Su2Rep:

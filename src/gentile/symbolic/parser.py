@@ -13,8 +13,9 @@ Grammar:
 
 The generator alphabet is declared per call; identifiers outside it are
 parse errors (catches typos in identity entry).  Input nested or built
-deeper than :data:`MAX_DEPTH` levels, and an operator exponent above
-:data:`MAX_POWER`, are parse errors too.
+deeper than :data:`MAX_DEPTH` levels, an operator exponent above
+:data:`MAX_POWER`, and a ``sumperm`` of more than :data:`MAX_PERM_OPERANDS`
+operands are parse errors too.
 """
 
 from __future__ import annotations
@@ -82,6 +83,10 @@ MAX_DEPTH = 100
 # algebra the tree is folded over; the catalog and the benchmark
 # expressions use at most 4.
 MAX_POWER = 64
+
+# Most operands accepted by sumperm.  A sumperm of k operands costs k!
+# products in every algebra the tree is folded over; the catalog builds none.
+MAX_PERM_OPERANDS = 6
 
 
 class _Parser:
@@ -212,6 +217,9 @@ class _Parser:
             self.advance()
             operands.append(self.parse_expr())
         self.expect(")")
+        if tok.text == "sumperm" and len(operands) > MAX_PERM_OPERANDS:
+            raise ParseError(
+                f"sumperm of more than {MAX_PERM_OPERANDS} operands", tok.pos)
         nodes, depths = zip(*operands)
         cls = SumPerm if tok.text == "sumperm" else SumCyc
         return cls(nodes), self.deeper(tok, *depths)

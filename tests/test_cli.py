@@ -5,12 +5,16 @@ import csv
 import inspect
 import io
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gentile.cli import MAX_N, build_parser, main, parse_n_values
+from gentile.cli import MAX_N, _dump_json, build_parser, main, parse_n_values
 from gentile.errors import OutOfRange
-from gentile.symbolic.parser import MAX_POWER
+from gentile.symbolic.parser import MAX_PERM_OPERANDS, MAX_POWER
 
 
 def test_parse_n_values():
@@ -189,6 +193,15 @@ def test_eval_exponent_at_cap(capsys):
     assert json.loads(capsys.readouterr().out)
 
 
+def test_eval_sumperm_above_cap_exit_one(capsys):
+    operands = ",".join((["adag", "b", "N"] * 3)[:MAX_PERM_OPERANDS + 1])
+    assert main(["eval", f"sumperm({operands})", "--n", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sumperm of more than {MAX_PERM_OPERANDS} "
+                          "operands at offset 0")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("subcommand", ["audit", "spectrum", "coherent",
                                         "su2", "arcsin-audit"])
@@ -213,3 +226,55 @@ def test_every_option_is_read(subcommand):
     assert dests
     for dest in dests:
         assert f"args.{dest}" in source, f"{subcommand}: {dest} is never read"
+
+
+# -- JSON encoding, against the per-value walk it replaced --------------------
+
+
+def _f17(x: float) -> float:
+    """Round-trip a float through its 17-significant-digit decimal form."""
+    return float(format(float(x), ".17g"))
+
+
+def _jsonable(obj):
+    """Recursively convert report values to deterministic JSON types."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, complex):
+        return [_f17(obj.real), _f17(obj.imag)]
+    if isinstance(obj, float):
+        return _f17(obj)
+    if isinstance(obj, (np.floating, np.integer)):
+        return _jsonable(obj.item())
+    return obj
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True,
+                    allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072e-308])
+_LEAVES = (st.text(max_size=5) | st.integers() | st.booleans() | st.none()
+           | _FLOATS | st.complex_numbers(allow_nan=True, allow_infinity=True)
+           | _FLOATS.map(np.float64)
+           | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+           | st.builds(complex, _FLOATS, _FLOATS).map(np.complex128))
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=5), children,
+                                        max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_dump_json_matches_reference_walk(payload):
+    reference = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+    assert _dump_json(payload) == reference + "\n"
+
+
+def test_dump_json_rejects_unknown_types():
+    with pytest.raises(TypeError):
+        _dump_json({"x": object()})

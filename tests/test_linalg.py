@@ -61,6 +61,13 @@ def test_not_hermitian_raises():
         hermitian_eigen(np.zeros((2, 3), dtype=complex))
 
 
+def test_empty_matrix():
+    w, u = hermitian_eigen(np.zeros((0, 0)))
+    assert w.shape == (0,) and u.shape == (0, 0)
+    assert matrix_function(np.zeros((0, 0)), math.asin,
+                           domain=(-1.0, 1.0)).shape == (0, 0)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_entry_is_not_hermitian(bad):

@@ -69,6 +69,30 @@ def test_representations_verify(n, choice):
     assert rep.j == n / 2.0
 
 
+def _dense_horner_j_plus(rep):
+    """Reference J_+: p(A) a_dag by dense Newton-basis Horner products."""
+    grep = build_rep(rep.n)
+    a_matrix = diagonal_operator(grep, rep.choice)
+    eye = np.eye(grep.dim, dtype=complex)
+    poly = rep.divided[-1] * eye
+    for k in range(len(rep.divided) - 2, -1, -1):
+        poly = poly @ (a_matrix - rep.nodes[k] * eye) + rep.divided[k] * eye
+    return poly @ grep.a_dag
+
+
+@pytest.mark.parametrize("choice", DiagonalChoice)
+def test_j_plus_matches_dense_horner(choice):
+    eps = np.finfo(float).eps
+    for n in range(1, 17):
+        try:
+            rep = solve_representation(n, choice)
+        except DegenerateNodes:
+            continue
+        reference = _dense_horner_j_plus(rep)
+        assert max_abs_diff(rep.j_plus, reference) \
+            <= 64 * eps * np.max(np.abs(reference)), n
+
+
 def test_interpolation_defining_system():
     # sum_l conj(lambda_l) node(v+1)^l sqrt(<v+1>) = c_+(v)
     n = 6

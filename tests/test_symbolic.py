@@ -18,7 +18,7 @@ from gentile.symbolic import (Add, AntiCommutator, Commutator, Expr,
                               Scal, Sub, SumCyc, SumPerm, expand_free,
                               normal_order, parse, perm_sum, product,
                               substitute)
-from gentile.symbolic.parser import MAX_DEPTH
+from gentile.symbolic.parser import MAX_DEPTH, MAX_PERM_OPERANDS
 
 # -- parser -------------------------------------------------------------------
 
@@ -77,6 +77,18 @@ def test_parse_depth_limit():
         with pytest.raises(ParseError) as exc_info:
             parse(text)
         assert exc_info.value.offset == offset
+
+
+def test_parse_sumperm_operand_cap():
+    # MAX_PERM_OPERANDS operands parse; one more is an error at 'sumperm'
+    operands = ",".join(["u"] * MAX_PERM_OPERANDS)
+    node = parse(f"v + sumperm({operands})")
+    assert len(node.right.operands) == MAX_PERM_OPERANDS
+    with pytest.raises(ParseError) as exc_info:
+        parse(f"v + sumperm({operands},w)")
+    assert exc_info.value.offset == 4
+    # the cap is on permutations: a cyclic sum of as many operands parses
+    assert isinstance(parse(f"sumcyc({operands},w)"), SumCyc)
 
 
 @settings(max_examples=300, deadline=None)
