@@ -1,7 +1,8 @@
 """Exact Laurent-polynomial arithmetic in the formal deformation phase q.
 
 A :class:`LaurentScalar` is a finite sum ``sum_k c_k q^k`` with exact
-rational coefficients and integer (possibly negative) exponents.  The
+rational coefficients, held as integer numerators over one common
+denominator, and integer (possibly negative) exponents.  The
 symbol q stands for the phase ``exp(i*2*pi/(n+1))``; it is kept formal so
 that identity checks are exact zero tests, and is specialized to a root of
 unity only at evaluation time.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 
 from .errors import OutOfRange
 
@@ -85,23 +87,127 @@ class Terms:
 
 
 class LaurentScalar(Terms):
-    __slots__ = ()
+    """``sum_k (_terms[k] / _den) q^k``: integer numerators over one
+    positive common denominator.
 
-    coeffs = Terms.terms
+    The form is canonical: ``gcd(_den, *numerators) == 1`` and zero is
+    ``{}`` over 1, so equal values have equal fields.  Arithmetic runs on
+    ``int`` and reduces once per result; keys keep the order documented
+    on :class:`Terms`.
+    """
+    __slots__ = ("_den",)
+
+    def __init__(self, terms=None):
+        """From a map exponent -> rational (``int`` or ``Fraction``)."""
+        rationals = ({k: Fraction(c) for k, c in terms.items() if c}
+                     if terms else {})
+        # each value is in lowest terms, so no prime divides both the lcm
+        # and every numerator brought over it
+        den = lcm(*(c.denominator for c in rationals.values()))
+        self._terms = {k: c.numerator * (den // c.denominator)
+                       for k, c in rationals.items()}
+        self._den = den
+
+    @classmethod
+    def _raw(cls, nums: dict, den: int) -> "LaurentScalar":
+        """Nonzero numerators over ``den`` already in canonical form."""
+        s = object.__new__(cls)
+        s._terms = nums
+        s._den = den
+        return s
+
+    @classmethod
+    def _reduced(cls, nums: dict, den: int) -> "LaurentScalar":
+        """Numerators over ``den > 0``, zeros dropped, in lowest terms."""
+        nums = {k: c for k, c in nums.items() if c}
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {k: c // g for k, c in nums.items()}
+        return cls._raw(nums, den)
+
+    @property
+    def terms(self):
+        """Exponent -> ``Fraction``, in key order."""
+        den = self._den
+        return {k: Fraction(c, den) for k, c in self._terms.items()}
+
+    coeffs = terms
 
     @classmethod
     def from_rational(cls, value) -> "LaurentScalar":
-        return cls({0: Fraction(value)})
+        return cls({0: value})
 
     @classmethod
     def q_power(cls, k: int) -> "LaurentScalar":
-        return cls({k: Fraction(1)})
+        return cls._raw({k: 1}, 1)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._den == other._den and self._terms == other._terms
+
+    def __hash__(self):
+        # equal to the hash of the exponent -> Fraction map
+        items = self._terms if self._den == 1 else self.coeffs
+        return hash(frozenset(items.items()))
+
+    def _combine(self, other, sign: int):
+        """self + sign * other."""
+        d1, d2 = self._den, other._den
+        den = lcm(d1, d2)
+        m1, m2 = den // d1, sign * (den // d2)
+        out = {k: c * m1 for k, c in self._terms.items()}
+        for k, c in other._terms.items():
+            out[k] = out.get(k, 0) + c * m2
+        return self._reduced(out, den)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._raw({k: -c for k, c in self._terms.items()}, self._den)
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = {}
+        right = other._terms.items()
+        for k1, c1 in self._terms.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = out.get(k, 0) + c1 * c2
+        return self._reduced(out, self._den * other._den)
+
+    def scale(self, s):
+        """Every coefficient multiplied by the rational ``s``."""
+        if not s:
+            return ZERO
+        if type(s) is int:
+            # gcd(_den, numerators) is 1, so only s can share a factor
+            g = gcd(self._den, s)
+            m = s // g
+            return self._raw({k: c * m for k, c in self._terms.items()},
+                             self._den // g)
+        s = Fraction(s)
+        return self._reduced(
+            {k: c * s.numerator for k, c in self._terms.items()},
+            self._den * s.denominator)
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             if len(self._terms) == 1:
-                ((k, v),) = self._terms.items()
-                return LaurentScalar({k * exponent: v ** exponent})
+                ((k, c),) = self._terms.items()
+                return LaurentScalar(
+                    {k * exponent: Fraction(c, self._den) ** exponent})
             raise OutOfRange("negative powers only defined for monomials")
         result = ONE
         base = self
@@ -114,26 +220,31 @@ class LaurentScalar(Terms):
         return result
 
     def eval_at(self, q: complex) -> complex:
-        """Numeric value with q set to an arbitrary complex number."""
+        """Numeric value with q set to an arbitrary complex number.
+
+        ``c / _den`` is correctly rounded, so each coefficient is the
+        float of its exact value.
+        """
         if not self._terms:
             return 0j
-        return sum(complex(v) * q ** k for k, v in self._terms.items())
+        den = self._den
+        return sum(complex(c / den) * q ** k for k, c in self._terms.items())
 
     def subs_unit(self, sign: int) -> Fraction:
         """Exact value at q = +1 or q = -1."""
         if sign not in (1, -1):
             raise OutOfRange("sign must be +1 or -1")
-        total = Fraction(0)
-        for k, v in self._terms.items():
-            total += v if (sign == 1 or k % 2 == 0) else -v
-        return total
+        total = sum(c if (sign == 1 or k % 2 == 0) else -c
+                    for k, c in self._terms.items())
+        return Fraction(total, self._den)
 
     def __repr__(self):
         if not self._terms:
             return "0"
+        coeffs = self.coeffs
         parts = []
-        for k in sorted(self._terms):
-            v = self._terms[k]
+        for k in sorted(coeffs):
+            v = coeffs[k]
             if k == 0:
                 parts.append(str(v))
             elif k == 1:
@@ -144,14 +255,14 @@ class LaurentScalar(Terms):
 
 
 ZERO = LaurentScalar()
-ONE = LaurentScalar({0: Fraction(1)})
-Q = LaurentScalar({1: Fraction(1)})
-QINV = LaurentScalar({-1: Fraction(1)})
+ONE = LaurentScalar({0: 1})
+Q = LaurentScalar({1: 1})
+QINV = LaurentScalar({-1: 1})
 
 
 def q_integer(k: int) -> LaurentScalar:
     """The q-integer 1 + q + ... + q^(k-1)."""
-    return LaurentScalar({j: Fraction(1) for j in range(k)})
+    return LaurentScalar({j: 1 for j in range(k)})
 
 
 def laurent_eval(s: LaurentScalar, n: int) -> complex:
@@ -165,5 +276,6 @@ def laurent_eval(s: LaurentScalar, n: int) -> complex:
     if s.is_zero:
         return 0j
     theta = 2.0 * cmath.pi / (n + 1)
-    return sum(complex(v) * cmath.exp(1j * theta * k)
-               for k, v in s.coeffs.items())
+    den = s._den
+    return sum(complex(c / den) * cmath.exp(1j * theta * k)
+               for k, c in s._terms.items())

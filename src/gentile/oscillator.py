@@ -24,14 +24,23 @@ CLUSTER_TOL = 1e-9
 
 def build_hamiltonian(n: int, rep: GentileRep = None) -> np.ndarray:
     """The quadratic Hamiltonian (1/4)[alpha a^dag b + beta b a^dag + h.c.]
-    with alpha = 1 and beta = conj(q)."""
+    with alpha = 1 and beta = conj(q).
+
+    Each term pairs a raising with a lowering ladder matrix, so H is
+    diagonal: (raise lower)[v, v] = raise[v, v-1] lower[v-1, v] for v >= 1
+    and (lower raise)[v, v] = lower[v, v+1] raise[v+1, v] for v < n.
+    """
     if rep is None:
         rep = build_rep(n)
     alpha, beta = 1 + 0j, cmath.exp(-2j * math.pi / (n + 1))
-    h = (alpha * (rep.a_dag @ rep.b) + beta * (rep.b @ rep.a_dag)
-         + np.conj(alpha) * (rep.b_dag @ rep.a)
-         + np.conj(beta) * (rep.a @ rep.b_dag)) / 4.0
-    return h
+    up_a, up_b = np.diagonal(rep.a_dag, -1), np.diagonal(rep.b_dag, -1)
+    down_a, down_b = np.diagonal(rep.a, 1), np.diagonal(rep.b, 1)
+    zero = np.zeros(1, dtype=complex)
+    diagonal = (alpha * np.concatenate((zero, up_a * down_b))
+                + beta * np.concatenate((down_b * up_a, zero))
+                + np.conj(alpha) * np.concatenate((zero, up_b * down_a))
+                + np.conj(beta) * np.concatenate((down_a * up_b, zero))) / 4.0
+    return np.diag(diagonal)
 
 
 def per_state_energy(n: int, v: int) -> float:

@@ -117,6 +117,8 @@ class Su2Rep:
     # but ill-conditioned to evaluate directly for larger n)
     nodes: tuple = None
     divided: tuple = None
+    # <0>_n .. <n+1>_n of the GentileRep the solve used
+    bracket_numbers: tuple = None
     # populated by solve_extended; None for the single-branch solver
     choice_b: DiagonalChoice = None
     lambdas_b: tuple = None
@@ -151,7 +153,8 @@ def solve_representation(n: int, choice: DiagonalChoice) -> Su2Rep:
                   lambdas=tuple(np.conj(coeffs)),
                   j_plus=j_plus, j_minus=j_plus.conj().T,
                   j_z=rep.num - (n / 2.0) * np.eye(n + 1),
-                  nodes=tuple(nodes), divided=tuple(divided))
+                  nodes=tuple(nodes), divided=tuple(divided),
+                  bracket_numbers=rep.bracket_numbers)
 
 
 def solve_extended(n: int, choice_a: DiagonalChoice,
@@ -169,6 +172,7 @@ def solve_extended(n: int, choice_a: DiagonalChoice,
                   j_plus=j_plus, j_minus=j_plus.conj().T,
                   j_z=rep.num - (n / 2.0) * np.eye(n + 1),
                   nodes=tuple(nodes), divided=tuple(divided),
+                  bracket_numbers=rep.bracket_numbers,
                   choice_b=choice_b, lambdas_b=tuple(np.conj(coeffs_b)),
                   weight=weight)
 
@@ -200,8 +204,7 @@ def e010_residual(rep: Su2Rep) -> float:
         raise WrongChoice(
             f"printed equations apply to ADAG_B, not {rep.choice}")
     n = rep.n
-    grep = build_rep(n)
-    brackets = grep.bracket_numbers
+    brackets = rep.bracket_numbers
     worst = 0.0
     for v in range(n + 1):
         lo = newton_eval(rep.nodes, rep.divided, brackets[v])

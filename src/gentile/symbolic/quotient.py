@@ -19,7 +19,6 @@ of two normal-ordered words directly as a normal-ordered sum.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from math import comb
@@ -32,6 +31,7 @@ from ..laurent import ONE, Q, LaurentScalar, Terms, q_integer
 from .expr import Algebra, Expr, fold, generators_of
 
 QUOTIENT_ALPHABET = frozenset({"adag", "b", "N"})
+_INT64 = np.iinfo(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -61,7 +61,7 @@ def _reorder(k: int, j: int) -> tuple:
 @lru_cache(maxsize=None)
 def _shift(m: int, d: int) -> tuple:
     """(i, C(m, i) d^(m-i)) pairs of (N + d)^m = sum_i C(m, i) d^(m-i) N^i."""
-    return tuple((i, Fraction(comb(m, i) * d ** (m - i)))
+    return tuple((i, comb(m, i) * d ** (m - i))
                  for i in range(m + 1) if d or i == m)
 
 
@@ -118,12 +118,17 @@ class QuotientPoly(Terms):
         except AttributeError:
             pass
         keys = sorted(self._terms)
-        exps = sorted({e for c in self._terms.values() for e in c.coeffs})
+        exps = sorted({e for c in self._terms.values() for e in c._terms})
+        if exps and not _INT64.min <= exps[0] <= exps[-1] <= _INT64.max:
+            raise OutOfRange("a q exponent of the normal form does not fit "
+                             "in int64, so it cannot be evaluated")
         column = {e: i for i, e in enumerate(exps)}
         values = np.zeros((len(keys), len(exps)))
         for t, key in enumerate(keys):
-            for e, v in self._terms[key].coeffs.items():
-                values[t, column[e]] = v
+            c = self._terms[key]
+            for e, num in c._terms.items():
+                # correctly rounded, as float(Fraction(num, c._den))
+                values[t, column[e]] = num / c._den
         groups = []
         for (j, k), run in groupby(enumerate(keys), key=lambda tk: tk[1][:2]):
             run = list(run)

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import inspect
 import io
 import json
@@ -191,6 +192,59 @@ def test_eval_exponent_above_cap_exit_one(expression, capsys):
 def test_eval_exponent_at_cap(capsys):
     assert main(["eval", f"adag^{MAX_POWER}", "--n", "1"]) == 0
     assert json.loads(capsys.readouterr().out)
+
+
+# eval-deep-style expressions with rational scalars, pinned to the output
+# of the earlier Fraction-coefficient Laurent arithmetic: a change to how
+# coefficients print or to the order in which they are evaluated shows here
+PINNED_EVAL = [
+    ("[{1/3 q^2 (adag),(N^2) (b)},[adag,b^2]_n]_n",
+     "(-1/3*q^3 + 1/3*q^5)*b + (2/3*q^3 + -2/3*q^5)*b*N + (-1/3*q^3 + "
+     "1/3*q^4 + q^5 + 1/3*q^6)*b*N*N + (5/3*q^2 + -4/3*q^3 + -2*q^4 + "
+     "-5/3*q^5 + 1/3*q^6 + 1/3*q^7)*adag*b*b + (-2*q^2 + 4/3*q^3 + "
+     "8/3*q^4 + 2*q^5 + -2/3*q^6 + -2/3*q^7)*adag*b*b*N + (2/3*q^2 + "
+     "-2/3*q^3 + -4/3*q^4 + -1*q^5 + q^6 + q^7 + "
+     "1/3*q^8)*adag*b*b*N*N + (4/3*q^3 + 1/3*q^4 + -1/3*q^5 + "
+     "-4/3*q^6 + -1/3*q^7 + 1/3*q^8)*adag*adag*b*b*b + (-4/3*q^3 + "
+     "-2/3*q^4 + 2/3*q^5 + 4/3*q^6 + 2/3*q^7 + "
+     "-2/3*q^8)*adag*adag*b*b*b*N + (1/3*q^3 + 1/3*q^4 + -1/3*q^5 + "
+     "-2/3*q^6 + -1/3*q^7 + 1/3*q^8 + 1/3*q^9)*adag*adag*b*b*b*N*N",
+     "49fc29bc748f5f2e4ca8d6a8f084c0454f826ca82aa1f83b9b84ea25a2a3e268"),
+    ("{(b) (sumcyc(adag,adag,N)),[N,7/9 q^-1 (b^2)]_n}",
+     "(-7/3*q^-1 + -7 + -28/3*q + -7*q^2 + -7/3*q^3)*b + (-14/3 + "
+     "-28/3*q + -28/3*q^2 + -14/3*q^3)*b*N + (7/3*q^-1 + 7/3 + "
+     "-7/3*q^2 + -7/3*q^3)*b*N*N + (14/3*q^-1 + 14/3 + -7/3*q + "
+     "-7*q^2 + -28/3*q^3 + -7*q^4 + -7/3*q^5)*adag*b*b + (-7*q^-1 + "
+     "-14/3 + 7/3*q + -14/3*q^2 + -28/3*q^3 + -28/3*q^4 + "
+     "-14/3*q^5)*adag*b*b*N + (7/3*q^-1 + 7/3*q^2 + -7/3*q^4 + "
+     "-7/3*q^5)*adag*b*b*N*N + (14/3*q + -7/3*q^5 + "
+     "-7/3*q^6)*adag*adag*b*b*b + (-7*q + 7/3*q^2 + "
+     "-14/3*q^6)*adag*adag*b*b*b*N + (7/3*q + -7/3*q^2 + 7/3*q^5 + "
+     "-7/3*q^6)*adag*adag*b*b*b*N*N",
+     "b17c77c0cdb86e2175ea9ba5bc2f611aa4b17160ecdd700c3fc501addc96b58f"),
+]
+
+
+@pytest.mark.parametrize("expression,normal_form,digest", PINNED_EVAL,
+                         ids=["one-third-q2", "seven-ninths-qinv"])
+def test_eval_output_pinned(expression, normal_form, digest, capsys):
+    assert main(["eval", expression, "--n", "1..8"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["normal_form"] == normal_form
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("expression", [
+    "q^100000000000000000000 b",
+    "(((((q^10000000000 b)^64)^64)^64)^64)^64",
+], ids=["literal", "grown-by-powers"])
+def test_eval_q_exponent_beyond_int64_exit_one(expression, capsys):
+    assert main(["eval", expression, "--n", "1..2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: a q exponent of the normal form does not fit in int64")
+    assert "Traceback" not in captured.err
 
 
 def test_eval_sumperm_above_cap_exit_one(capsys):

@@ -1,6 +1,7 @@
 """Exact Laurent arithmetic: frozen oracles plus property-based ring laws."""
 
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -120,3 +121,132 @@ def test_eval_commutes_with_arithmetic(a, b, n):
     sep_val = laurent_eval(a, n) * laurent_eval(b, n)
     scale = max(1.0, abs(prod_val))
     assert abs(prod_val - sep_val) <= 1e-10 * scale
+
+
+# -- the Fraction-coefficient arithmetic as a reference ---------------------
+
+
+class _FractionScalar:
+    """Exponent -> ``Fraction`` map: the Laurent arithmetic that integer
+    numerators over one common denominator replaced, kept as a reference.
+
+    Sums keep self's keys first; products loop over self on the outside.
+    """
+
+    def __init__(self, terms):
+        self.terms = {k: Fraction(c) for k, c in terms.items() if c}
+
+    @classmethod
+    def collect(cls, pairs):
+        out = {}
+        for k, c in pairs:
+            prev = out.get(k)
+            out[k] = c if prev is None else prev + c
+        return cls(out)
+
+    def __add__(self, other):
+        return self.collect([*self.terms.items(), *other.terms.items()])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return _FractionScalar({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        return self.collect((k1 + k2, c1 * c2)
+                            for k1, c1 in self.terms.items()
+                            for k2, c2 in other.terms.items())
+
+    def scale(self, s):
+        return _FractionScalar({k: s * c for k, c in self.terms.items()})
+
+    def __pow__(self, exponent):
+        if exponent < 0:
+            ((k, v),) = self.terms.items()
+            return _FractionScalar({k * exponent: v ** exponent})
+        result, base = _FractionScalar({0: 1}), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            base = base * base
+            exponent >>= 1
+        return result
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def eval_at(self, q):
+        if not self.terms:
+            return 0j
+        return sum(complex(v) * q ** k for k, v in self.terms.items())
+
+    def laurent_eval(self, n):
+        if not self.terms:
+            return 0j
+        theta = 2.0 * cmath.pi / (n + 1)
+        return sum(complex(v) * cmath.exp(1j * theta * k)
+                   for k, v in self.terms.items())
+
+    def subs_unit(self, sign):
+        return sum((v if sign == 1 or k % 2 == 0 else -v
+                    for k, v in self.terms.items()), Fraction(0))
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for k in sorted(self.terms):
+            v = self.terms[k]
+            if k == 0:
+                parts.append(str(v))
+            elif k == 1:
+                parts.append(f"{v}*q" if v != 1 else "q")
+            else:
+                parts.append(f"{v}*q^{k}" if v != 1 else f"q^{k}")
+        return " + ".join(parts)
+
+
+def _assert_canonical(s):
+    assert s._den > 0
+    assert math.gcd(s._den, *s._terms.values()) == 1
+    assert all(type(c) is int and c for c in s._terms.values())
+    if not s._terms:
+        assert s._den == 1
+
+
+def _assert_matches(s, ref, n):
+    _assert_canonical(s)
+    # same values in the same key order
+    assert list(s.coeffs.items()) == list(ref.terms.items())
+    assert s == LaurentScalar(ref.terms)
+    assert hash(s) == hash(ref)
+    assert repr(s) == repr(ref)
+    for sign in (1, -1):
+        assert s.subs_unit(sign) == ref.subs_unit(sign)
+    # bit-equal floating-point values
+    for q in (cmath.exp(2j * cmath.pi / (n + 1)), 0.7 - 0.3j):
+        assert s.eval_at(q) == ref.eval_at(q)
+    assert laurent_eval(s, n) == ref.laurent_eval(n)
+
+
+_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coeffs, _coeffs, st.integers(min_value=-6, max_value=6), _fractions,
+       st.integers(min_value=0, max_value=4),
+       st.integers(min_value=-5, max_value=5),
+       _fractions.filter(bool), st.integers(min_value=1, max_value=6))
+def test_matches_fraction_reference(ta, tb, k, f, e, k0, c0, n):
+    a, b = LaurentScalar(ta), LaurentScalar(tb)
+    ra, rb = _FractionScalar(ta), _FractionScalar(tb)
+    mono, rmono = LaurentScalar({k0: c0}), _FractionScalar({k0: c0})
+    cases = [(a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb),
+             (-a, -ra), (a * b, ra * rb), (a.scale(k), ra.scale(k)),
+             (a.scale(f), ra.scale(f)), (a ** e, ra ** e),
+             (mono ** -e, rmono ** -e), (mono * a, rmono * ra)]
+    for s, ref in cases:
+        _assert_matches(s, ref, n)
+    assert (a == b) == (ra.terms == rb.terms)
+    assert (a - a).is_zero and (a - a)._den == 1

@@ -1,5 +1,6 @@
 """Intermediate-statistics oscillator spectrum."""
 
+import cmath
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from gentile.oscillator import (bose_limit_check,
                                 closed_form_spectrum,
                                 ladder_commutation_check, per_state_energy,
                                 spectrum_crosscheck)
+from gentile.rep import build_rep
 
 
 def test_case_class():
@@ -43,6 +45,23 @@ def test_hamiltonian_diagonal():
         assert max_abs_diff(h, np.diag(np.diag(h))) <= 1e-12
         for v in range(n + 1):
             assert abs(h[v, v].real - per_state_energy(n, v)) <= 1e-12
+
+
+def _dense_hamiltonian(n):
+    """Reference: the Hamiltonian as four dense ladder-matrix products."""
+    rep = build_rep(n)
+    alpha, beta = 1 + 0j, cmath.exp(-2j * math.pi / (n + 1))
+    return (alpha * (rep.a_dag @ rep.b) + beta * (rep.b @ rep.a_dag)
+            + np.conj(alpha) * (rep.b_dag @ rep.a)
+            + np.conj(beta) * (rep.a @ rep.b_dag)) / 4.0
+
+
+def test_hamiltonian_matches_dense_products():
+    eps = np.finfo(float).eps
+    for n in range(1, 65):
+        h, ref = build_hamiltonian(n), _dense_hamiltonian(n)
+        assert h.shape == ref.shape == (n + 1, n + 1)
+        assert max_abs_diff(h, ref) <= 4 * eps * np.max(np.abs(ref))
 
 
 def test_per_state_energy_closed_form():

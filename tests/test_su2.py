@@ -111,6 +111,15 @@ def test_e010_residual(n):
     assert e010_residual(rep) <= 1e-9
 
 
+def test_solvers_carry_bracket_numbers():
+    # e010_residual reads the bracket numbers of the rep the solve built
+    brackets = build_rep(5).bracket_numbers
+    assert solve_representation(5, DiagonalChoice.ADAG_B).bracket_numbers \
+        == brackets
+    assert solve_extended(5, DiagonalChoice.ADAG_B, DiagonalChoice.NUM,
+                          0.5).bracket_numbers == brackets
+
+
 def test_e010_wrong_choice():
     rep = solve_representation(3, DiagonalChoice.NUM)
     with pytest.raises(WrongChoice):
