@@ -1,10 +1,11 @@
 """Audit runner: verify every cataloged identity symbolically and numerically.
 
-Symbolic verdicts come from exact expansion (free polynomial or quotient
-normal form); numeric spot-checks evaluate the same expressions with
-random complex matrices or in the Gentile matrix representation.  A FAIL
-verdict on a printed relation is a first-class outcome; only disagreement
-between the two pipelines is an error.
+Every verdict comes from exact expansion: a free polynomial over formal q
+for FREE entries, the quotient normal form for QUOTIENT entries.  Numeric
+spot-checks evaluate the same expression trees with random complex
+matrices (FREE) or in the Gentile matrix representation (QUOTIENT).  A
+FAIL verdict on a printed relation is a first-class outcome; only
+disagreement between the two pipelines is an error.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import (FORMAL_Q, FREE, MATRIX, Q_EQ_1, Q_EQ_MINUS_1, QUOTIENT,
-                      build_catalog)
+from .catalog import FORMAL_Q, FREE, Q_EQ_1, Q_EQ_MINUS_1, build_catalog
 from .errors import InconsistentVerdict
 from .linalg import max_abs_diff
 from .rep import build_rep
@@ -59,7 +59,6 @@ class IdentityResult:
     identity_id: str
     strategy: str
     specialization: str
-    symbolic_verdict: str | None  # PASS / FAIL / None (matrix-only)
     residual_digest: str | None  # None when numeric_residual is set
     numeric_residual: float | None
     n_tested: tuple
@@ -131,7 +130,7 @@ def _symbolic_suite(entries, specializations) -> AuditReport:
         verdict = "PASS" if passed else "FAIL"
         results.append(IdentityResult(
             identity_id=entry.id, strategy=entry.strategy,
-            specialization=entry.specialization, symbolic_verdict=verdict,
+            specialization=entry.specialization,
             residual_digest="0" if passed else _digest(residual),
             numeric_residual=None, n_tested=(), verdict=verdict))
     return AuditReport(results=results, seed=0, tol=0.0)
@@ -159,8 +158,8 @@ def run_matrix_suite(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS,
                      tol=DEFAULT_TOL, seed=0, entries=None) -> AuditReport:
     """Numeric evaluation of the catalog in matrix form.
 
-    QUOTIENT and MATRIX entries are evaluated in the Gentile representation
-    at every n; FREE formal-q entries are spot-checked with random complex
+    QUOTIENT entries are evaluated in the Gentile representation at every
+    n; FREE formal-q entries are spot-checked with random complex
     matrices.
 
     Draw order, which keeps a seed's output stable: one generator seeded
@@ -180,7 +179,7 @@ def run_matrix_suite(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS,
 
 def _matrix_suite(catalog, free, n_values, trials, tol, seed) -> AuditReport:
     """run_matrix_suite, with FREE symbolic verdicts taken from ``free``."""
-    free_verdicts = {r.identity_id: r.symbolic_verdict for r in free.results}
+    free_verdicts = {r.identity_id: r.verdict for r in free.results}
     rng = np.random.default_rng(seed)
     reps = {n: build_rep(n) for n in n_values}
     q_draws = np.array([np.exp(2j * np.pi / (n + 1)) for n in n_values],
@@ -188,40 +187,30 @@ def _matrix_suite(catalog, free, n_values, trials, tol, seed) -> AuditReport:
     results = []
     for entry in catalog:
         worst = 0.0
-        symbolic = None
         if entry.strategy == FREE:
             if entry.specialization != FORMAL_Q:
                 continue  # limit forms have no finite-n specialization
-            symbolic = free_verdicts[entry.id]
+            verdict = free_verdicts[entry.id]
             assign = _random_draws(
                 generators_of(entry.lhs) | generators_of(entry.rhs), rng,
                 len(q_draws))
             worst = max_abs_diff(
                 eval_expr(entry.lhs, assign, q_draws, RANDOM_DIM),
                 eval_expr(entry.rhs, assign, q_draws, RANDOM_DIM))
-        elif entry.strategy == QUOTIENT:
+        else:
             residual_poly = normal_order(entry.lhs) - normal_order(entry.rhs)
-            symbolic = "PASS" if residual_poly.is_zero else "FAIL"
+            verdict = "PASS" if residual_poly.is_zero else "FAIL"
             for n in n_values:
                 rep = reps[n]
                 assign = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
                 lhs = eval_expr(entry.lhs, assign, rep.q, rep.dim)
                 rhs = eval_expr(entry.rhs, assign, rep.q, rep.dim)
                 worst = max(worst, max_abs_diff(lhs, rhs))
-        elif entry.strategy == MATRIX:
-            for n in n_values:
-                rep = reps[n]
-                worst = max(worst, max_abs_diff(entry.lhs_builder(rep),
-                                                entry.rhs_builder(rep)))
-        else:
-            raise ValueError(f"unknown strategy {entry.strategy!r}")
-        numeric_verdict = "PASS" if worst <= tol else "FAIL"
-        verdict = symbolic if symbolic is not None else numeric_verdict
         results.append(IdentityResult(
             identity_id=entry.id, strategy=entry.strategy,
-            specialization=entry.specialization, symbolic_verdict=symbolic,
-            residual_digest=None, numeric_residual=worst,
-            n_tested=tuple(n_values), verdict=verdict))
+            specialization=entry.specialization, residual_digest=None,
+            numeric_residual=worst, n_tested=tuple(n_values),
+            verdict=verdict))
     return AuditReport(results=results, seed=seed, tol=tol)
 
 
@@ -233,13 +222,13 @@ def audit_crosscheck(matrix_report: AuditReport) -> bool:
     """
     tol = matrix_report.tol
     for r in matrix_report.results:
-        if r.symbolic_verdict is None or r.numeric_residual is None:
+        if r.numeric_residual is None:
             continue
-        if r.symbolic_verdict == "PASS" and r.numeric_residual > tol:
+        if r.verdict == "PASS" and r.numeric_residual > tol:
             raise InconsistentVerdict(
                 r.identity_id,
                 f"symbolic PASS but numeric residual {r.numeric_residual:.3e}")
-        if r.symbolic_verdict == "FAIL" and r.n_tested \
+        if r.verdict == "FAIL" and r.n_tested \
                 and r.numeric_residual <= 10.0 * tol:
             raise InconsistentVerdict(
                 r.identity_id,

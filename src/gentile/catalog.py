@@ -1,9 +1,11 @@
 """Catalog of every bracket identity under audit.
 
-Entries carry the two sides as expression trees (or, for identities with
-number-operator phase factors, as matrix builders), the verification
-strategy, and the q specialization.  Schematic identities indexed by
-k, l, i are instantiated up to total degree 4.
+Every entry carries its two sides as expression trees and the q
+specialization; the verification strategy follows from the
+specialization.  Finite-n entries over adag, b and N are QUOTIENT: both
+the quotient normal form and the Gentile matrices check them.  Every
+other entry is FREE.  Schematic identities indexed by k, l, i are
+instantiated up to total degree 4.
 """
 
 from __future__ import annotations
@@ -12,18 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
-from typing import Callable, Optional
-
-import numpy as np
 
 from .laurent import ONE, Q, QINV, LaurentScalar
-from .rep import GentileRep, diag_of_num
 from .symbolic import (Add, AntiCommutator, Commutator, Expr, Gen, Mul,
                        NBracket, Pow, Scal, perm_sum, cyc_sum, product)
 
 FREE = "FREE"
 QUOTIENT = "QUOTIENT"
-MATRIX = "MATRIX"
 
 FORMAL_Q = "FORMAL_Q"
 Q_AT_N = "Q_AT_N"
@@ -36,11 +33,12 @@ class IdentityEntry:
     id: str
     lhs: Expr
     rhs: Expr
-    strategy: str
     specialization: str = FORMAL_Q
-    # MATRIX-strategy sides that need functions of N are built per rep
-    lhs_builder: Optional[Callable[[GentileRep], np.ndarray]] = None
-    rhs_builder: Optional[Callable[[GentileRep], np.ndarray]] = None
+
+    @property
+    def strategy(self) -> str:
+        """QUOTIENT for relations at q = exp(2 pi i/(n+1)), else FREE."""
+        return QUOTIENT if self.specialization == Q_AT_N else FREE
 
 
 def _scal(x) -> Expr:
@@ -116,11 +114,9 @@ def _eps_sum(bracket_cls, signed: bool):
 def build_catalog() -> list:
     entries = []
 
-    def add(id_, lhs, rhs, strategy=FREE, spec=FORMAL_Q, lhs_builder=None,
-            rhs_builder=None):
-        entries.append(IdentityEntry(
-            id=id_, lhs=lhs, rhs=rhs, strategy=strategy, specialization=spec,
-            lhs_builder=lhs_builder, rhs_builder=rhs_builder))
+    def add(id_, lhs, rhs, spec=FORMAL_Q):
+        entries.append(IdentityEntry(id=id_, lhs=lhs, rhs=rhs,
+                                     specialization=spec))
 
     u, v, w, o = Gen("u"), Gen("v"), Gen("w"), Gen("o")
     lam = _scal(Fraction(2, 3))
@@ -340,74 +336,48 @@ def build_catalog() -> list:
 
     # ---- Appendix B: relations in the adag/b/N quotient algebra ----
     adag, b, N = Gen("adag"), Gen("b"), Gen("N")
-    add("appB_defining", NBracket(b, adag), _scal(1), strategy=QUOTIENT,
-        spec=Q_AT_N)
-    add("appB_N_adag_comm", Commutator(N, adag), adag, strategy=QUOTIENT,
-        spec=Q_AT_N)
-    add("appB_N_b_comm", Commutator(N, b), Mul(_scal(-1), b),
-        strategy=QUOTIENT, spec=Q_AT_N)
+    add("appB_defining", NBracket(b, adag), _scal(1), spec=Q_AT_N)
+    add("appB_N_adag_comm", Commutator(N, adag), adag, spec=Q_AT_N)
+    add("appB_N_b_comm", Commutator(N, b), Mul(_scal(-1), b), spec=Q_AT_N)
     add("appB_N_adag_nbr",
         NBracket(N, adag),
-        Mul(Mul(_scal(_ONE_MINUS_Q), N) + _scal(Q), adag),
-        strategy=QUOTIENT, spec=Q_AT_N)
+        Mul(Mul(_scal(_ONE_MINUS_Q), N) + _scal(Q), adag), spec=Q_AT_N)
     add("appB_adag_N_nbr",
         NBracket(adag, N),
-        Mul(Mul(_scal(_ONE_MINUS_Q), N) - _scal(1), adag),
-        strategy=QUOTIENT, spec=Q_AT_N)
+        Mul(Mul(_scal(_ONE_MINUS_Q), N) - _scal(1), adag), spec=Q_AT_N)
     add("appB_N_b_nbr",
         NBracket(N, b),
-        Mul(Mul(_scal(_ONE_MINUS_Q), N) - _scal(Q), b),
-        strategy=QUOTIENT, spec=Q_AT_N)
+        Mul(Mul(_scal(_ONE_MINUS_Q), N) - _scal(Q), b), spec=Q_AT_N)
     add("appB_b_N_nbr",
         NBracket(b, N),
-        Mul(Mul(_scal(_ONE_MINUS_Q), N) + _scal(1), b),
-        strategy=QUOTIENT, spec=Q_AT_N)
+        Mul(Mul(_scal(_ONE_MINUS_Q), N) + _scal(1), b), spec=Q_AT_N)
     for k in (1, 2, 3):
         add(f"appB_adagkb_adag_k{k}",
-            NBracket(Mul(Pow(adag, k), b), adag), Pow(adag, k),
-            strategy=QUOTIENT, spec=Q_AT_N)
+            NBracket(Mul(Pow(adag, k), b), adag), Pow(adag, k), spec=Q_AT_N)
         add(f"appB_badagk_adag_k{k}",
-            NBracket(Mul(b, Pow(adag, k)), adag), Pow(adag, k),
-            strategy=QUOTIENT, spec=Q_AT_N)
+            NBracket(Mul(b, Pow(adag, k)), adag), Pow(adag, k), spec=Q_AT_N)
         add(f"appB_b_adagbk_k{k}",
-            NBracket(b, Mul(adag, Pow(b, k))), Pow(b, k),
-            strategy=QUOTIENT, spec=Q_AT_N)
+            NBracket(b, Mul(adag, Pow(b, k))), Pow(b, k), spec=Q_AT_N)
         add(f"appB_b_bkadag_k{k}",
-            NBracket(b, Mul(Pow(b, k), adag)), Pow(b, k),
-            strategy=QUOTIENT, spec=Q_AT_N)
+            NBracket(b, Mul(Pow(b, k), adag)), Pow(b, k), spec=Q_AT_N)
     # printed as equal to (1+q) adag b; the rewriter finds an extra term
     add("appB_adagb2_adag",
         NBracket(Mul(adag, Pow(b, 2)), adag),
-        Mul(_scal(ONE + Q), Mul(adag, b)),
-        strategy=QUOTIENT, spec=Q_AT_N)
+        Mul(_scal(ONE + Q), Mul(adag, b)), spec=Q_AT_N)
     add("appB_b_adag2b",
         NBracket(b, Mul(Pow(adag, 2), b)),
-        Mul(_scal(ONE + Q), Mul(adag, b)),
-        strategy=QUOTIENT, spec=Q_AT_N)
+        Mul(_scal(ONE + Q), Mul(adag, b)), spec=Q_AT_N)
 
-    # [Nb, adag b] with the (N-1)-dependent phase, both operand orders
-    def _nb(rep):
-        return rep.num @ rep.b
-
-    def _lhs_phase(rep: GentileRep) -> np.ndarray:
-        nb = _nb(rep)
-        ab = rep.a_dag @ rep.b
-        return nb @ ab - ab @ nb
-
-    def _phase(rep: GentileRep) -> np.ndarray:
-        return diag_of_num(rep, lambda v: np.exp(2j * np.pi * (v - 1)
-                                                 / (rep.n + 1)))
-
-    def _rhs_phase_left(rep):
-        return _phase(rep) @ _nb(rep)
-
-    def _rhs_phase_right(rep):
-        return _nb(rep) @ _phase(rep)
-
-    add("appB_Nb_adagb_phase_left", None, None, strategy=MATRIX, spec=Q_AT_N,
-        lhs_builder=_lhs_phase, rhs_builder=_rhs_phase_left)
-    add("appB_Nb_adagb_phase_right", None, None, strategy=MATRIX, spec=Q_AT_N,
-        lhs_builder=_lhs_phase, rhs_builder=_rhs_phase_right)
+    # [Nb, adag b] with the phase exp(i 2 pi (N-1)/(n+1)) = q^(N-1), both
+    # operand orders.  adag b = [N]_q gives q^N = 1 + (q-1) adag b, so
+    # q^(N-1) = q^-1 + (1-q^-1) adag b; the linear form avoids the
+    # cancellation of the equal q^-1 [b, adag].
+    nb, adagb = Mul(N, b), Mul(adag, b)
+    phase = _scal(QINV) + Mul(_scal(ONE - QINV), adagb)
+    add("appB_Nb_adagb_phase_left", Commutator(nb, adagb), Mul(phase, nb),
+        spec=Q_AT_N)
+    add("appB_Nb_adagb_phase_right", Commutator(nb, adagb), Mul(nb, phase),
+        spec=Q_AT_N)
 
     ids = [e.id for e in entries]
     assert len(ids) == len(set(ids)), "duplicate identity ids"

@@ -223,12 +223,17 @@ class LaurentScalar(Terms):
         """Numeric value with q set to an arbitrary complex number.
 
         ``c / _den`` is correctly rounded, so each coefficient is the
-        float of its exact value.
+        float of its exact value; a coefficient or exponent beyond float
+        range raises OutOfRange.
         """
         if not self._terms:
             return 0j
         den = self._den
-        return sum(complex(c / den) * q ** k for k, c in self._terms.items())
+        try:
+            return sum(complex(c / den) * q ** k
+                       for k, c in self._terms.items())
+        except OverflowError:
+            raise _beyond_float_range() from None
 
     def subs_unit(self, sign: int) -> Fraction:
         """Exact value at q = +1 or q = -1."""
@@ -254,6 +259,11 @@ class LaurentScalar(Terms):
         return " + ".join(parts)
 
 
+def _beyond_float_range() -> OutOfRange:
+    return OutOfRange("a coefficient or q exponent is beyond float range, "
+                      "so it cannot be evaluated")
+
+
 ZERO = LaurentScalar()
 ONE = LaurentScalar({0: 1})
 Q = LaurentScalar({1: 1})
@@ -277,5 +287,8 @@ def laurent_eval(s: LaurentScalar, n: int) -> complex:
         return 0j
     theta = 2.0 * cmath.pi / (n + 1)
     den = s._den
-    return sum(complex(c / den) * cmath.exp(1j * theta * k)
-               for k, c in s._terms.items())
+    try:
+        return sum(complex(c / den) * cmath.exp(1j * theta * k)
+                   for k, c in s._terms.items())
+    except OverflowError:
+        raise _beyond_float_range() from None

@@ -128,7 +128,12 @@ class QuotientPoly(Terms):
             c = self._terms[key]
             for e, num in c._terms.items():
                 # correctly rounded, as float(Fraction(num, c._den))
-                values[t, column[e]] = num / c._den
+                try:
+                    values[t, column[e]] = num / c._den
+                except OverflowError:
+                    raise OutOfRange("a coefficient of the normal form is "
+                                     "beyond float range, so it cannot be "
+                                     "evaluated") from None
         groups = []
         for (j, k), run in groupby(enumerate(keys), key=lambda tk: tk[1][:2]):
             run = list(run)

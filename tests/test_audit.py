@@ -1,16 +1,22 @@
 """Identity catalog and the dual-pipeline audit, including mutation tests."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gentile.audit import (audit_crosscheck, eval_expr, run_free_suite,
-                           run_full_audit, run_limit_suite, run_matrix_suite)
-from gentile.catalog import FREE, FORMAL_Q, IdentityEntry, build_catalog
+from gentile.audit import (RANDOM_DIM, audit_crosscheck, eval_expr,
+                           run_free_suite, run_full_audit, run_limit_suite,
+                           run_matrix_suite)
+from gentile.catalog import (FREE, FORMAL_Q, Q_AT_N, Q_EQ_1, Q_EQ_MINUS_1,
+                             QUOTIENT, IdentityEntry, build_catalog)
 from gentile.errors import InconsistentVerdict
 from gentile.linalg import max_abs_diff
-from gentile.symbolic import generators_of, parse
+from gentile.rep import build_rep, diag_of_num
+from gentile.symbolic import expand_free, generators_of, normal_order, parse
+from gentile.symbolic.quotient import QUOTIENT_ALPHABET
 
 # documented printed-relation failures; everything else must PASS
 EXPECTED_FREE_FAILS = {"appA_uvwo_brackets_printed"}
@@ -25,6 +31,40 @@ EXPECTED_MATRIX_FAILS = {
 def test_catalog_ids_unique():
     ids = [e.id for e in build_catalog()]
     assert len(ids) == len(set(ids))
+
+
+def test_catalog_alphabets():
+    # QUOTIENT entries are normal-ordered over adag, b, N; a FREE entry over
+    # those letters would be checked without their defining relations
+    for entry in build_catalog():
+        letters = generators_of(entry.lhs) | generators_of(entry.rhs)
+        if entry.strategy == QUOTIENT:
+            assert letters <= QUOTIENT_ALPHABET, entry.id
+        else:
+            assert not letters & QUOTIENT_ALPHABET, entry.id
+
+
+def test_free_entries_below_amitsur_levitzki_degree():
+    # k x k matrices satisfy the standard identity of degree 2k, so the
+    # RANDOM_DIM spot checks can refute only identities of lower degree
+    for entry in build_catalog():
+        if entry.strategy != FREE or entry.specialization != FORMAL_Q:
+            continue
+        words = (list(expand_free(entry.lhs).terms)
+                 + list(expand_free(entry.rhs).terms))
+        assert max(map(len, words)) < 2 * RANDOM_DIM, entry.id
+
+
+def test_readme_catalog_counts():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text(encoding="utf-8").split())
+    match = re.search(r"(\d+) bracket identities \((\d+) formal-`q`, "
+                      r"(\d+) `q = ±1` limit, (\d+) quotient\)", text)
+    assert match, "README catalog sentence not found"
+    specs = [e.specialization for e in build_catalog()]
+    limit = specs.count(Q_EQ_1) + specs.count(Q_EQ_MINUS_1)
+    assert tuple(map(int, match.groups())) == (
+        len(specs), specs.count(FORMAL_Q), limit, specs.count(Q_AT_N))
 
 
 def test_free_suite_expected_verdicts():
@@ -64,6 +104,81 @@ def test_empty_entry_list_gives_empty_report():
     assert run_free_suite([]).results == []
     assert run_limit_suite([]).results == []
     assert run_matrix_suite(n_values=(2,), trials=1, entries=[]).results == []
+
+
+# -- the q^(N-1) phase of [Nb, adag b] ----------------------------------------
+
+PHASE_IDS = ("appB_Nb_adagb_phase_left", "appB_Nb_adagb_phase_right")
+
+
+def _phase_entries():
+    catalog = {e.id: e for e in build_catalog()}
+    return [catalog[identity_id] for identity_id in PHASE_IDS]
+
+
+def _rep_assignment(rep):
+    return {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
+
+
+# reference: the two entries written directly as matrices of the Gentile
+# representation, with the phase a function of the number operator
+def _nb(rep):
+    return rep.num @ rep.b
+
+
+def _lhs_phase(rep):
+    nb = _nb(rep)
+    ab = rep.a_dag @ rep.b
+    return nb @ ab - ab @ nb
+
+
+def _phase(rep):
+    return diag_of_num(rep, lambda v: np.exp(2j * np.pi * (v - 1)
+                                             / (rep.n + 1)))
+
+
+def _rhs_phase_left(rep):
+    return _phase(rep) @ _nb(rep)
+
+
+def _rhs_phase_right(rep):
+    return _nb(rep) @ _phase(rep)
+
+
+REFERENCE_BUILDERS = {
+    "appB_Nb_adagb_phase_left": (_lhs_phase, _rhs_phase_left),
+    "appB_Nb_adagb_phase_right": (_lhs_phase, _rhs_phase_right),
+}
+
+
+def test_phase_tree_is_q_to_the_n_minus_1():
+    left, right = _phase_entries()
+    phase = left.rhs.left
+    assert right.rhs.right == phase
+    for n in range(1, 129):
+        rep = build_rep(n)
+        got = eval_expr(phase, _rep_assignment(rep), rep.q, rep.dim)
+        assert max_abs_diff(got, _phase(rep)) <= 1e-13, n
+
+
+def test_phase_normal_form_residuals():
+    left, right = _phase_entries()
+    assert not (normal_order(left.lhs) - normal_order(left.rhs)).is_zero
+    assert (normal_order(right.lhs) - normal_order(right.rhs)).is_zero
+
+
+@pytest.mark.parametrize("identity_id", PHASE_IDS)
+def test_phase_trees_match_matrix_builders(identity_id):
+    entry = {e.id: e for e in _phase_entries()}[identity_id]
+    for n in range(1, 65):
+        rep = build_rep(n)
+        assign = _rep_assignment(rep)
+        for tree, builder in zip((entry.lhs, entry.rhs),
+                                 REFERENCE_BUILDERS[identity_id]):
+            want = builder(rep)
+            got = eval_expr(tree, assign, rep.q, rep.dim)
+            bound = 1e-12 * max(1.0, np.abs(want).max())
+            assert max_abs_diff(got, want) <= bound, (n, builder.__name__)
 
 
 # -- stacked evaluation is bit-identical to one draw at a time -----------------
@@ -126,7 +241,7 @@ def _mutated_entry():
         id="mutation_sign_flip",
         lhs=parse("[u,v]_n"),
         rhs=parse("u v + q v u"),  # correct rhs is u v - q v u
-        strategy=FREE, specialization=FORMAL_Q)
+        specialization=FORMAL_Q)
 
 
 def test_mutated_identity_fails_both_pipelines():
@@ -135,7 +250,7 @@ def test_mutated_identity_fails_both_pipelines():
     assert free.by_id("mutation_sign_flip").verdict == "FAIL"
     matrix = run_matrix_suite(n_values=(2, 3), trials=2, entries=[entry])
     result = matrix.by_id("mutation_sign_flip")
-    assert result.symbolic_verdict == "FAIL"
+    assert result.verdict == "FAIL"
     assert result.numeric_residual > matrix.tol * 10
     # consistent FAIL/FAIL: crosscheck raises no InconsistentVerdict
     assert audit_crosscheck(matrix)
@@ -146,7 +261,7 @@ def test_crosscheck_detects_pipeline_disagreement():
     matrix = run_matrix_suite(n_values=(2,), trials=1,
                               entries=[_mutated_entry()])
     result = matrix.by_id("mutation_sign_flip")
-    result.symbolic_verdict = "PASS"
+    result.verdict = "PASS"
     with pytest.raises(InconsistentVerdict):
         audit_crosscheck(matrix)
 

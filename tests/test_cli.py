@@ -247,6 +247,27 @@ def test_eval_q_exponent_beyond_int64_exit_one(expression, capsys):
     assert "Traceback" not in captured.err
 
 
+BEYOND_FLOAT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("expression", [
+    f"q^{BEYOND_FLOAT} b", f"{BEYOND_FLOAT} b",
+], ids=["q-exponent", "coefficient"])
+def test_eval_beyond_float_range_exit_one(expression, capsys):
+    assert main(["eval", expression, "--n", "1..2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a coefficient or q exponent is "
+                                   "beyond float range")
+    assert "Traceback" not in captured.err
+
+
+def test_eval_tiny_coefficient_exit_zero(capsys):
+    # 10^-400 underflows to 0.0 rather than overflowing
+    assert main(["eval", f"1/{BEYOND_FLOAT} b", "--n", "1..2"]) == 0
+    assert json.loads(capsys.readouterr().out)["per_n"]
+
+
 def test_eval_sumperm_above_cap_exit_one(capsys):
     operands = ",".join((["adag", "b", "N"] * 3)[:MAX_PERM_OPERANDS + 1])
     assert main(["eval", f"sumperm({operands})", "--n", "1"]) == 1

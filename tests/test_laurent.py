@@ -83,6 +83,17 @@ def test_eval_at_matches_laurent_eval():
         assert abs(s.eval_at(q) - laurent_eval(s, n)) <= 1e-14
 
 
+@pytest.mark.parametrize("s", [
+    LaurentScalar.q_power(10 ** 400),
+    LaurentScalar.from_rational(10 ** 400),
+], ids=["q-exponent", "coefficient"])
+def test_evaluation_beyond_float_range_is_out_of_range(s):
+    with pytest.raises(OutOfRange, match="beyond float range"):
+        s.eval_at(cmath.exp(2j * cmath.pi / 3))
+    with pytest.raises(OutOfRange, match="beyond float range"):
+        laurent_eval(s, 2)
+
+
 # -- property-based ring laws -----------------------------------------------
 
 _coeffs = st.dictionaries(

@@ -365,6 +365,12 @@ def test_eval_rep_matches_dense_powers(n):
                 assert np.all(np.abs(got - want) <= bound), (j, k, m)
 
 
+def test_eval_rep_coefficient_beyond_float_range():
+    poly = QuotientPoly({(0, 1, 0): LaurentScalar.from_rational(10 ** 400)})
+    with pytest.raises(OutOfRange, match="beyond float range"):
+        poly.eval_rep(build_rep(2))
+
+
 # -- fold: normal form against direct evaluation, every node kind -------------
 
 _NODES = (Add, Sub, Mul, NBracket, Commutator, AntiCommutator, Pow, SumPerm,
