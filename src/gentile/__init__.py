@@ -14,12 +14,9 @@ from .errors import (
     DomainError, OutOfRange, PreconditionViolation, ParseError,
     DegenerateNodes, WrongChoice, InconsistentVerdict,
 )
-from .laurent import LaurentScalar, ZERO, ONE, Q, QINV, q_integer, laurent_eval
+from .laurent import LaurentScalar, ZERO, ONE, Q, QINV, q_integer
 from .linalg import max_abs_diff, hermitian_eigen, matrix_function
-from .rep import (
-    bracket_number, GentileRep, build_rep, gentile_bracket, diag_of_num,
-    ArcsinAudit, number_from_arcsin,
-)
+from .rep import GentileRep, build_rep, ArcsinAudit, number_from_arcsin
 from .symbolic import (
     Expr, Gen, Scal, Add, Sub, Mul, Pow, NBracket, Commutator,
     AntiCommutator, SumPerm, SumCyc, product, substitute, perm_sum,
@@ -28,23 +25,22 @@ from .symbolic import (
 )
 from .catalog import IdentityEntry, build_catalog
 from .audit import (
-    IdentityResult, AuditReport, run_free_suite, run_limit_suite,
-    run_matrix_suite, audit_crosscheck, run_full_audit, eval_expr,
+    IdentityResult, AuditReport, audit_crosscheck, run_full_audit, eval_expr,
 )
 from .coherent import (
     LambdaChoice, lambda_value, GrassmannOps, CoherentState, build_coherent,
     eigenstate_residual, closed_form_deltas, compare_closed_form,
-    normalization_poly, move_relation_check,
+    normalization_poly,
 )
 from .oscillator import (
     build_hamiltonian, per_state_energy, case_class,
     SpectrumReport, closed_form_spectrum, spectrum_crosscheck,
-    ladder_commutation_check, bose_limit_check,
+    bose_limit_check,
 )
 from .su2 import (
     DiagonalChoice, ladder_targets, diagonal_operator, newton_coefficients,
     divided_differences, newton_eval, Su2Rep, solve_representation,
-    solve_extended, verify_representation, e010_residual,
+    verify_representation, e010_residual,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import FORMAL_Q, FREE, Q_EQ_1, Q_EQ_MINUS_1, build_catalog
+from .catalog import FORMAL_Q, FREE, Q_EQ_1, build_catalog
 from .errors import InconsistentVerdict
 from .linalg import max_abs_diff
 from .rep import build_rep
@@ -87,16 +87,6 @@ class AuditReport:
         ids = [r.identity_id for r in self.results]
         assert len(ids) == len(set(ids)), "duplicate result ids"
 
-    def by_id(self, identity_id: str) -> IdentityResult:
-        for r in self.results:
-            if r.identity_id == identity_id:
-                return r
-        raise KeyError(identity_id)
-
-    @property
-    def failing_ids(self):
-        return [r.identity_id for r in self.results if r.verdict == "FAIL"]
-
     def table(self) -> str:
         lines = [f"{'identity':36} {'strategy':9} {'spec':12} "
                  f"{'verdict':7}  residual"]
@@ -113,105 +103,12 @@ def _digest(poly, limit: int = 120) -> str:
     return text if len(text) <= limit else text[:limit] + "..."
 
 
-def _symbolic_suite(entries, specializations) -> AuditReport:
-    """Expand lhs - rhs of every FREE entry with a listed specialization."""
-    results = []
-    for entry in build_catalog() if entries is None else entries:
-        if entry.strategy != FREE \
-                or entry.specialization not in specializations:
-            continue
-        residual = expand_free(entry.lhs) - expand_free(entry.rhs)
-        if entry.specialization in (Q_EQ_1, Q_EQ_MINUS_1):
-            residual = residual.specialize_unit(
-                1 if entry.specialization == Q_EQ_1 else -1)
-            passed = not residual
-        else:
-            passed = residual.is_zero
-        verdict = "PASS" if passed else "FAIL"
-        results.append(IdentityResult(
-            identity_id=entry.id, strategy=entry.strategy,
-            specialization=entry.specialization,
-            residual_digest="0" if passed else _digest(residual),
-            numeric_residual=None, n_tested=(), verdict=verdict))
-    return AuditReport(results=results, seed=0, tol=0.0)
-
-
-def run_free_suite(entries=None) -> AuditReport:
-    """Expand every formal-q FREE identity to a canonical polynomial."""
-    return _symbolic_suite(entries, (FORMAL_Q,))
-
-
-def run_limit_suite(entries=None) -> AuditReport:
-    """Check q = 1 (commutator) and q = -1 (anticommutator) limit forms."""
-    return _symbolic_suite(entries, (Q_EQ_1, Q_EQ_MINUS_1))
-
-
 def _random_draws(names, rng, batch: int) -> dict:
     """``batch`` random matrices per name, stacked as ``(batch, dim, dim)``."""
     u = rng.random((batch, len(names), 2, RANDOM_DIM, RANDOM_DIM))
     # entries uniform on the complex unit disk; uniform(0, 2 pi) is 2 pi * u
     mats = np.sqrt(u[:, :, 0]) * np.exp(1j * (2.0 * np.pi * u[:, :, 1]))
     return {name: mats[:, i] for i, name in enumerate(sorted(names))}
-
-
-def run_matrix_suite(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS,
-                     tol=DEFAULT_TOL, seed=0, entries=None) -> AuditReport:
-    """Numeric evaluation of the catalog in matrix form.
-
-    QUOTIENT entries are evaluated in the Gentile representation at every
-    n; FREE formal-q entries are spot-checked with random complex
-    matrices.
-
-    Draw order, which keeps a seed's output stable: one generator seeded
-    with ``seed`` serves the FREE formal-q entries in catalog order.  Each
-    entry takes, for each n, for each of ``trials`` draws, for each of its
-    generator names in sorted order, a 5x5 block of ``uniform(0, 1)``
-    numbers r and then a 5x5 block of ``uniform(0, 2 pi)`` numbers phi, and
-    sets that generator to ``sqrt(r) * exp(1j * phi)``.  All draws of an
-    entry are evaluated as one stacked batch, with q = exp(2 pi i/(n + 1))
-    computed from each Python-int n; the residual is the largest entrywise
-    |lhs - rhs| over the batch.
-    """
-    catalog = build_catalog() if entries is None else list(entries)
-    return _matrix_suite(catalog, run_free_suite(catalog), n_values, trials,
-                         tol, seed)
-
-
-def _matrix_suite(catalog, free, n_values, trials, tol, seed) -> AuditReport:
-    """run_matrix_suite, with FREE symbolic verdicts taken from ``free``."""
-    free_verdicts = {r.identity_id: r.verdict for r in free.results}
-    rng = np.random.default_rng(seed)
-    reps = {n: build_rep(n) for n in n_values}
-    q_draws = np.array([np.exp(2j * np.pi / (n + 1)) for n in n_values],
-                       dtype=complex).repeat(trials).reshape(-1, 1, 1)
-    results = []
-    for entry in catalog:
-        worst = 0.0
-        if entry.strategy == FREE:
-            if entry.specialization != FORMAL_Q:
-                continue  # limit forms have no finite-n specialization
-            verdict = free_verdicts[entry.id]
-            assign = _random_draws(
-                generators_of(entry.lhs) | generators_of(entry.rhs), rng,
-                len(q_draws))
-            worst = max_abs_diff(
-                eval_expr(entry.lhs, assign, q_draws, RANDOM_DIM),
-                eval_expr(entry.rhs, assign, q_draws, RANDOM_DIM))
-        else:
-            residual_poly = normal_order(entry.lhs) - normal_order(entry.rhs)
-            verdict = "PASS" if residual_poly.is_zero else "FAIL"
-            for n in n_values:
-                rep = reps[n]
-                assign = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
-                lhs = eval_expr(entry.lhs, assign, rep.q, rep.dim)
-                rhs = eval_expr(entry.rhs, assign, rep.q, rep.dim)
-                worst = max(worst, max_abs_diff(lhs, rhs))
-        results.append(IdentityResult(
-            identity_id=entry.id, strategy=entry.strategy,
-            specialization=entry.specialization, residual_digest=None,
-            numeric_residual=worst, n_tested=tuple(n_values),
-            verdict=verdict))
-    return AuditReport(results=results, seed=seed, tol=tol)
 
 
 def audit_crosscheck(matrix_report: AuditReport) -> bool:
@@ -237,10 +134,70 @@ def audit_crosscheck(matrix_report: AuditReport) -> bool:
 
 
 def run_full_audit(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS,
-                   tol=DEFAULT_TOL, seed=0):
-    """Run every suite; returns (free, limit, matrix) reports."""
-    catalog = build_catalog()
-    free = run_free_suite(catalog)
-    limit = run_limit_suite(catalog)
-    matrix = _matrix_suite(catalog, free, n_values, trials, tol, seed)
-    return free, limit, matrix
+                   tol=DEFAULT_TOL, seed=0, entries=None):
+    """Audit every catalog entry; returns (free, limit, matrix) reports.
+
+    One pass over the catalog (or ``entries``).  A FREE entry is expanded
+    to a free polynomial over formal q, or specialized to q = 1 or -1 for
+    the limit forms, and reported in the free or limit report.  Formal-q
+    FREE entries are also spot-checked with random complex matrices, and
+    QUOTIENT entries get a normal-form verdict and are evaluated in the
+    Gentile representation at every n; both go to the matrix report.
+
+    Draw order, which keeps a seed's output stable: one generator seeded
+    with ``seed`` serves the FREE formal-q entries in catalog order.  Each
+    entry takes, for each n, for each of ``trials`` draws, for each of its
+    generator names in sorted order, a 5x5 block of ``uniform(0, 1)``
+    numbers r and then a 5x5 block of ``uniform(0, 2 pi)`` numbers phi, and
+    sets that generator to ``sqrt(r) * exp(1j * phi)``.  All draws of an
+    entry are evaluated as one stacked batch, with q = exp(2 pi i/(n + 1))
+    computed from each Python-int n; the residual is the largest entrywise
+    |lhs - rhs| over the batch.
+    """
+    rng = np.random.default_rng(seed)
+    reps = {n: build_rep(n) for n in n_values}
+    q_draws = np.array([np.exp(2j * np.pi / (n + 1)) for n in n_values],
+                       dtype=complex).repeat(trials).reshape(-1, 1, 1)
+    free, limit, matrix = [], [], []
+    for entry in build_catalog() if entries is None else entries:
+        spec = entry.specialization
+        if entry.strategy == FREE:
+            residual = expand_free(entry.lhs) - expand_free(entry.rhs)
+            if spec == FORMAL_Q:
+                passed = residual.is_zero
+            else:
+                residual = residual.specialize_unit(1 if spec == Q_EQ_1
+                                                    else -1)
+                passed = not residual
+            verdict = "PASS" if passed else "FAIL"
+            (free if spec == FORMAL_Q else limit).append(IdentityResult(
+                identity_id=entry.id, strategy=entry.strategy,
+                specialization=spec,
+                residual_digest="0" if passed else _digest(residual),
+                numeric_residual=None, n_tested=(), verdict=verdict))
+            if spec != FORMAL_Q:
+                continue  # limit forms have no finite-n specialization
+            assign = _random_draws(
+                generators_of(entry.lhs) | generators_of(entry.rhs), rng,
+                len(q_draws))
+            worst = max_abs_diff(
+                eval_expr(entry.lhs, assign, q_draws, RANDOM_DIM),
+                eval_expr(entry.rhs, assign, q_draws, RANDOM_DIM))
+        else:
+            residual_poly = normal_order(entry.lhs) - normal_order(entry.rhs)
+            verdict = "PASS" if residual_poly.is_zero else "FAIL"
+            worst = 0.0
+            for n in n_values:
+                rep = reps[n]
+                assign = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
+                lhs = eval_expr(entry.lhs, assign, rep.q, rep.dim)
+                rhs = eval_expr(entry.rhs, assign, rep.q, rep.dim)
+                worst = max(worst, max_abs_diff(lhs, rhs))
+        matrix.append(IdentityResult(
+            identity_id=entry.id, strategy=entry.strategy,
+            specialization=spec, residual_digest=None,
+            numeric_residual=worst, n_tested=tuple(n_values),
+            verdict=verdict))
+    return (AuditReport(results=free, seed=0, tol=0.0),
+            AuditReport(results=limit, seed=0, tol=0.0),
+            AuditReport(results=matrix, seed=seed, tol=tol))

@@ -40,27 +40,12 @@ def lambda_value(choice, v: int, n: int) -> complex:
     raise OutOfRange(f"unknown lambda choice {choice!r}")
 
 
-def _lower(e: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """Move every row nu of e to nu - 1 with amplitude amp[nu - 1]."""
-    out = np.zeros(e.shape, dtype=complex)
-    out[..., :-1, :] += amp[:, None] * e[..., 1:, :]
-    return out
-
-
-def _raise(e: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """Move every row nu of e to nu + 1 with amplitude amp[nu]."""
-    out = np.zeros(e.shape, dtype=complex)
-    out[..., 1:, :] += amp[:, None] * e[..., :-1, :]
-    return out
-
-
 class GrassmannOps:
     """Operator actions on the module for one (n, lambda) choice.
 
     Module elements are (n+1, n+1) complex arrays indexed [nu, k], or
-    stacks of them along leading axes.  The ladder amplitudes are the
-    off-diagonals of the ``build_rep(n)`` matrices, conjugated for a and
-    b_dag.
+    stacks of them along leading axes.  The b amplitudes are the
+    superdiagonal of the ``build_rep(n)`` matrix b.
     """
 
     def __init__(self, n: int, choice):
@@ -69,16 +54,10 @@ class GrassmannOps:
         self.lam = [lambda_value(choice, v, n) for v in range(n + 1)]
 
     def apply_b(self, e: np.ndarray) -> np.ndarray:
-        return _lower(e, self.rep.b.diagonal(1))
-
-    def apply_a(self, e: np.ndarray) -> np.ndarray:
-        return _lower(e, self.rep.a.diagonal(1))
-
-    def apply_adag(self, e: np.ndarray) -> np.ndarray:
-        return _raise(e, self.rep.a_dag.diagonal(-1))
-
-    def apply_bdag(self, e: np.ndarray) -> np.ndarray:
-        return _raise(e, self.rep.b_dag.diagonal(-1))
+        """Move every row nu of e to nu - 1 with amplitude sqrt(<nu>)."""
+        out = np.zeros(e.shape, dtype=complex)
+        out[..., :-1, :] += self.rep.b.diagonal(1)[:, None] * e[..., 1:, :]
+        return out
 
     def apply_psi(self, e: np.ndarray) -> np.ndarray:
         """Left multiplication by psi; the k = n column truncates away."""
@@ -162,38 +141,3 @@ def normalization_poly(state: CoherentState):
     the polynomial data is returned, never a number.
     """
     return [1.0] + [abs(d) ** 2 for d in state.delta[1:]]
-
-
-def move_relation_check(n: int, choice, power: int):
-    """Residuals of the four psi move relations at the given power.
-
-    Relations checked (as module transformations, on every basis element):
-    psi bdag^p, psi adag^p, b^p psi, a^p psi, each against
-    (lambda(p)/lambda(0)) times the reordered side.
-    """
-    if not 0 <= power <= n:
-        raise OutOfRange(f"power must lie in [0, {n}], got {power}")
-    ops = GrassmannOps(n, choice)
-    ratio = ops.lam[power] / ops.lam[0]
-
-    def repeat(f, e):
-        for _ in range(power):
-            e = f(e)
-        return e
-
-    residuals = {}
-    for name, f, psi_left in (("psi_bdag", ops.apply_bdag, True),
-                              ("psi_adag", ops.apply_adag, True),
-                              ("b_psi", ops.apply_b, False),
-                              ("a_psi", ops.apply_a, False)):
-        worst = 0.0
-        for k in range(n + 1):
-            # the basis elements |nu> psi^k, nu = 0..n, stacked on axis 0
-            e = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
-            e[range(n + 1), range(n + 1), k] = 1.0
-            psi_f = ops.apply_psi(repeat(f, e))
-            f_psi = repeat(f, ops.apply_psi(e))
-            lhs, rhs = (psi_f, f_psi) if psi_left else (f_psi, psi_f)
-            worst = max(worst, float(np.max(np.abs(lhs - ratio * rhs))))
-        residuals[name] = worst
-    return residuals

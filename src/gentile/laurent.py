@@ -10,7 +10,6 @@ unity only at evaluation time.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -273,22 +272,3 @@ QINV = LaurentScalar({-1: 1})
 def q_integer(k: int) -> LaurentScalar:
     """The q-integer 1 + q + ... + q^(k-1)."""
     return LaurentScalar({j: 1 for j in range(k)})
-
-
-def laurent_eval(s: LaurentScalar, n: int) -> complex:
-    """Specialize q to exp(i*2*pi/(n+1)) and evaluate.
-
-    The zero polynomial evaluates to exactly 0; cancellation happens in
-    exact arithmetic before any floating point enters.
-    """
-    if n < 1:
-        raise OutOfRange(f"n must be >= 1, got {n}")
-    if s.is_zero:
-        return 0j
-    theta = 2.0 * cmath.pi / (n + 1)
-    den = s._den
-    try:
-        return sum(complex(c / den) * cmath.exp(1j * theta * k)
-                   for k, c in s._terms.items())
-    except OverflowError:
-        raise _beyond_float_range() from None

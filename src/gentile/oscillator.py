@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, PreconditionViolation
-from .linalg import hermitian_eigen, max_abs_diff
-from .rep import GentileRep, build_rep, diag_of_num
+from .linalg import hermitian_eigen
+from .rep import GentileRep, build_rep
 
 CLUSTER_TOL = 1e-9
 
@@ -159,38 +159,6 @@ def spectrum_crosscheck(n: int, tol: float = 1e-10):
         return False, math.inf, report
     deviation = max(abs(a - b) for a, b in zip(sorted(expanded), eigvals))
     return deviation <= tol, deviation, report
-
-
-def ladder_commutation_check(n: int, tol: float = 1e-12):
-    """Residuals of [H, x] = f(N-1) x = x f(N) for x in {adag, a, bdag, b}.
-
-    f is +/- cos(2 pi . /(n+1)) with the sign of the relation.  Returns a
-    dict relation -> (left-ordered residual, right-ordered residual) plus
-    the overall pass flag.
-    """
-    rep = build_rep(n)
-    h = build_hamiltonian(n, rep)
-    cos_n = diag_of_num(rep, lambda v: math.cos(2 * math.pi * v / (n + 1)))
-    cos_nm1 = diag_of_num(rep,
-                          lambda v: math.cos(2 * math.pi * (v - 1) / (n + 1)))
-    cases = {
-        "adag": (rep.a_dag, +1),
-        "a": (rep.a, -1),
-        "bdag": (rep.b_dag, +1),
-        "b": (rep.b, -1),
-    }
-    residuals = {}
-    for name, (x, sign) in cases.items():
-        comm = h @ x - x @ h
-        if sign > 0:
-            left = max_abs_diff(comm, cos_nm1 @ x)
-            right = max_abs_diff(comm, x @ cos_n)
-        else:
-            left = max_abs_diff(comm, -(cos_n @ x))
-            right = max_abs_diff(comm, -(x @ cos_nm1))
-        residuals[name] = (left, right)
-    passed = all(max(pair) <= tol for pair in residuals.values())
-    return residuals, passed
 
 
 def bose_limit_check(n: int, v_max: int):

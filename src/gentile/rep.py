@@ -17,22 +17,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfRange
+from .errors import OutOfRange
 from .linalg import matrix_function
-
-
-def bracket_number(n: int, v: int) -> complex:
-    """The bracket number <v>_n = sum_{j=0}^{v-1} exp(i*2*pi*j/(n+1)).
-
-    Computed as the finite geometric sum rather than the ratio form, so
-    v = 0 is exactly 0 and there is no 0/0 anywhere.
-    """
-    if n < 1:
-        raise OutOfRange(f"n must be >= 1, got {n}")
-    if not 0 <= v <= n + 1:
-        raise OutOfRange(f"v must lie in [0, {n + 1}], got {v}")
-    theta = 2.0 * math.pi / (n + 1)
-    return sum(cmath.exp(1j * theta * j) for j in range(v))
 
 
 @dataclass(frozen=True)
@@ -44,9 +30,9 @@ class GentileRep:
     bracket_numbers: tuple  # <0>_n ... <n+1>_n
     a_dag: np.ndarray
     b: np.ndarray
-    a: np.ndarray = field(repr=False, default=None)
-    b_dag: np.ndarray = field(repr=False, default=None)
-    num: np.ndarray = field(repr=False, default=None)
+    a: np.ndarray = field(repr=False)
+    b_dag: np.ndarray = field(repr=False)
+    num: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -64,8 +50,8 @@ def build_rep(n: int) -> GentileRep:
         raise OutOfRange(f"n must be >= 1, got {n}")
     theta = 2.0 * math.pi / (n + 1)
     q = cmath.exp(1j * theta)
-    # <0>_n .. <n+1>_n as running sums: the additions of bracket_number,
-    # in the same order and from the same int 0, so the values are equal
+    # <0>_n .. <n+1>_n as running sums of exp(i theta j), j = 0..n, from
+    # the int 0
     brackets = tuple(accumulate(
         (cmath.exp(1j * theta * j) for j in range(n + 1)), initial=0))
     amp = [cmath.sqrt(br) for br in brackets[1:n + 1]]
@@ -77,23 +63,6 @@ def build_rep(n: int) -> GentileRep:
         m.flags.writeable = False
     return GentileRep(n=n, q=q, bracket_numbers=brackets,
                       a_dag=a_dag, b=b, a=a, b_dag=b_dag, num=num)
-
-
-def gentile_bracket(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """The deformed bracket u v - exp(i*2*pi/(n+1)) v u."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"shape {u.shape} vs {v.shape}")
-    if n < 1:
-        raise OutOfRange(f"n must be >= 1, got {n}")
-    q = cmath.exp(2j * math.pi / (n + 1))
-    return u @ v - q * (v @ u)
-
-
-def diag_of_num(rep: GentileRep, f) -> np.ndarray:
-    """Diagonal matrix with entries f(nu), nu = 0..n."""
-    return np.diag([complex(f(v)) for v in range(rep.dim)])
 
 
 @dataclass(frozen=True)

@@ -115,66 +115,35 @@ class Su2Rep:
     # Newton-basis data of p(z) = sum_l conj(lambda_l) z^l, kept for
     # stable residual checks (the monomial lambdas are report-friendly
     # but ill-conditioned to evaluate directly for larger n)
-    nodes: tuple = None
-    divided: tuple = None
+    nodes: tuple
+    divided: tuple
     # <0>_n .. <n+1>_n of the GentileRep the solve used
-    bracket_numbers: tuple = None
-    # populated by solve_extended; None for the single-branch solver
-    choice_b: DiagonalChoice = None
-    lambdas_b: tuple = None
-    weight: float = 1.0
-
-
-def _branch(rep: GentileRep, choice: DiagonalChoice, raiser: np.ndarray,
-            weight: float):
-    """One branch p(A) raiser of J_+, carrying ``weight`` of the target.
-
-    p interpolates weight * c_+(nu) / <nu+1|raiser|nu> at the nodes
-    A|nu+1>; returns the nodes, their divided differences, the monomial
-    coefficients of p (these are conj(lambda_l)) and p(A) raiser.  A is
-    diagonal: p(A) is p at its diagonal, by Horner in the Newton basis.
-    """
-    a_matrix = diagonal_operator(rep, choice)
-    nodes = [a_matrix[v, v] for v in range(1, rep.dim)]
-    _check_nodes(nodes)
-    c_plus = ladder_targets(rep.n)
-    targets = [weight * c_plus[v] / raiser[v + 1, v] for v in range(rep.n)]
-    divided = divided_differences(nodes, targets)
-    p = [newton_eval(nodes, divided, a) for a in a_matrix.diagonal()]
-    return (nodes, divided, newton_coefficients(nodes, divided),
-            np.array(p)[:, None] * raiser)
+    bracket_numbers: tuple
 
 
 def solve_representation(n: int, choice: DiagonalChoice) -> Su2Rep:
-    """Solve the raising-operator interpolation for one diagonal choice."""
+    """Solve the raising-operator interpolation for one diagonal choice.
+
+    J_+ = p(A) a_dag, where p interpolates c_+(nu) / <nu+1|a_dag|nu> at
+    the nodes A|nu+1>; the monomial coefficients of p are
+    conj(lambda_l).  A is diagonal: p(A) is p at its diagonal, by Horner
+    in the Newton basis.
+    """
     rep = build_rep(n)
-    nodes, divided, coeffs, j_plus = _branch(rep, choice, rep.a_dag, 1.0)
+    a_matrix = diagonal_operator(rep, choice)
+    nodes = [a_matrix[v, v] for v in range(1, rep.dim)]
+    _check_nodes(nodes)
+    c_plus = ladder_targets(n)
+    divided = divided_differences(
+        nodes, [c_plus[v] / rep.a_dag[v + 1, v] for v in range(n)])
+    p = [newton_eval(nodes, divided, a) for a in a_matrix.diagonal()]
+    j_plus = np.array(p)[:, None] * rep.a_dag
     return Su2Rep(n=n, j=n / 2.0, choice=choice,
-                  lambdas=tuple(np.conj(coeffs)),
+                  lambdas=tuple(np.conj(newton_coefficients(nodes, divided))),
                   j_plus=j_plus, j_minus=j_plus.conj().T,
                   j_z=rep.num - (n / 2.0) * np.eye(n + 1),
                   nodes=tuple(nodes), divided=tuple(divided),
                   bracket_numbers=rep.bracket_numbers)
-
-
-def solve_extended(n: int, choice_a: DiagonalChoice,
-                   choice_b: DiagonalChoice, weight: float) -> Su2Rep:
-    """Split the ladder target between an A a_dag and a B b_dag branch."""
-    if not 0.0 <= weight <= 1.0:
-        raise OutOfRange(f"weight must lie in [0, 1], got {weight}")
-    rep = build_rep(n)
-    nodes, divided, coeffs_a, part_a = _branch(rep, choice_a, rep.a_dag,
-                                               weight)
-    _, _, coeffs_b, part_b = _branch(rep, choice_b, rep.b_dag, 1.0 - weight)
-    j_plus = part_a + part_b
-    return Su2Rep(n=n, j=n / 2.0, choice=choice_a,
-                  lambdas=tuple(np.conj(coeffs_a)),
-                  j_plus=j_plus, j_minus=j_plus.conj().T,
-                  j_z=rep.num - (n / 2.0) * np.eye(n + 1),
-                  nodes=tuple(nodes), divided=tuple(divided),
-                  bracket_numbers=rep.bracket_numbers,
-                  choice_b=choice_b, lambdas_b=tuple(np.conj(coeffs_b)),
-                  weight=weight)
 
 
 def verify_representation(rep: Su2Rep, tol: float = 1e-9):

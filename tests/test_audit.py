@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from gentile.audit import (RANDOM_DIM, audit_crosscheck, eval_expr,
-                           run_free_suite, run_full_audit, run_limit_suite,
-                           run_matrix_suite)
+                           run_full_audit)
 from gentile.catalog import (FREE, FORMAL_Q, Q_AT_N, Q_EQ_1, Q_EQ_MINUS_1,
                              QUOTIENT, IdentityEntry, build_catalog)
 from gentile.errors import InconsistentVerdict
 from gentile.linalg import max_abs_diff
-from gentile.rep import build_rep, diag_of_num
+from gentile.rep import build_rep
 from gentile.symbolic import expand_free, generators_of, normal_order, parse
 from gentile.symbolic.quotient import QUOTIENT_ALPHABET
 
@@ -67,43 +66,51 @@ def test_readme_catalog_counts():
         len(specs), specs.count(FORMAL_Q), limit, specs.count(Q_AT_N))
 
 
-def test_free_suite_expected_verdicts():
-    report = run_free_suite()
-    assert set(report.failing_ids) == EXPECTED_FREE_FAILS
-    assert len(report.results) > 40
+def _failing_ids(report):
+    return {r.identity_id for r in report.results if r.verdict == "FAIL"}
 
 
-def test_limit_suite_all_pass():
-    report = run_limit_suite()
-    assert report.failing_ids == []
+@pytest.fixture(scope="module")
+def audit():
+    return run_full_audit(n_values=(1, 2, 3, 5), trials=2, seed=0)
+
+
+def test_free_suite_expected_verdicts(audit):
+    free, _, _ = audit
+    assert _failing_ids(free) == EXPECTED_FREE_FAILS
+    assert len(free.results) > 40
+
+
+def test_limit_suite_all_pass(audit):
+    _, limit, _ = audit
+    assert _failing_ids(limit) == set()
     # both unit specializations are exercised
-    specs = {r.specialization for r in report.results}
+    specs = {r.specialization for r in limit.results}
     assert specs == {"Q_EQ_1", "Q_EQ_MINUS_1"}
 
 
-def test_matrix_suite_and_crosscheck():
-    report = run_matrix_suite(n_values=(1, 2, 3, 5), trials=2, seed=0)
-    assert set(report.failing_ids) == EXPECTED_MATRIX_FAILS
-    assert audit_crosscheck(report)
+def test_matrix_suite_and_crosscheck(audit):
+    _, _, matrix = audit
+    assert _failing_ids(matrix) == EXPECTED_MATRIX_FAILS
+    assert audit_crosscheck(matrix)
 
 
-def test_corrected_uvwo_passes_printed_fails():
-    report = run_free_suite()
-    assert report.by_id("appA_uvwo_brackets").verdict == "PASS"
-    assert report.by_id("appA_uvwo_brackets_printed").verdict == "FAIL"
+def test_corrected_uvwo_passes_printed_fails(audit):
+    verdicts = {r.identity_id: r.verdict for r in audit[0].results}
+    assert verdicts["appA_uvwo_brackets"] == "PASS"
+    assert verdicts["appA_uvwo_brackets_printed"] == "FAIL"
 
 
 def test_full_audit_consistency():
     free, limit, matrix = run_full_audit(n_values=(2, 3), trials=1)
     assert audit_crosscheck(matrix)
-    assert limit.failing_ids == []
-    assert set(free.failing_ids) == EXPECTED_FREE_FAILS
+    assert _failing_ids(limit) == set()
+    assert _failing_ids(free) == EXPECTED_FREE_FAILS
 
 
 def test_empty_entry_list_gives_empty_report():
-    assert run_free_suite([]).results == []
-    assert run_limit_suite([]).results == []
-    assert run_matrix_suite(n_values=(2,), trials=1, entries=[]).results == []
+    reports = run_full_audit(n_values=(2,), trials=1, entries=[])
+    assert [report.results for report in reports] == [[], [], []]
 
 
 # -- the q^(N-1) phase of [Nb, adag b] ----------------------------------------
@@ -133,8 +140,8 @@ def _lhs_phase(rep):
 
 
 def _phase(rep):
-    return diag_of_num(rep, lambda v: np.exp(2j * np.pi * (v - 1)
-                                             / (rep.n + 1)))
+    return np.diag([np.exp(2j * np.pi * (v - 1) / (rep.n + 1))
+                    for v in range(rep.dim)])
 
 
 def _rhs_phase_left(rep):
@@ -210,8 +217,8 @@ def _sequential_residuals(n_values, trials, seed):
 @pytest.mark.parametrize("seed", [0, 9])
 def test_matrix_suite_residuals_match_sequential_draws(seed):
     n_values = (1, 12, 20)
-    report = run_matrix_suite(n_values=n_values, trials=2, seed=seed)
-    stacked = {r.identity_id: r.numeric_residual for r in report.results
+    _, _, matrix = run_full_audit(n_values=n_values, trials=2, seed=seed)
+    stacked = {r.identity_id: r.numeric_residual for r in matrix.results
                if r.strategy == FREE}
     assert stacked == _sequential_residuals(n_values, 2, seed)
 
@@ -245,11 +252,11 @@ def _mutated_entry():
 
 
 def test_mutated_identity_fails_both_pipelines():
-    entry = _mutated_entry()
-    free = run_free_suite([entry])
-    assert free.by_id("mutation_sign_flip").verdict == "FAIL"
-    matrix = run_matrix_suite(n_values=(2, 3), trials=2, entries=[entry])
-    result = matrix.by_id("mutation_sign_flip")
+    free, _, matrix = run_full_audit(n_values=(2, 3), trials=2,
+                                     entries=[_mutated_entry()])
+    assert [r.verdict for r in free.results] == ["FAIL"]
+    (result,) = matrix.results
+    assert result.identity_id == "mutation_sign_flip"
     assert result.verdict == "FAIL"
     assert result.numeric_residual > matrix.tol * 10
     # consistent FAIL/FAIL: crosscheck raises no InconsistentVerdict
@@ -258,9 +265,9 @@ def test_mutated_identity_fails_both_pipelines():
 
 def test_crosscheck_detects_pipeline_disagreement():
     # forge a report whose symbolic verdict contradicts its numeric residual
-    matrix = run_matrix_suite(n_values=(2,), trials=1,
-                              entries=[_mutated_entry()])
-    result = matrix.by_id("mutation_sign_flip")
+    _, _, matrix = run_full_audit(n_values=(2,), trials=1,
+                                  entries=[_mutated_entry()])
+    (result,) = matrix.results
     result.verdict = "PASS"
     with pytest.raises(InconsistentVerdict):
         audit_crosscheck(matrix)
@@ -270,8 +277,8 @@ def test_crosscheck_detects_pipeline_disagreement():
 
 
 def test_report_json_shape_and_determinism():
-    report_a = run_matrix_suite(n_values=(2, 3), trials=2, seed=5)
-    report_b = run_matrix_suite(n_values=(2, 3), trials=2, seed=5)
+    report_a = run_full_audit(n_values=(2, 3), trials=2, seed=5)[2]
+    report_b = run_full_audit(n_values=(2, 3), trials=2, seed=5)[2]
     text_a, text_b = (
         json.dumps([r.to_record(5) for r in report.results], indent=2)
         for report in (report_a, report_b))
@@ -283,7 +290,6 @@ def test_report_json_shape_and_determinism():
     assert "wall_time" not in records[0]
 
 
-def test_report_table_renders():
-    report = run_free_suite()
-    text = report.table()
+def test_report_table_renders(audit):
+    text = audit[0].table()
     assert "appA_uvwo_brackets_printed" in text

@@ -3,16 +3,20 @@
 import argparse
 import csv
 import hashlib
+import importlib
 import inspect
 import io
 import json
 import math
+import pkgutil
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gentile
 from gentile.cli import MAX_N, _dump_json, build_parser, main, parse_n_values
 from gentile.errors import OutOfRange
 from gentile.symbolic.parser import MAX_PERM_OPERANDS, MAX_POWER
@@ -301,6 +305,67 @@ def test_every_option_is_read(subcommand):
     assert dests
     for dest in dests:
         assert f"args.{dest}" in source, f"{subcommand}: {dest} is never read"
+
+
+# functions of src/gentile that no subcommand calls, each with its reason
+UNREACHED_ALLOWED = {
+    # acceptance criterion 5 needs n = 10^6, far above MAX_N; it builds no
+    # matrix, so it stays in the library although no subcommand runs it
+    "gentile.oscillator.bose_limit_check",
+}
+
+
+def _reach_argvs():
+    """Every subcommand at n <= 3, once per value of each choice option."""
+    for name, sub in sorted(_subparsers().items()):
+        base = [name, "--n", "1..3"]
+        if name == "eval":
+            base.insert(1, "sumperm(adag, N) - {b^2, 1/2 q^-1 [N, adag]_n}")
+        yield base
+        for action in sub._actions:
+            for choice in action.choices or ():
+                yield base + [action.option_strings[0], choice]
+
+
+def _modules():
+    return [importlib.import_module(info.name) for info
+            in pkgutil.walk_packages(gentile.__path__, "gentile.")]
+
+
+def _public_functions():
+    """Code object of each public module-level function of the package."""
+    found = {}
+    for module in _modules():
+        for name, value in vars(module).items():
+            fn = inspect.unwrap(value)  # the function under a cache wrapper
+            if (inspect.isfunction(fn) and not name.startswith("_")
+                    and fn.__module__ == module.__name__):
+                found[f"{module.__name__}.{name}"] = fn.__code__
+    return found
+
+
+def test_every_public_function_is_reached(capsys):
+    # a library function that only tests call belongs in the tests
+    for module in _modules():
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):  # calls earlier tests cached
+                value.cache_clear()
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        codes = [main(argv) for argv in _reach_argvs()]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert set(codes) == {0}
+    unreached = {name for name, code in _public_functions().items()
+                 if code not in called}
+    assert unreached == UNREACHED_ALLOWED
 
 
 # -- JSON encoding, against the per-value walk it replaced --------------------

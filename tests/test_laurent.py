@@ -9,8 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gentile.errors import OutOfRange
-from gentile.laurent import (ONE, Q, QINV, ZERO, LaurentScalar, laurent_eval,
-                             q_integer)
+from gentile.laurent import ONE, Q, QINV, ZERO, LaurentScalar, q_integer
+
+
+def q_at(n):
+    """q = exp(i*2*pi/(n+1)), the root of unity of occupation bound n."""
+    return cmath.exp(2j * cmath.pi / (n + 1))
+
 
 # -- frozen oracle values ---------------------------------------------------
 
@@ -64,23 +69,14 @@ def test_subs_unit():
 
 def test_laurent_eval_exact_zero():
     # cancellation happens exactly before floats: q - q evaluates to 0j
-    assert laurent_eval(Q - Q, 5) == 0j
-    with pytest.raises(OutOfRange):
-        laurent_eval(Q, 0)
+    assert (Q - Q).eval_at(q_at(5)) == 0j
 
 
 def test_laurent_eval_root_of_unity():
     # q = exp(i*2*pi/(n+1)); at n=3, q = i, so 1 + q^2 = 0
-    value = laurent_eval(ONE + Q ** 2, 3)
+    value = (ONE + Q ** 2).eval_at(q_at(3))
     assert abs(value) <= 1e-15
-    assert abs(laurent_eval(Q, 3) - 1j) <= 1e-15
-
-
-def test_eval_at_matches_laurent_eval():
-    s = q_integer(4) - LaurentScalar.from_rational(Fraction(1, 3))
-    for n in (1, 2, 5):
-        q = cmath.exp(2j * cmath.pi / (n + 1))
-        assert abs(s.eval_at(q) - laurent_eval(s, n)) <= 1e-14
+    assert abs(Q.eval_at(q_at(3)) - 1j) <= 1e-15
 
 
 @pytest.mark.parametrize("s", [
@@ -89,9 +85,7 @@ def test_eval_at_matches_laurent_eval():
 ], ids=["q-exponent", "coefficient"])
 def test_evaluation_beyond_float_range_is_out_of_range(s):
     with pytest.raises(OutOfRange, match="beyond float range"):
-        s.eval_at(cmath.exp(2j * cmath.pi / 3))
-    with pytest.raises(OutOfRange, match="beyond float range"):
-        laurent_eval(s, 2)
+        s.eval_at(q_at(2))
 
 
 # -- property-based ring laws -----------------------------------------------
@@ -128,8 +122,9 @@ def test_subs_unit_is_ring_homomorphism(a, b):
 @settings(max_examples=100, deadline=None)
 @given(scalars, scalars, st.integers(min_value=1, max_value=6))
 def test_eval_commutes_with_arithmetic(a, b, n):
-    prod_val = laurent_eval(a * b, n)
-    sep_val = laurent_eval(a, n) * laurent_eval(b, n)
+    q = q_at(n)
+    prod_val = (a * b).eval_at(q)
+    sep_val = a.eval_at(q) * b.eval_at(q)
     scale = max(1.0, abs(prod_val))
     assert abs(prod_val - sep_val) <= 1e-10 * scale
 
@@ -192,13 +187,6 @@ class _FractionScalar:
             return 0j
         return sum(complex(v) * q ** k for k, v in self.terms.items())
 
-    def laurent_eval(self, n):
-        if not self.terms:
-            return 0j
-        theta = 2.0 * cmath.pi / (n + 1)
-        return sum(complex(v) * cmath.exp(1j * theta * k)
-                   for k, v in self.terms.items())
-
     def subs_unit(self, sign):
         return sum((v if sign == 1 or k % 2 == 0 else -v
                     for k, v in self.terms.items()), Fraction(0))
@@ -236,9 +224,8 @@ def _assert_matches(s, ref, n):
     for sign in (1, -1):
         assert s.subs_unit(sign) == ref.subs_unit(sign)
     # bit-equal floating-point values
-    for q in (cmath.exp(2j * cmath.pi / (n + 1)), 0.7 - 0.3j):
+    for q in (q_at(n), 0.7 - 0.3j):
         assert s.eval_at(q) == ref.eval_at(q)
-    assert laurent_eval(s, n) == ref.laurent_eval(n)
 
 
 _fractions = st.fractions(min_value=-10, max_value=10, max_denominator=7)

