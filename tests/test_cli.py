@@ -238,6 +238,38 @@ def test_eval_output_pinned(expression, normal_form, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the models sweeps' report bytes, pinned so that a change to the JSON
+# writer, the CSV writer or the clustering and collision sweeps behind
+# them shows here; the two su2 sweeps fail verification and print their
+# diagnostic on stderr
+PINNED_MODELS = [
+    (["spectrum", "--n", "1..128"], 0, "out",
+     "b23e9ae94bcbe7cb6fb337192648a5a6ca95aff999d5bd4402c13e1126c16115"),
+    (["spectrum", "--n", "1..128", "--format", "csv"], 0, "out",
+     "7ffc85a48b23a93e5c2c9acd174a0c04c679bd7a34b12dad7a34d170b4f33b3d"),
+    (["coherent", "--n", "1..128"], 0, "out",
+     "d0f6b68c996605d62b40b2a6240c42bb49b53e1477a5d9ea9e70a39483129ca1"),
+    (["arcsin-audit", "--n", "1..64"], 0, "out",
+     "e3534c716bcf51f62e9e23f14a373f6ef81e3287a79f258af88cb856f09a74c7"),
+    (["su2", "--n", "1..64", "--A", "num"], 2, "err",
+     "5837a3a93fd4f8641e4a50751b0d60691b1a9e6d88e4e7ac833ffaccd42b200f"),
+    (["su2", "--n", "1..64", "--A", "adagb"], 2, "err",
+     "c9b2c34301f5430c44f2eca2584f980b8f80ad910a39f6a07833739b4013131b"),
+]
+
+
+@pytest.mark.parametrize("argv,code,stream,digest", PINNED_MODELS,
+                         ids=["spectrum", "spectrum-csv", "coherent",
+                              "arcsin", "su2-num", "su2-adagb"])
+def test_models_output_pinned(argv, code, stream, digest, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    text, other = ((captured.out, captured.err) if stream == "out"
+                   else (captured.err, captured.out))
+    assert other == ""
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("expression", [
     "q^100000000000000000000 b",
     "(((((q^10000000000 b)^64)^64)^64)^64)^64",
