@@ -9,11 +9,13 @@ violations (pipelines disagreeing with each other or with tolerance).
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
-import json
 import math
 import sys
+from bisect import bisect_left
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -31,18 +33,68 @@ from .symbolic import normal_order, parse
 
 DEFAULT_SWEEP = "1..24"
 
-def _json_default(obj):
-    """JSON form of the report values json cannot encode itself."""
+
+def _items_text(items, pad: str) -> str:
+    """The items of a non-empty list, one per line at ``pad``.
+
+    Lists of finite exact floats or complex numbers, the bulk of the
+    spectrum and coherent reports, are written in one join; anything
+    else item by item.
+    """
+    sep = ",\n" + pad
+    kinds = set(map(type, items))
+    if kinds == {float} and all(map(math.isfinite, items)):
+        return sep.join(map(float.__repr__, items))
+    if kinds == {complex} and all(map(cmath.isfinite, items)):
+        inner = pad + "  "
+        # z.real and z.imag are exact floats, so %r is float.__repr__
+        pair = "[\n" + inner + "%r,\n" + inner + "%r\n" + pad + "]"
+        return sep.join([pair % (z.real, z.imag) for z in items])
+    return sep.join([_json_text(x, pad) for x in items])
+
+
+def _json_text(obj, pad: str) -> str:
+    """JSON text of a report value that starts on a line indented by ``pad``.
+
+    Byte for byte what ``json.dumps(obj, indent=2, sort_keys=True)``
+    writes, with complex numbers as ``[re, im]`` and numpy scalars as
+    their Python values; dict keys must be strings.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[\n" + inner + _items_text(obj, inner) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = (",\n" + inner).join([
+            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+            for key, value in sorted(obj.items())])
+        return "{\n" + inner + body + "\n" + pad + "}"
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return _json_text([obj.real, obj.imag], pad)
     if isinstance(obj, np.generic):
-        return obj.item()
+        return _json_text(obj.item(), pad)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True,
-                      default=_json_default) + "\n"
+    return _json_text(payload, "") + "\n"
 
 
 def _emit(text: str, out_path):
@@ -116,9 +168,13 @@ def _spectrum_csv(reports) -> str:
     writer.writerow(["n", "nu", "energy", "level_index", "multiplicity"])
     for report in reports:
         levels = report.levels
+        energies = [e for e, _ in levels]  # ascending
         for nu, energy in enumerate(report.per_state_energies):
-            idx = min(range(len(levels)),
-                      key=lambda i: abs(levels[i][0] - energy))
+            # the nearest level is one of the two around the bisection
+            # point; min breaks a tie to the lower index
+            k = bisect_left(energies, energy)
+            idx = min(range(max(k - 1, 0), min(k + 1, len(levels))),
+                      key=lambda i: abs(energies[i] - energy))
             writer.writerow([report.n, nu, format(energy, ".17g"),
                              idx, levels[idx][1]])
     return buf.getvalue()

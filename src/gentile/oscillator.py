@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,9 +127,14 @@ def closed_form_spectrum(n: int) -> SpectrumReport:
     for e in sorted(raw_levels):
         if not unique or abs(e - unique[-1]) > CLUSTER_TOL:
             unique.append(e)
+    # only states within CLUSTER_TOL of e count; bisecting for a window
+    # twice as wide keeps rounding at its ends from dropping one
+    ordered = sorted(per_state)
     levels = []
     for e in unique:
-        mult = sum(1 for x in per_state if abs(x - e) <= CLUSTER_TOL)
+        window = ordered[bisect_left(ordered, e - 2 * CLUSTER_TOL):
+                         bisect_right(ordered, e + 2 * CLUSTER_TOL)]
+        mult = sum(1 for x in window if abs(x - e) <= CLUSTER_TOL)
         levels.append((e, mult))
     cls = case_class(n)
     discrepancies = []

@@ -65,6 +65,26 @@ def build_rep(n: int) -> GentileRep:
                       a_dag=a_dag, b=b, a=a, b_dag=b_dag, num=num)
 
 
+def _close_pairs(values, tol: float):
+    """Index pairs (i, j), i < j, with abs(values[i] - values[j]) <= tol.
+
+    Pairs come in lexicographic order.  A sweep in order of real part
+    finds them: |Re(x - y)| <= |x - y|, so a pair lies within tol only
+    if its real parts do.
+    """
+    order = sorted(range(len(values)), key=lambda i: values[i].real)
+    pairs = []
+    for k, i in enumerate(order):
+        m = k + 1
+        while (m < len(order)
+               and values[order[m]].real - values[i].real <= tol):
+            j = order[m]
+            if abs(values[i] - values[j]) <= tol:
+                pairs.append((min(i, j), max(i, j)))
+            m += 1
+    return sorted(pairs)
+
+
 @dataclass(frozen=True)
 class ArcsinAudit:
     """Outcome of the arcsin-based number-operator reconstruction."""
@@ -97,15 +117,10 @@ def number_from_arcsin(rep: GentileRep, tol: float = 1e-12) -> ArcsinAudit:
     rec = scale * matrix_function(m, math.asin, tol=tol, domain=(-1.0, 1.0))
 
     # M is diagonal in the Fock basis, so per-state values sit on the diagonal
-    diag_m = np.real(np.diag(m))
+    diag_m = np.real(np.diag(m)).tolist()
     table = []
     for v in range(rep.dim):
         value = float(np.real(rec[v, v]))
         table.append((v, value, abs(value - v) <= 1e-9))
-    collisions = []
-    for v in range(rep.dim):
-        for w in range(v + 1, rep.dim):
-            if abs(diag_m[v] - diag_m[w]) <= 1e-9:
-                collisions.append((v, w))
     return ArcsinAudit(reconstructed=rec, table=tuple(table),
-                       collisions=tuple(collisions))
+                       collisions=tuple(_close_pairs(diag_m, 1e-9)))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateNodes, OutOfRange, WrongChoice
 from .linalg import max_abs_diff
-from .rep import GentileRep, build_rep
+from .rep import GentileRep, _close_pairs, build_rep
 
 NODE_SEPARATION = 1e-9
 
@@ -54,12 +54,11 @@ def diagonal_operator(rep: GentileRep, choice: DiagonalChoice) -> np.ndarray:
 
 
 def _check_nodes(nodes):
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            sep = abs(nodes[i] - nodes[j])
-            if sep <= NODE_SEPARATION:
-                # node index i corresponds to state |i+1>
-                raise DegenerateNodes((i + 1, j + 1), sep)
+    pairs = _close_pairs(nodes, NODE_SEPARATION)
+    if pairs:
+        i, j = pairs[0]
+        # node index i corresponds to state |i+1>
+        raise DegenerateNodes((i + 1, j + 1), abs(nodes[i] - nodes[j]))
 
 
 def divided_differences(nodes, values):
@@ -173,12 +172,10 @@ def e010_residual(rep: Su2Rep) -> float:
         raise WrongChoice(
             f"printed equations apply to ADAG_B, not {rep.choice}")
     n = rep.n
-    brackets = rep.bracket_numbers
+    # |<nu>| |p(<nu>)|^2 for nu = 0..n+1, each bracket evaluated once
+    terms = [abs(br) * abs(newton_eval(rep.nodes, rep.divided, br)) ** 2
+             for br in rep.bracket_numbers]
     worst = 0.0
     for v in range(n + 1):
-        lo = newton_eval(rep.nodes, rep.divided, brackets[v])
-        hi = newton_eval(rep.nodes, rep.divided, brackets[v + 1])
-        total = abs(brackets[v]) * abs(lo) ** 2 \
-            - abs(brackets[v + 1]) * abs(hi) ** 2
-        worst = max(worst, abs(total - (2 * v - n)))
+        worst = max(worst, abs(terms[v] - terms[v + 1] - (2 * v - n)))
     return worst

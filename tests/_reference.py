@@ -1,7 +1,9 @@
 """Paper relations and references that only the tests evaluate.
 
-Each one restates an equation of the paper directly on the ``build_rep``
-matrices, so a test can hold the library to it.  They take no input
+Each paper relation restates an equation of the paper directly on the
+``build_rep`` matrices, so a test can hold the library to it.  The scan
+references are the all-pairs loops that the library's sorted sweeps
+replaced; the sweeps must give exactly their results.  None takes input
 checks: tests call them only with valid arguments.
 """
 
@@ -12,8 +14,11 @@ import numpy as np
 
 from gentile.coherent import GrassmannOps
 from gentile.linalg import max_abs_diff
-from gentile.oscillator import build_hamiltonian
+from gentile.oscillator import (CLUSTER_TOL, _case_levels,
+                                _prose_multiplicity, build_hamiltonian,
+                                case_class, per_state_energy)
 from gentile.rep import build_rep
+from gentile.su2 import NODE_SEPARATION, newton_eval
 
 
 def bracket_number(n: int, v: int) -> complex:
@@ -87,3 +92,63 @@ def move_relation_check(n: int, choice, power: int):
             worst = max(worst, float(np.max(np.abs(lhs - ratio * rhs))))
         residuals[name] = worst
     return residuals
+
+
+# -- all-pairs scans that the sorted sweeps replaced --------------------------
+
+
+def spectrum_clustering(n: int):
+    """Levels and degeneracy discrepancies of ``closed_form_spectrum``,
+    counting each level's multiplicity by a scan over every state."""
+    raw_levels, _ = _case_levels(n)
+    per_state = [per_state_energy(n, v) for v in range(n + 1)]
+    unique = []
+    for e in sorted(raw_levels):
+        if not unique or abs(e - unique[-1]) > CLUSTER_TOL:
+            unique.append(e)
+    levels = []
+    for e in unique:
+        mult = sum(1 for x in per_state if abs(x - e) <= CLUSTER_TOL)
+        levels.append((e, mult))
+    cls = case_class(n)
+    discrepancies = []
+    for idx, (_, mult) in enumerate(levels):
+        claimed = _prose_multiplicity(cls, idx, len(levels))
+        if mult != claimed:
+            discrepancies.append((idx, mult, claimed))
+    return tuple(levels), tuple(discrepancies)
+
+
+def first_close_nodes(nodes):
+    """``(pair, separation)`` that ``su2._check_nodes`` raises for, from a
+    scan of all pairs in order, or None when the nodes are distinct."""
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            sep = abs(nodes[i] - nodes[j])
+            if sep <= NODE_SEPARATION:
+                return (i + 1, j + 1), sep
+    return None
+
+
+def arcsin_collisions(diag_m):
+    """Collision pairs of ``number_from_arcsin`` from a scan of all pairs."""
+    collisions = []
+    for v in range(len(diag_m)):
+        for w in range(v + 1, len(diag_m)):
+            if abs(diag_m[v] - diag_m[w]) <= 1e-9:
+                collisions.append((v, w))
+    return tuple(collisions)
+
+
+def e010_residual_by_pairs(rep):
+    """``su2.e010_residual`` evaluating p at every inner bracket twice."""
+    n = rep.n
+    brackets = rep.bracket_numbers
+    worst = 0.0
+    for v in range(n + 1):
+        lo = newton_eval(rep.nodes, rep.divided, brackets[v])
+        hi = newton_eval(rep.nodes, rep.divided, brackets[v + 1])
+        total = abs(brackets[v]) * abs(lo) ** 2 \
+            - abs(brackets[v + 1]) * abs(hi) ** 2
+        worst = max(worst, abs(total - (2 * v - n)))
+    return worst

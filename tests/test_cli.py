@@ -450,3 +450,56 @@ def test_dump_json_matches_reference_walk(payload):
 def test_dump_json_rejects_unknown_types():
     with pytest.raises(TypeError):
         _dump_json({"x": object()})
+
+
+# -- the writer's one-join leaf lists and their fallbacks ----------------------
+
+
+def test_dump_json_float_list_with_non_finite_falls_back():
+    assert _dump_json([1.5, math.nan, math.inf, -math.inf]) == (
+        "[\n  1.5,\n  NaN,\n  Infinity,\n  -Infinity\n]\n")
+
+
+def test_dump_json_mixed_float_and_numpy_float():
+    payload = {"x": [0.1, np.float64(0.2), 1e-300, np.float64(-3.0)]}
+    assert _dump_json(payload) == (
+        '{\n  "x": [\n    0.1,\n    0.2,\n    1e-300,\n    -3.0\n  ]\n}\n')
+
+
+def test_dump_json_complex_lists():
+    assert _dump_json([1 + 2j, -0.5j]) == (
+        "[\n  [\n    1.0,\n    2.0\n  ],\n  [\n    -0.0,\n    -0.5\n  ]\n]\n")
+    assert _dump_json([1 + 2j, complex(math.inf, math.nan)]) == (
+        "[\n  [\n    1.0,\n    2.0\n  ],\n  [\n    Infinity,\n    NaN\n"
+        "  ]\n]\n")
+
+
+def test_dump_json_signed_zero_and_empty_containers():
+    assert _dump_json([-0.0, 0.0]) == "[\n  -0.0,\n  0.0\n]\n"
+    assert _dump_json([]) == "[]\n"
+    assert _dump_json({}) == "{}\n"
+    assert _dump_json([[], {}, ()]) == "[\n  [],\n  {},\n  []\n]\n"
+    assert _dump_json({"a": {"b": []}}) == (
+        '{\n  "a": {\n    "b": []\n  }\n}\n')
+
+
+def test_dump_json_non_ascii_keys_sorted_and_escaped():
+    payload = {"\u00e9": 1, "z": "\u2192", "a\n": None}
+    assert _dump_json(payload) == json.dumps(
+        payload, indent=2, sort_keys=True) + "\n"
+    assert _dump_json(payload) == (
+        '{\n  "a\\n": null,\n  "z": "\\u2192",\n  "\\u00e9": 1\n}\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--n", "1..3"],
+    ["spectrum", "--n", "1..9"],
+    ["coherent", "--n", "1..9"],
+    ["su2", "--n", "1..9"],
+    ["eval", "[adag,b]_n N", "--n", "1..4"],
+    ["arcsin-audit", "--n", "1..9"],
+], ids=lambda argv: argv[0])
+def test_json_reports_round_trip(argv, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out

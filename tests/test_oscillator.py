@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from _reference import ladder_commutation_check
+from _reference import ladder_commutation_check, spectrum_clustering
 from gentile.errors import PreconditionViolation
 from gentile.linalg import max_abs_diff
 from gentile.oscillator import (bose_limit_check, build_hamiltonian,
@@ -88,6 +88,13 @@ def test_degeneracy_prose_agreement():
     for n in (5, 9, 13):
         discrepancies = closed_form_spectrum(n).degeneracy_discrepancies
         assert (0, 1, 2) in discrepancies
+
+
+def test_clustering_matches_all_states_scan():
+    for n in [*range(1, 257), 512, 1000, 1024]:
+        report = closed_form_spectrum(n)
+        assert (report.levels, report.degeneracy_discrepancies) \
+            == spectrum_clustering(n), n
 
 
 def test_ladder_commutation():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from _reference import bracket_number
+from _reference import arcsin_collisions, bracket_number
 from gentile.errors import OutOfRange
 from gentile.linalg import max_abs_diff
 from gentile.rep import build_rep, number_from_arcsin
@@ -124,6 +124,15 @@ def test_arcsin_audit_prediction():
                 assert not agrees
             if agrees:
                 assert abs(predicted - v) <= 1e-6
+
+
+def test_arcsin_collisions_match_all_pairs_scan():
+    for n in range(1, 257):
+        rep = build_rep(n)
+        m = 0.5j * (rep.a_dag @ rep.b - rep.b_dag @ rep.a
+                    + rep.a @ rep.b_dag - rep.b @ rep.a_dag)
+        expected = arcsin_collisions(np.real(np.diag(m)).tolist())
+        assert number_from_arcsin(rep).collisions == expected, n
 
 
 def test_arcsin_collision_n3():

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from _reference import bracket_number
+from _reference import (bracket_number, e010_residual_by_pairs,
+                        first_close_nodes)
 from gentile.errors import DegenerateNodes, OutOfRange, WrongChoice
 from gentile.linalg import max_abs_diff
 from gentile.rep import build_rep
 from gentile.su2 import (DiagonalChoice, Su2Rep, diagonal_operator,
                          divided_differences, e010_residual, ladder_targets,
-                         newton_coefficients, newton_eval,
+                         _check_nodes, newton_coefficients, newton_eval,
                          solve_representation, verify_representation)
 
 SOLVABLE = (DiagonalChoice.NUM, DiagonalChoice.ADAG_B, DiagonalChoice.BDAG_A)
@@ -109,6 +110,31 @@ def test_interpolation_defining_system():
 def test_e010_residual(n):
     rep = solve_representation(n, DiagonalChoice.ADAG_B)
     assert e010_residual(rep) <= 1e-9
+
+
+@pytest.mark.parametrize("n", range(1, 35))
+def test_e010_residual_matches_two_evaluations_per_bracket(n):
+    rep = solve_representation(n, DiagonalChoice.ADAG_B)
+    assert e010_residual(rep) == e010_residual_by_pairs(rep)
+
+
+@pytest.mark.parametrize("choice", list(DiagonalChoice))
+def test_check_nodes_matches_all_pairs_scan(choice):
+    raised = 0
+    for n in range(1, 129):
+        a_matrix = diagonal_operator(build_rep(n), choice)
+        nodes = [a_matrix[v, v] for v in range(1, n + 1)]
+        expected = first_close_nodes(nodes)
+        try:
+            _check_nodes(nodes)
+            outcome = None
+        except DegenerateNodes as exc:
+            outcome = exc.pair, exc.separation
+            raised += 1
+        assert outcome == expected, n
+    # a_dag a collides from n = 2 on and a a_dag from n = 4 on
+    assert raised == {DiagonalChoice.ADAG_A: 127,
+                      DiagonalChoice.A_ADAG: 125}.get(choice, 0)
 
 
 def test_solvers_carry_bracket_numbers():
