@@ -270,6 +270,27 @@ def test_models_output_pinned(argv, code, stream, digest, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# the audit report bytes, pinned so that a change to the catalog, the seeded
+# draws, the verdicts or the crosscheck shows here; at n = 1 the crosscheck
+# rejects a FAIL residual that vanishes at q = -1 and prints its diagnostic
+PINNED_AUDIT = [
+    (["audit", "--n", "1..24"], 0, "out",
+     "f6759ff7948f1ca2a7ac7c4260fdcf61d9f75f07016c04ba6870921dea5d449e"),
+    (["audit", "--n", "1..24", "--seed", "7"], 0, "out",
+     "5f1383cad3c0eae0e388c2a5be484b3bed7e20e1e04fcb12169e56548abdf5cb"),
+    (["audit", "--n", "2..8", "--format", "table"], 0, "out",
+     "420836b38a3b5fc8e41e92a5079fbb442f5831a2db8b704c81de16b9f5fc7953"),
+    (["audit", "--n", "1"], 2, "err",
+     "f5e6701b0f7b1a79849f723abb5c72710f99645233320f86b80e4778bf244786"),
+]
+
+
+@pytest.mark.parametrize("argv,code,stream,digest", PINNED_AUDIT,
+                         ids=["seed-0", "seed-7", "table", "n-1"])
+def test_audit_output_pinned(argv, code, stream, digest, capsys):
+    test_models_output_pinned(argv, code, stream, digest, capsys)
+
+
 @pytest.mark.parametrize("expression", [
     "q^100000000000000000000 b",
     "(((((q^10000000000 b)^64)^64)^64)^64)^64",
