@@ -23,7 +23,7 @@ from .symbolic import (Algebra, Expr, expand_free, fold, generators_of,
 
 DEFAULT_N_VALUES = tuple(range(1, 9))
 DEFAULT_TRIALS = 3
-DEFAULT_TOL = 1e-9
+TOL = 1e-9  # crosscheck: PASS needs residual <= TOL, FAIL > 10 * TOL
 RANDOM_DIM = 5
 
 
@@ -81,7 +81,6 @@ class IdentityResult:
 class AuditReport:
     results: list
     seed: int
-    tol: float
 
     def __post_init__(self):
         ids = [r.identity_id for r in self.results]
@@ -114,27 +113,26 @@ def _random_draws(names, rng, batch: int) -> dict:
 def audit_crosscheck(matrix_report: AuditReport) -> bool:
     """True iff symbolic verdicts agree with all numeric spot-checks.
 
-    PASS requires every residual <= tol; FAIL requires some residual
-    > 10*tol.  Vacuously true for an empty report.
+    PASS requires every residual <= TOL; FAIL requires some residual
+    > 10*TOL.  Vacuously true for an empty report.
     """
-    tol = matrix_report.tol
     for r in matrix_report.results:
         if r.numeric_residual is None:
             continue
-        if r.verdict == "PASS" and r.numeric_residual > tol:
+        if r.verdict == "PASS" and r.numeric_residual > TOL:
             raise InconsistentVerdict(
                 r.identity_id,
                 f"symbolic PASS but numeric residual {r.numeric_residual:.3e}")
         if r.verdict == "FAIL" and r.n_tested \
-                and r.numeric_residual <= 10.0 * tol:
+                and r.numeric_residual <= 10.0 * TOL:
             raise InconsistentVerdict(
                 r.identity_id,
                 f"symbolic FAIL but numeric residual {r.numeric_residual:.3e}")
     return True
 
 
-def run_full_audit(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS,
-                   tol=DEFAULT_TOL, seed=0, entries=None):
+def run_full_audit(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS, seed=0,
+                   entries=None):
     """Audit every catalog entry; returns (free, limit, matrix) reports.
 
     One pass over the catalog (or ``entries``).  A FREE entry is expanded
@@ -198,6 +196,6 @@ def run_full_audit(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS,
             specialization=spec, residual_digest=None,
             numeric_residual=worst, n_tested=tuple(n_values),
             verdict=verdict))
-    return (AuditReport(results=free, seed=0, tol=0.0),
-            AuditReport(results=limit, seed=0, tol=0.0),
-            AuditReport(results=matrix, seed=seed, tol=tol))
+    return (AuditReport(results=free, seed=0),
+            AuditReport(results=limit, seed=0),
+            AuditReport(results=matrix, seed=seed))

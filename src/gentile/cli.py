@@ -13,6 +13,7 @@ import cmath
 import csv
 import io
 import math
+import re
 import sys
 from bisect import bisect_left
 from json.encoder import encode_basestring_ascii
@@ -20,15 +21,15 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .audit import audit_crosscheck, eval_expr, run_full_audit
-from .coherent import (LambdaChoice, build_coherent, compare_closed_form,
-                       eigenstate_residual, normalization_poly)
+from .coherent import (EIGENSTATE_TOL, LambdaChoice, build_coherent,
+                       compare_closed_form, eigenstate_residual,
+                       normalization_poly)
 from .errors import (DegenerateNodes, GentileError, InconsistentVerdict,
                      OutOfRange, ParseError)
-from .linalg import DEFAULT_TOL, max_abs_diff
+from .linalg import max_abs_diff
 from .oscillator import spectrum_crosscheck
 from .rep import build_rep, number_from_arcsin
-from .su2 import (DiagonalChoice, e010_residual, solve_representation,
-                  verify_representation)
+from .su2 import DiagonalChoice, solve_representation, verify_representation
 from .symbolic import normal_order, parse
 
 DEFAULT_SWEEP = "1..24"
@@ -111,26 +112,13 @@ MAX_N = 1024
 
 def parse_n_values(spec_text: str):
     """Parse '--n 5' or '--n 2..6' into an ascending list of ints."""
-    text = spec_text.strip()
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    match = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", spec_text)
+    lo, hi = (int(match[1]), int(match[2] or match[1])) if match else (0, 0)
     if lo < 1 or hi < lo:
         raise OutOfRange(f"invalid n range {spec_text!r} (need 1 <= A <= B)")
     if hi > MAX_N:
         raise OutOfRange(f"n = {hi} is above the maximum {MAX_N}")
     return list(range(lo, hi + 1))
-
-
-def _tolerance(text: str) -> float:
-    """A ``--tol`` value: a finite, non-negative float."""
-    value = float(text)
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be finite and >= 0, got {text!r}")
-    return value
 
 
 def _diagnostic(contract: str, detail) -> str:
@@ -139,8 +127,10 @@ def _diagnostic(contract: str, detail) -> str:
 
 def cmd_audit(args) -> int:
     n_values = parse_n_values(args.n)
-    free, limit, matrix = run_full_audit(
-        n_values=tuple(n_values), tol=args.tol, seed=args.seed)
+    if args.seed < 0:
+        raise OutOfRange(f"invalid --seed {args.seed} (need >= 0)")
+    free, limit, matrix = run_full_audit(n_values=tuple(n_values),
+                                         seed=args.seed)
     try:
         audit_crosscheck(matrix)
     except InconsistentVerdict as exc:
@@ -184,7 +174,7 @@ def cmd_spectrum(args) -> int:
     n_values = parse_n_values(args.n)
     reports, failures = [], []
     for n in n_values:
-        passed, deviation, report = spectrum_crosscheck(n, tol=args.tol)
+        passed, deviation, report = spectrum_crosscheck(n)
         reports.append(report)
         if not passed:
             failures.append({"n": n, "deviation": deviation})
@@ -221,7 +211,7 @@ def cmd_coherent(args) -> int:
             "closed_form_modulus_gap": max(
                 row[4] for row in compare_closed_form(state)),
         })
-        if residual > args.tol:
+        if residual > EIGENSTATE_TOL:
             failures.append({"n": n, "residual": residual})
     if failures:
         sys.stderr.write(_diagnostic("eigenstate_residual", failures))
@@ -244,10 +234,7 @@ def cmd_su2(args) -> int:
                                      "separation": exc.separation},
             })
             continue
-        residuals, ok = verify_representation(rep, tol=args.tol)
-        if choice is DiagonalChoice.ADAG_B:
-            residuals["e010"] = e010_residual(rep)
-            ok = ok and residuals["e010"] <= args.tol
+        residuals, ok = verify_representation(rep)
         records.append({
             "n": n, "j": rep.j, "choice": choice.value,
             "lambdas": list(rep.lambdas),
@@ -293,7 +280,7 @@ def cmd_arcsin_audit(args) -> int:
     n_values = parse_n_values(args.n)
     records = []
     for n in n_values:
-        audit = number_from_arcsin(build_rep(n), tol=args.tol)
+        audit = number_from_arcsin(build_rep(n))
         records.append({
             "n": n,
             "table": [list(row) for row in audit.table],
@@ -312,44 +299,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Intermediate-statistics verification toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, default_tol, formats=()):
+    def common(p, formats=()):
         p.add_argument("--n", default=DEFAULT_SWEEP,
                        help="single n or range A..B (default %(default)s)")
-        if default_tol is not None:  # eval compares nothing against a tol
-            p.add_argument("--tol", type=_tolerance, default=default_tol)
         p.add_argument("--out", default=None, help="output file (UTF-8)")
         if formats:
             p.add_argument("--format", choices=formats, default="json")
 
     p = sub.add_parser("audit", help="identity-audit catalog")
-    common(p, 1e-9, ("json", "table"))
+    common(p, ("json", "table"))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("spectrum", help="oscillator spectrum crosscheck")
-    common(p, DEFAULT_TOL, ("json", "csv", "table"))
+    common(p, ("json", "csv", "table"))
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("coherent", help="coherent-state construction")
-    common(p, 1e-12)
+    common(p)
     p.add_argument("--lambda", dest="lam", default="plus",
                    choices=sorted(c.value for c in LambdaChoice))
     p.set_defaults(func=cmd_coherent)
 
     p = sub.add_parser("su2", help="su(2) representation solver")
-    common(p, 1e-9)
+    common(p)
     p.add_argument("--A", dest="diag", default="num",
                    choices=[c.value for c in DiagonalChoice])
     p.set_defaults(func=cmd_su2)
 
     p = sub.add_parser("eval", help="normal-order and evaluate an expression")
     p.add_argument("expression")
-    common(p, None, ("json", "table"))
+    common(p, ("json", "table"))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("arcsin-audit",
                        help="Eq. (N2) arcsin reconstruction audit")
-    common(p, 1e-12)
+    common(p)
     p.set_defaults(func=cmd_arcsin_audit)
     return parser
 

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import OutOfRange
 from .rep import build_rep
 
+EIGENSTATE_TOL = 1e-12  # bound on eigenstate_residual
+
 
 class LambdaChoice(Enum):
     ROOT_OF_UNITY_PLUS = "plus"

@@ -18,12 +18,13 @@ import numpy as np
 
 from .errors import OutOfRange, PreconditionViolation
 from .linalg import hermitian_eigen
-from .rep import GentileRep, build_rep
+from .rep import build_rep
 
 CLUSTER_TOL = 1e-9
+SPECTRUM_TOL = 1e-10  # levels vs eigenvalues; also H's Hermiticity
 
 
-def build_hamiltonian(n: int, rep: GentileRep = None) -> np.ndarray:
+def build_hamiltonian(n: int) -> np.ndarray:
     """The quadratic Hamiltonian (1/4)[alpha a^dag b + beta b a^dag + h.c.]
     with alpha = 1 and beta = conj(q).
 
@@ -31,8 +32,7 @@ def build_hamiltonian(n: int, rep: GentileRep = None) -> np.ndarray:
     diagonal: (raise lower)[v, v] = raise[v, v-1] lower[v-1, v] for v >= 1
     and (lower raise)[v, v] = lower[v, v+1] raise[v+1, v] for v < n.
     """
-    if rep is None:
-        rep = build_rep(n)
+    rep = build_rep(n)
     alpha, beta = 1 + 0j, cmath.exp(-2j * math.pi / (n + 1))
     up_a, up_b = np.diagonal(rep.a_dag, -1), np.diagonal(rep.b_dag, -1)
     down_a, down_b = np.diagonal(rep.a, 1), np.diagonal(rep.b, 1)
@@ -150,21 +150,21 @@ def closed_form_spectrum(n: int) -> SpectrumReport:
         degeneracy_discrepancies=tuple(discrepancies))
 
 
-def spectrum_crosscheck(n: int, tol: float = 1e-10):
+def spectrum_crosscheck(n: int):
     """Compare case-formula levels against Jacobi eigenvalues of H.
 
     Returns (passed, max deviation, report).
     """
     report = closed_form_spectrum(n)
     h = build_hamiltonian(n)
-    eigvals, _ = hermitian_eigen(h, tol=tol)
+    eigvals, _ = hermitian_eigen(h, tol=SPECTRUM_TOL)
     expanded = []
     for e, m in report.levels:
         expanded.extend([e] * m)
     if len(expanded) != n + 1:
         return False, math.inf, report
     deviation = max(abs(a - b) for a, b in zip(sorted(expanded), eigvals))
-    return deviation <= tol, deviation, report
+    return deviation <= SPECTRUM_TOL, deviation, report
 
 
 def bose_limit_check(n: int, v_max: int):

@@ -20,6 +20,9 @@ import numpy as np
 from .errors import OutOfRange
 from .linalg import matrix_function
 
+ARCSIN_TOL = 1e-12  # Hermiticity and arcsin domain margin of the sine matrix
+MATCH_TOL = 1e-9  # a value agrees with nu; two sine eigenvalues collide
+
 
 @dataclass(frozen=True)
 class GentileRep:
@@ -102,7 +105,7 @@ class ArcsinAudit:
         return bool(self.collisions)
 
 
-def number_from_arcsin(rep: GentileRep, tol: float = 1e-12) -> ArcsinAudit:
+def number_from_arcsin(rep: GentileRep) -> ArcsinAudit:
     """Reconstruct the number operator from the sine combination.
 
     Builds M = (i/2)(a^dag b - b^dag a + a b^dag - b a^dag), whose
@@ -114,13 +117,13 @@ def number_from_arcsin(rep: GentileRep, tol: float = 1e-12) -> ArcsinAudit:
     m = 0.5j * (rep.a_dag @ rep.b - rep.b_dag @ rep.a
                 + rep.a @ rep.b_dag - rep.b @ rep.a_dag)
     scale = (rep.n + 1) / (2.0 * math.pi)
-    rec = scale * matrix_function(m, math.asin, tol=tol, domain=(-1.0, 1.0))
+    rec = scale * matrix_function(m, math.asin, ARCSIN_TOL, domain=(-1.0, 1.0))
 
     # M is diagonal in the Fock basis, so per-state values sit on the diagonal
     diag_m = np.real(np.diag(m)).tolist()
     table = []
     for v in range(rep.dim):
         value = float(np.real(rec[v, v]))
-        table.append((v, value, abs(value - v) <= 1e-9))
+        table.append((v, value, abs(value - v) <= MATCH_TOL))
     return ArcsinAudit(reconstructed=rec, table=tuple(table),
-                       collisions=tuple(_close_pairs(diag_m, 1e-9)))
+                       collisions=tuple(_close_pairs(diag_m, MATCH_TOL)))

@@ -22,6 +22,7 @@ from .linalg import max_abs_diff
 from .rep import GentileRep, _close_pairs, build_rep
 
 NODE_SEPARATION = 1e-9
+TOL = 1e-9  # bound on every residual of verify_representation
 
 
 class DiagonalChoice(Enum):
@@ -145,8 +146,9 @@ def solve_representation(n: int, choice: DiagonalChoice) -> Su2Rep:
                   bracket_numbers=rep.bracket_numbers)
 
 
-def verify_representation(rep: Su2Rep, tol: float = 1e-9):
-    """Residuals of the su(2) relations and the Casimir identity."""
+def verify_representation(rep: Su2Rep):
+    """Residuals of the su(2) relations, the Casimir identity and, for
+    A = a_dag b, the printed equations (``e010``); True iff all <= TOL."""
     jp, jm, jz = rep.j_plus, rep.j_minus, rep.j_z
     eye = np.eye(jp.shape[0])
     residuals = {
@@ -157,7 +159,9 @@ def verify_representation(rep: Su2Rep, tol: float = 1e-9):
             jz @ jz + (jp @ jm + jm @ jp) / 2.0,
             rep.j * (rep.j + 1.0) * eye),
     }
-    return residuals, all(r <= tol for r in residuals.values())
+    if rep.choice is DiagonalChoice.ADAG_B:
+        residuals["e010"] = e010_residual(rep)
+    return residuals, all(r <= TOL for r in residuals.values())
 
 
 def e010_residual(rep: Su2Rep) -> float:

@@ -11,8 +11,8 @@ Grammar:
             | ('sumperm'|'sumcyc') '(' expr (',' expr)* ')'
     SCALAR := INT ('/' INT)? | 'q' ('^' '-'? INT)?
 
-The generator alphabet is declared per call; identifiers outside it are
-parse errors (catches typos in identity entry).  Input nested or built
+Identifiers outside :data:`DEFAULT_ALPHABET` are parse errors (catches
+typos in identity entry).  Input nested or built
 deeper than :data:`MAX_DEPTH` levels, an operator exponent above
 :data:`MAX_POWER`, and a ``sumperm`` of more than :data:`MAX_PERM_OPERANDS`
 operands are parse errors too.
@@ -90,10 +90,9 @@ MAX_PERM_OPERANDS = 6
 
 
 class _Parser:
-    def __init__(self, tokens, alphabet):
+    def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
-        self.alphabet = alphabet
         self.nesting = 0
 
     def peek(self):
@@ -185,7 +184,7 @@ class _Parser:
                         return Scal(LaurentScalar.q_power(sign * k)), 1
                     self.i = save  # '^' belongs to an outer power
                 return Scal(LaurentScalar.q_power(1)), 1
-            if name not in self.alphabet:
+            if name not in DEFAULT_ALPHABET:
                 raise ParseError(f"unknown generator {name!r}", tok.pos,
                                  {"declared generator"})
             return Gen(name), 1
@@ -225,9 +224,9 @@ class _Parser:
         return cls(nodes), self.deeper(tok, *depths)
 
 
-def parse(text: str, alphabet=DEFAULT_ALPHABET) -> Expr:
-    """Parse an operator expression over the declared generator alphabet."""
-    parser = _Parser(_tokenize(text), frozenset(alphabet))
+def parse(text: str) -> Expr:
+    """Parse an operator expression over the generator alphabet."""
+    parser = _Parser(_tokenize(text))
     node, _ = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "eof":

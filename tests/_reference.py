@@ -39,7 +39,7 @@ def ladder_commutation_check(n: int, tol: float = 1e-12):
     the overall pass flag.
     """
     rep = build_rep(n)
-    h = build_hamiltonian(n, rep)
+    h = build_hamiltonian(n)
     cos_n = np.diag([math.cos(2 * math.pi * v / (n + 1))
                      for v in range(rep.dim)])
     cos_nm1 = np.diag([math.cos(2 * math.pi * (v - 1) / (n + 1))

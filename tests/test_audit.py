@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gentile.audit import (RANDOM_DIM, audit_crosscheck, eval_expr,
+from gentile.audit import (RANDOM_DIM, TOL, audit_crosscheck, eval_expr,
                            run_full_audit)
 from gentile.catalog import (FREE, FORMAL_Q, Q_AT_N, Q_EQ_1, Q_EQ_MINUS_1,
                              QUOTIENT, IdentityEntry, build_catalog)
@@ -258,7 +258,7 @@ def test_mutated_identity_fails_both_pipelines():
     (result,) = matrix.results
     assert result.identity_id == "mutation_sign_flip"
     assert result.verdict == "FAIL"
-    assert result.numeric_residual > matrix.tol * 10
+    assert result.numeric_residual > TOL * 10
     # consistent FAIL/FAIL: crosscheck raises no InconsistentVerdict
     assert audit_crosscheck(matrix)
 

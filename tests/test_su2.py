@@ -65,7 +65,7 @@ def test_jz_eigenvalues():
 @pytest.mark.parametrize("choice", SOLVABLE)
 def test_representations_verify(n, choice):
     rep = solve_representation(n, choice)
-    residuals, ok = verify_representation(rep, tol=1e-9)
+    residuals, ok = verify_representation(rep)
     assert ok, residuals
     assert rep.j == n / 2.0
 
@@ -174,7 +174,7 @@ def test_a_adag_solvable_below_n4(n):
     # deviation from the spec prose: aa_dag nodes |<2>|..|<n+1>| are
     # pairwise distinct at n = 2, 3, so the interpolation goes through
     rep = solve_representation(n, DiagonalChoice.A_ADAG)
-    _, ok = verify_representation(rep, tol=1e-9)
+    _, ok = verify_representation(rep)
     assert ok
 
 
@@ -189,5 +189,5 @@ def test_mutation_perturbed_lambda_fails():
         j_minus=(rep.j_plus + 0.1 * grep.a_dag).conj().T,
         j_z=rep.j_z, nodes=rep.nodes, divided=rep.divided,
         bracket_numbers=rep.bracket_numbers)
-    _, ok = verify_representation(mutated, tol=1e-9)
+    _, ok = verify_representation(mutated)
     assert not ok
