@@ -265,8 +265,14 @@ PINNED_MODELS = [
      "7ffc85a48b23a93e5c2c9acd174a0c04c679bd7a34b12dad7a34d170b4f33b3d"),
     (["coherent", "--n", "1..128"], 0, "out",
      "d0f6b68c996605d62b40b2a6240c42bb49b53e1477a5d9ea9e70a39483129ca1"),
+    (["coherent", "--n", "1..128", "--lambda", "minus"], 0, "out",
+     "684a722f1b0f50d6ac8bf8dc61f904cd79896eceed120f31307d0fdb27293087"),
+    (["coherent", "--n", "1..128", "--lambda", "alternating"], 0, "out",
+     "bf81e29b2706d35565fdeb364e4d96c99cee055f254e78f5c53b7fd25c941337"),
     (["arcsin-audit", "--n", "1..64"], 0, "out",
      "e3534c716bcf51f62e9e23f14a373f6ef81e3287a79f258af88cb856f09a74c7"),
+    (["arcsin-audit", "--n", "1..256"], 0, "out",
+     "b590d4f7412b0b35046f831c2a3e732a52c523cababc891e595dc394c05fa177"),
     (["su2", "--n", "1..64", "--A", "num"], 2, "err",
      "5837a3a93fd4f8641e4a50751b0d60691b1a9e6d88e4e7ac833ffaccd42b200f"),
     (["su2", "--n", "1..64", "--A", "adagb"], 2, "err",
@@ -276,7 +282,9 @@ PINNED_MODELS = [
 
 @pytest.mark.parametrize("argv,code,stream,digest", PINNED_MODELS,
                          ids=["spectrum", "spectrum-csv", "coherent",
-                              "arcsin", "su2-num", "su2-adagb"])
+                              "coherent-minus", "coherent-alternating",
+                              "arcsin", "arcsin-256", "su2-num",
+                              "su2-adagb"])
 def test_models_output_pinned(argv, code, stream, digest, capsys):
     assert main(argv) == code
     captured = capsys.readouterr()
