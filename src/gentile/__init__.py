@@ -10,12 +10,12 @@ su(2) representations built from a single set of ladder operators.
 """
 
 from .errors import (
-    GentileError, DimensionMismatch, NotHermitian, NoConvergence,
-    DomainError, OutOfRange, PreconditionViolation, ParseError,
-    DegenerateNodes, WrongChoice, InconsistentVerdict,
+    GentileError, DimensionMismatch, NotHermitian, DomainError, OutOfRange,
+    PreconditionViolation, ParseError, DegenerateNodes, WrongChoice,
+    InconsistentVerdict,
 )
 from .laurent import LaurentScalar, ZERO, ONE, Q, QINV, q_integer
-from .linalg import max_abs_diff, hermitian_eigen, matrix_function
+from .linalg import max_abs_diff
 from .rep import GentileRep, build_rep, ArcsinAudit, number_from_arcsin
 from .symbolic import (
     Expr, Gen, Scal, Add, Sub, Mul, Pow, NBracket, Commutator,

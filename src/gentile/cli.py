@@ -110,15 +110,23 @@ def _emit(text: str, out_path):
 MAX_N = 1024
 
 
+def _digits_key(digits: str):
+    """Sort key of an ASCII digit string by value, without int(): Python
+    refuses to convert strings of more than 4,300 digits."""
+    digits = digits.lstrip("0") or "0"
+    return len(digits), digits
+
+
 def parse_n_values(spec_text: str):
     """Parse '--n 5' or '--n 2..6' into an ascending list of ints."""
     match = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", spec_text)
-    lo, hi = (int(match[1]), int(match[2] or match[1])) if match else (0, 0)
-    if lo < 1 or hi < lo:
+    lo, hi = (match[1], match[2] or match[1]) if match else ("0", "0")
+    lo, hi = _digits_key(lo), _digits_key(hi)
+    if lo < _digits_key("1") or hi < lo:
         raise OutOfRange(f"invalid n range {spec_text!r} (need 1 <= A <= B)")
-    if hi > MAX_N:
-        raise OutOfRange(f"n = {hi} is above the maximum {MAX_N}")
-    return list(range(lo, hi + 1))
+    if hi > _digits_key(str(MAX_N)):
+        raise OutOfRange(f"n = {hi[1]} is above the maximum {MAX_N}")
+    return list(range(int(lo[1]), int(hi[1]) + 1))
 
 
 def _diagnostic(contract: str, detail) -> str:
@@ -127,10 +135,13 @@ def _diagnostic(contract: str, detail) -> str:
 
 def cmd_audit(args) -> int:
     n_values = parse_n_values(args.n)
-    if args.seed < 0:
+    try:
+        seed = int(args.seed) if re.fullmatch(r"[0-9]+", args.seed) else -1
+    except ValueError:  # more digits than int() converts
+        seed = -1
+    if seed < 0:
         raise OutOfRange(f"invalid --seed {args.seed} (need >= 0)")
-    free, limit, matrix = run_full_audit(n_values=tuple(n_values),
-                                         seed=args.seed)
+    free, limit, matrix = run_full_audit(n_values=tuple(n_values), seed=seed)
     try:
         audit_crosscheck(matrix)
     except InconsistentVerdict as exc:
@@ -308,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="identity-audit catalog")
     common(p, ("json", "table"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("spectrum", help="oscillator spectrum crosscheck")

@@ -46,8 +46,8 @@ class GrassmannOps:
     """Operator actions on the module for one (n, lambda) choice.
 
     Module elements are (n+1, n+1) complex arrays indexed [nu, k], or
-    stacks of them along leading axes.  The b amplitudes are the
-    superdiagonal of the ``build_rep(n)`` matrix b.
+    stacks of them along leading axes.  The b amplitudes are the ladder
+    amplitudes ``build_rep(n).amp``.
     """
 
     def __init__(self, n: int, choice):
@@ -58,7 +58,7 @@ class GrassmannOps:
     def apply_b(self, e: np.ndarray) -> np.ndarray:
         """Move every row nu of e to nu - 1 with amplitude sqrt(<nu>)."""
         out = np.zeros(e.shape, dtype=complex)
-        out[..., :-1, :] += self.rep.b.diagonal(1)[:, None] * e[..., 1:, :]
+        out[..., :-1, :] += self.rep.amp[:, None] * e[..., 1:, :]
         return out
 
     def apply_psi(self, e: np.ndarray) -> np.ndarray:
@@ -72,29 +72,34 @@ class GrassmannOps:
 class CoherentState:
     n: int
     choice: LambdaChoice
-    delta: tuple  # delta(0, n) .. delta(n, n)
-    element: np.ndarray  # (n+1, n+1), delta on the diagonal
+    # delta(0, n) .. delta(n, n), the coefficients of |nu> psi^nu
+    delta: tuple
     ops: GrassmannOps
 
 
 def build_coherent(n: int, choice) -> CoherentState:
     """Coherent state from the delta recursion, diagonal in (nu, k)."""
     ops = GrassmannOps(n, choice)
-    amp = ops.rep.a_dag.diagonal(-1)  # sqrt(<1>) .. sqrt(<n>)
+    amp = ops.rep.amp  # sqrt(<1>) .. sqrt(<n>)
     delta = [1 + 0j]
     for v in range(n):
         # a Python complex divisor: numpy's complex division rounds
         # differently
         delta.append(delta[v] * ops.lam[v] / complex(amp[v]))
-    return CoherentState(n=n, choice=choice, delta=tuple(delta),
-                         element=np.diag(delta), ops=ops)
+    return CoherentState(n=n, choice=choice, delta=tuple(delta), ops=ops)
 
 
 def eigenstate_residual(state: CoherentState) -> float:
-    """Max-abs coefficient of b|psi> - psi|psi>; zero by construction."""
-    lhs = state.ops.apply_b(state.element)
-    rhs = state.ops.apply_psi(state.element)
-    return float(np.max(np.abs(lhs - rhs)))
+    """Max-abs coefficient of b|psi> - psi|psi>; zero by construction.
+
+    Both sides live on the band |nu> psi^(nu+1): b moves delta(nu+1)
+    down with amplitude sqrt(<nu+1>), psi moves delta(nu) right with
+    lambda(nu), and psi^(n+1) truncates the top state away.
+    """
+    delta = np.array(state.delta)
+    lam = np.array(state.ops.lam[:-1])
+    return float(np.max(np.abs(state.ops.rep.amp * delta[1:]
+                               - lam * delta[:-1])))
 
 
 def closed_form_deltas(n: int, sign: int) -> list:

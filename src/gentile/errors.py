@@ -13,10 +13,6 @@ class NotHermitian(GentileError):
     pass
 
 
-class NoConvergence(GentileError):
-    pass
-
-
 class DomainError(GentileError):
     pass
 

@@ -3,8 +3,9 @@
 The quadratic form (alpha = 1, beta = conj(q)) is diagonal in the
 Fock basis, so three independent routes to the spectrum are available:
 the per-state closed form, the residue-case level formulas, and the
-Jacobi eigensolver.  Degeneracies are always computed by clustering the
-per-state energies, never taken from level-counting claims.
+diagonal of H built from the ladder amplitudes.  Degeneracies are always
+computed by clustering the per-state energies, never taken from
+level-counting claims.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, PreconditionViolation
-from .linalg import hermitian_eigen
+from .errors import NotHermitian, OutOfRange, PreconditionViolation
 from .rep import build_rep
 
 CLUSTER_TOL = 1e-9
@@ -25,23 +25,17 @@ SPECTRUM_TOL = 1e-10  # levels vs eigenvalues; also H's Hermiticity
 
 
 def build_hamiltonian(n: int) -> np.ndarray:
-    """The quadratic Hamiltonian (1/4)[alpha a^dag b + beta b a^dag + h.c.]
-    with alpha = 1 and beta = conj(q).
+    """Diagonal of the quadratic Hamiltonian
+    (1/4)[alpha a^dag b + beta b a^dag + h.c.] with alpha = 1 and
+    beta = conj(q).
 
     Each term pairs a raising with a lowering ladder matrix, so H is
-    diagonal: (raise lower)[v, v] = raise[v, v-1] lower[v-1, v] for v >= 1
-    and (lower raise)[v, v] = lower[v, v+1] raise[v+1, v] for v < n.
+    diagonal (see ``GentileRep.quadratic_diagonals``).
     """
-    rep = build_rep(n)
+    adag_b, bdag_a, a_bdag, b_adag = build_rep(n).quadratic_diagonals()
     alpha, beta = 1 + 0j, cmath.exp(-2j * math.pi / (n + 1))
-    up_a, up_b = np.diagonal(rep.a_dag, -1), np.diagonal(rep.b_dag, -1)
-    down_a, down_b = np.diagonal(rep.a, 1), np.diagonal(rep.b, 1)
-    zero = np.zeros(1, dtype=complex)
-    diagonal = (alpha * np.concatenate((zero, up_a * down_b))
-                + beta * np.concatenate((down_b * up_a, zero))
-                + np.conj(alpha) * np.concatenate((zero, up_b * down_a))
-                + np.conj(beta) * np.concatenate((down_a * up_b, zero))) / 4.0
-    return np.diag(diagonal)
+    return (alpha * adag_b + beta * b_adag
+            + np.conj(alpha) * bdag_a + np.conj(beta) * a_bdag) / 4.0
 
 
 def per_state_energy(n: int, v: int) -> float:
@@ -151,13 +145,19 @@ def closed_form_spectrum(n: int) -> SpectrumReport:
 
 
 def spectrum_crosscheck(n: int):
-    """Compare case-formula levels against Jacobi eigenvalues of H.
+    """Compare case-formula levels against the eigenvalues of H.
 
-    Returns (passed, max deviation, report).
+    H is diagonal, so its eigenvalues are the sorted real parts of its
+    diagonal, once H is Hermitian within SPECTRUM_TOL.  Returns
+    (passed, max deviation, report).
     """
     report = closed_form_spectrum(n)
     h = build_hamiltonian(n)
-    eigvals, _ = hermitian_eigen(h, tol=SPECTRUM_TOL)
+    dev = float(np.max(np.abs(h - h.conj())))
+    if not dev <= SPECTRUM_TOL:  # a NaN entry makes dev NaN
+        raise NotHermitian(
+            f"max |m - m^H| = {dev:.3e} exceeds tol {SPECTRUM_TOL:.3e}")
+    eigvals = np.sort(h.real)
     expanded = []
     for e, m in report.levels:
         expanded.extend([e] * m)

@@ -12,43 +12,83 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import OutOfRange
-from .linalg import matrix_function
+from .errors import DomainError, NotHermitian, OutOfRange
 
 ARCSIN_TOL = 1e-12  # Hermiticity and arcsin domain margin of the sine matrix
 MATCH_TOL = 1e-9  # a value agrees with nu; two sine eigenvalues collide
 
 
+def _readonly(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True)
 class GentileRep:
-    """Matrices of one Gentile mode on the (n+1)-dimensional Fock space."""
+    """One Gentile mode on the (n+1)-dimensional Fock space.
+
+    The ladder amplitudes are the data; the dense matrices are built
+    from them on first use and are read-only.  a_dag and b carry the
+    principal square roots of the bracket numbers; a and b_dag are their
+    conjugate transposes (the four are distinct matrices except in the
+    Fermi and Bose limits).
+    """
 
     n: int
     q: complex
     bracket_numbers: tuple  # <0>_n ... <n+1>_n
-    a_dag: np.ndarray
-    b: np.ndarray
-    a: np.ndarray = field(repr=False)
-    b_dag: np.ndarray = field(repr=False)
-    num: np.ndarray = field(repr=False)
+    amp: np.ndarray  # sqrt(<1>_n) .. sqrt(<n>_n), read-only complex128
 
     @property
     def dim(self) -> int:
         return self.n + 1
 
+    @cached_property
+    def a_dag(self) -> np.ndarray:
+        return _readonly(np.diag(self.amp, -1))
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return _readonly(np.diag(self.amp, 1))
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return _readonly(self.a_dag.conj().T)
+
+    @cached_property
+    def b_dag(self) -> np.ndarray:
+        return _readonly(self.b.conj().T)
+
+    @cached_property
+    def num(self) -> np.ndarray:
+        return _readonly(
+            np.diag(np.arange(self.dim, dtype=float)).astype(complex))
+
+    def quadratic_diagonals(self):
+        """Diagonals of a^dag b, b^dag a, a b^dag and b a^dag, in that order.
+
+        Each product pairs a raising with a lowering band, so it is
+        diagonal: (raise lower)[v, v] = raise[v, v-1] lower[v-1, v] for
+        v >= 1 and (lower raise)[v, v] = lower[v, v+1] raise[v+1, v] for
+        v < n.  The bands are amp (a^dag, b) and conj(amp) (a, b^dag).
+        """
+        zero = np.zeros(1, dtype=complex)
+        up_down = self.amp * self.amp
+        up_down_bar = np.conj(self.amp) * np.conj(self.amp)
+        return (np.concatenate((zero, up_down)),
+                np.concatenate((zero, up_down_bar)),
+                np.concatenate((up_down_bar, zero)),
+                np.concatenate((up_down, zero)))
+
 
 def build_rep(n: int) -> GentileRep:
-    """Construct the ladder, adjoint, and number matrices for one mode.
-
-    a_dag and b carry the principal square roots of the bracket numbers;
-    a and b_dag are defined as their conjugate transposes (the four are
-    distinct matrices except in the Fermi and Bose limits).
-    """
+    """The bracket numbers and ladder amplitudes of one mode."""
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
     theta = 2.0 * math.pi / (n + 1)
@@ -57,15 +97,10 @@ def build_rep(n: int) -> GentileRep:
     # the int 0
     brackets = tuple(accumulate(
         (cmath.exp(1j * theta * j) for j in range(n + 1)), initial=0))
-    amp = [cmath.sqrt(br) for br in brackets[1:n + 1]]
-    a_dag = np.diag(amp, -1)
-    b = np.diag(amp, 1)
-    num = np.diag(np.arange(n + 1, dtype=float)).astype(complex)
-    a, b_dag = a_dag.conj().T, b.conj().T
-    for m in (a_dag, b, num, a, b_dag):
-        m.flags.writeable = False
+    amp = np.array([cmath.sqrt(br) for br in brackets[1:n + 1]],
+                   dtype=complex)
     return GentileRep(n=n, q=q, bracket_numbers=brackets,
-                      a_dag=a_dag, b=b, a=a, b_dag=b_dag, num=num)
+                      amp=_readonly(amp))
 
 
 def _close_pairs(values, tol: float):
@@ -92,7 +127,6 @@ def _close_pairs(values, tol: float):
 class ArcsinAudit:
     """Outcome of the arcsin-based number-operator reconstruction."""
 
-    reconstructed: np.ndarray
     # rows (nu, reconstructed value, agrees with nu)
     table: tuple
     # (nu, nu') pairs of distinct occupation numbers sharing an eigenvalue
@@ -105,25 +139,36 @@ class ArcsinAudit:
         return bool(self.collisions)
 
 
+def _sine_diagonal(rep: GentileRep) -> np.ndarray:
+    """Diagonal of M = (i/2)(a^dag b - b^dag a + a b^dag - b a^dag)."""
+    adag_b, bdag_a, a_bdag, b_adag = rep.quadratic_diagonals()
+    return 0.5j * (adag_b - bdag_a + a_bdag - b_adag)
+
+
 def number_from_arcsin(rep: GentileRep) -> ArcsinAudit:
     """Reconstruct the number operator from the sine combination.
 
-    Builds M = (i/2)(a^dag b - b^dag a + a b^dag - b a^dag), whose
-    eigenvalue on |nu> is sin(2*pi*nu/(n+1)), applies the principal-branch
-    arcsin spectrally, and scales by (n+1)/(2*pi).  The per-state table
-    records where the reconstruction agrees with nu; collisions between
-    distinct nu values are flagged.
+    M is diagonal in the Fock basis, with eigenvalue sin(2*pi*nu/(n+1))
+    on |nu>, so its principal-branch arcsin, scaled by (n+1)/(2*pi), is
+    taken entry by entry on the diagonal.  The per-state table records
+    where the reconstruction agrees with nu; collisions between distinct
+    nu values are flagged.
     """
-    m = 0.5j * (rep.a_dag @ rep.b - rep.b_dag @ rep.a
-                + rep.a @ rep.b_dag - rep.b @ rep.a_dag)
+    m = _sine_diagonal(rep)
+    dev = float(np.max(np.abs(m - m.conj())))
+    if not dev <= ARCSIN_TOL:  # a NaN entry makes dev NaN
+        raise NotHermitian(
+            f"max |m - m^H| = {dev:.3e} exceeds tol {ARCSIN_TOL:.3e}")
+    diag_m = m.real
+    if not (np.all(diag_m >= -1.0 - ARCSIN_TOL)
+            and np.all(diag_m <= 1.0 + ARCSIN_TOL)):
+        raise DomainError(
+            f"eigenvalue outside domain [-1.0, 1.0] by more than {ARCSIN_TOL}")
     scale = (rep.n + 1) / (2.0 * math.pi)
-    rec = scale * matrix_function(m, math.asin, ARCSIN_TOL, domain=(-1.0, 1.0))
-
-    # M is diagonal in the Fock basis, so per-state values sit on the diagonal
-    diag_m = np.real(np.diag(m)).tolist()
     table = []
-    for v in range(rep.dim):
-        value = float(np.real(rec[v, v]))
+    for v, x in enumerate(np.clip(diag_m, -1.0, 1.0).tolist()):
+        value = scale * math.asin(x)
         table.append((v, value, abs(value - v) <= MATCH_TOL))
-    return ArcsinAudit(reconstructed=rec, table=tuple(table),
-                       collisions=tuple(_close_pairs(diag_m, MATCH_TOL)))
+    return ArcsinAudit(table=tuple(table),
+                       collisions=tuple(_close_pairs(diag_m.tolist(),
+                                                     MATCH_TOL)))

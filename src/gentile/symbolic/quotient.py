@@ -153,18 +153,17 @@ class QuotientPoly(Terms):
         n, dim = rep.n, rep.dim
         total = np.zeros((dim, dim), dtype=complex)
         coefs = values @ (rep.q ** exps)
-        amp_b = np.diagonal(rep.b, 1)       # b |nu> = amp_b[nu-1] |nu-1>
-        amp_a = np.diagonal(rep.a_dag, -1)  # adag |mu> = amp_a[mu] |mu+1>
+        amp = rep.amp  # b|nu> = amp[nu-1]|nu-1>, adag|mu> = amp[mu]|mu+1>
         max_j = max((j for j, _, _, _ in groups if j <= n), default=0)
         max_k = max((k for _, k, _, _ in groups if k <= n), default=0)
         # lowered[k, nu]: amplitude of b^k on |nu>, for nu >= k
         lowered = np.ones((max_k + 1, dim), dtype=complex)
         for k in range(1, max_k + 1):
-            lowered[k, k:] = lowered[k - 1, k:] * amp_b[:dim - k]
+            lowered[k, k:] = lowered[k - 1, k:] * amp[:dim - k]
         # raised[j, mu]: amplitude of adag^j on |mu>, for mu + j <= n
         raised = np.ones((max_j + 1, dim), dtype=complex)
         for j in range(1, max_j + 1):
-            raised[j, :dim - j] = raised[j - 1, :dim - j] * amp_a[j - 1:]
+            raised[j, :dim - j] = raised[j - 1, :dim - j] * amp[j - 1:]
         flat = total.reshape(-1)
         for j, k, rows, ms in groups:
             width = n + 1 - max(j, k)

@@ -22,9 +22,10 @@ from gentile.errors import OutOfRange
 from gentile.symbolic.parser import MAX_PERM_OPERANDS, MAX_POWER
 
 
-# only ASCII digits, one optional '..' and nothing else make an n spec
+# only ASCII digits, one optional '..' and nothing else make an n spec; the
+# last has a lower bound of 5,001 digits, more than int() converts
 BAD_N_SPECS = ("0", "", "..", "1...3", "1..1e3", "1_0", "\u0661", " 3",
-               "+3", "2..")
+               "+3", "2..", "1" * 5001 + "..3")
 
 
 def test_parse_n_values():
@@ -35,9 +36,10 @@ def test_parse_n_values():
     with pytest.raises(OutOfRange):
         parse_n_values("5..2")
     assert parse_n_values("1024")[-1] == MAX_N == 1024
-    for spec in ("1..1025", "1025"):
+    for spec in ("1..1025", "1025", "1.." + "9" * 5000):
         with pytest.raises(OutOfRange, match="above the maximum 1024"):
             parse_n_values(spec)
+    assert parse_n_values("0" * 5000 + "2..0003") == [2, 3]
     for spec in BAD_N_SPECS:
         with pytest.raises(OutOfRange, match="invalid n range"):
             parse_n_values(spec)
@@ -60,8 +62,12 @@ def test_audit_bad_range_exit_one(capsys):
 
 
 def test_audit_negative_seed_exit_one(capsys):
-    assert main(["audit", "--n", "1", "--seed", "-3"]) == 1
-    assert capsys.readouterr().err == "error: invalid --seed -3 (need >= 0)\n"
+    # only ASCII digits make a seed; int() would read '1_0' as 10 and refuse
+    # more than 4,300 digits with a message that does not name --seed
+    for seed in ("-3", "1_0", "\u0661", " 7", "+7", "7.0", "", "9" * 5000):
+        assert main(["audit", "--n", "1", "--seed", seed]) == 1
+        assert capsys.readouterr().err \
+            == f"error: invalid --seed {seed} (need >= 0)\n"
 
 
 def test_spectrum_json(capsys):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from _reference import bracket_number, move_relation_check
+from _reference import (BITWISE_N, bracket_number,
+                        dense_eigenstate_residual, move_relation_check)
 from gentile.coherent import (GrassmannOps, LambdaChoice, build_coherent,
                               compare_closed_form, eigenstate_residual,
                               lambda_value, normalization_poly)
@@ -52,6 +53,17 @@ def test_delta_recursion_invariant():
 def test_eigenstate_residual(n, choice):
     state = build_coherent(n, choice)
     assert eigenstate_residual(state) <= 1e-12
+
+
+@pytest.mark.parametrize("choice", PRINTED_CHOICES)
+def test_eigenstate_residual_matches_dense_element_bitwise(choice):
+    # the band residual is the residual of the module actions on the
+    # dense element with delta on its diagonal, bit for bit
+    for n in BITWISE_N:
+        state = build_coherent(n, choice)
+        residual = eigenstate_residual(state)
+        assert np.float64(residual).tobytes() \
+            == np.float64(dense_eigenstate_residual(state)).tobytes(), n
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from _reference import ladder_commutation_check, spectrum_clustering
-from gentile.errors import PreconditionViolation
+from _reference import (BITWISE_N, hermitian_eigen,
+                        ladder_commutation_check, spectrum_clustering)
+from gentile.errors import NotHermitian, PreconditionViolation
 from gentile.linalg import max_abs_diff
-from gentile.oscillator import (bose_limit_check, build_hamiltonian,
-                                case_class, closed_form_spectrum,
-                                per_state_energy, spectrum_crosscheck)
+from gentile.oscillator import (SPECTRUM_TOL, bose_limit_check,
+                                build_hamiltonian, case_class,
+                                closed_form_spectrum, per_state_energy,
+                                spectrum_crosscheck)
 from gentile.rep import build_rep
 
 
@@ -41,9 +43,9 @@ def test_n3_spectrum_oracle():
 def test_hamiltonian_diagonal():
     for n in (1, 2, 3, 5, 8):
         h = build_hamiltonian(n)
-        assert max_abs_diff(h, np.diag(np.diag(h))) <= 1e-12
+        assert h.shape == (n + 1,)
         for v in range(n + 1):
-            assert abs(h[v, v].real - per_state_energy(n, v)) <= 1e-12
+            assert abs(h[v].real - per_state_energy(n, v)) <= 1e-12
 
 
 def _dense_hamiltonian(n):
@@ -56,11 +58,37 @@ def _dense_hamiltonian(n):
 
 
 def test_hamiltonian_matches_dense_products():
+    # the dense products are diagonal too, so H loses nothing off it
     eps = np.finfo(float).eps
     for n in range(1, 65):
-        h, ref = build_hamiltonian(n), _dense_hamiltonian(n)
+        h, ref = np.diag(build_hamiltonian(n)), _dense_hamiltonian(n)
         assert h.shape == ref.shape == (n + 1, n + 1)
         assert max_abs_diff(h, ref) <= 4 * eps * np.max(np.abs(ref))
+
+
+def test_eigenvalues_are_sorted_diagonal_bitwise():
+    # no report prints the eigenvalues, so only this guards them: the
+    # sorted real diagonal is what the Jacobi solver returns for H, and the
+    # crosscheck's deviation is the one from the Jacobi eigenvalues
+    for n in BITWISE_N:
+        h = build_hamiltonian(n)
+        expected, _ = hermitian_eigen(np.diag(h), tol=SPECTRUM_TOL)
+        assert np.sort(h.real).tobytes() == expected.tobytes(), n
+        _, deviation, report = spectrum_crosscheck(n)
+        levels = sorted(e for e, m in report.levels for _ in range(m))
+        assert deviation == max(abs(a - b)
+                                for a, b in zip(levels, expected)), n
+
+
+def test_spectrum_crosscheck_rejects_non_hermitian(monkeypatch):
+    h = build_hamiltonian(4)
+    h[2] += 1e-9j
+    monkeypatch.setattr("gentile.oscillator.build_hamiltonian",
+                        lambda n: h)
+    with pytest.raises(NotHermitian,
+                       match=r"max \|m - m\^H\| = 2\.000e-09 exceeds "
+                             r"tol 1\.000e-10"):
+        spectrum_crosscheck(4)
 
 
 def test_per_state_energy_closed_form():
@@ -117,5 +145,5 @@ def test_bose_limit_precondition():
 
 def test_custom_coefficients_hermitian():
     # alpha=1, beta=conj(q) make H Hermitian by construction
-    h = build_hamiltonian(4)
+    h = np.diag(build_hamiltonian(4))
     assert max_abs_diff(h, h.conj().T) <= 1e-14

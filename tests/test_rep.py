@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from _reference import arcsin_collisions, bracket_number
-from gentile.errors import OutOfRange
+from _reference import (BITWISE_N, arcsin_collisions, bracket_number,
+                        dense_arcsin_values, dense_sine_matrix)
+from gentile.errors import DomainError, NotHermitian, OutOfRange
 from gentile.linalg import max_abs_diff
-from gentile.rep import build_rep, number_from_arcsin
+from gentile.rep import _sine_diagonal, build_rep, number_from_arcsin
 
 
 def test_bracket_number_oracle_n3():
@@ -99,8 +100,21 @@ def test_fermi_limit_matrices():
 
 def test_matrices_readonly():
     rep = build_rep(2)
-    with pytest.raises(ValueError):
-        rep.a_dag[0, 0] = 1.0
+    for name in ("amp", "a_dag", "b", "a", "b_dag", "num"):
+        with pytest.raises(ValueError):
+            getattr(rep, name)[0, ...] = 1.0
+
+
+def test_matrices_built_once_from_amp():
+    rep = build_rep(5)
+    assert rep.amp.dtype == complex and rep.amp.shape == (5,)
+    assert "a_dag" not in vars(rep)  # nothing dense until first use
+    assert rep.a_dag is rep.a_dag
+    assert rep.amp.tobytes() == rep.a_dag.diagonal(-1).tobytes() \
+        == rep.b.diagonal(1).tobytes()
+    assert np.conj(rep.amp).tobytes() == rep.a.diagonal(1).tobytes() \
+        == rep.b_dag.diagonal(-1).tobytes()
+    assert np.count_nonzero(rep.a_dag) == np.count_nonzero(rep.amp)
 
 
 def test_build_rep_range():
@@ -129,10 +143,47 @@ def test_arcsin_audit_prediction():
 def test_arcsin_collisions_match_all_pairs_scan():
     for n in range(1, 257):
         rep = build_rep(n)
-        m = 0.5j * (rep.a_dag @ rep.b - rep.b_dag @ rep.a
-                    + rep.a @ rep.b_dag - rep.b @ rep.a_dag)
-        expected = arcsin_collisions(np.real(np.diag(m)).tolist())
+        expected = arcsin_collisions(
+            np.real(np.diag(dense_sine_matrix(rep))).tolist())
         assert number_from_arcsin(rep).collisions == expected, n
+
+
+def test_sine_diagonal_matches_dense_products_bitwise():
+    # the dense products are diagonal, and the band products give their
+    # diagonal bit for bit
+    for n in BITWISE_N:
+        rep = build_rep(n)
+        m = dense_sine_matrix(rep)
+        assert np.count_nonzero(m - np.diag(np.diag(m))) == 0, n
+        assert _sine_diagonal(rep).tobytes() == np.diag(m).tobytes(), n
+
+
+def test_arcsin_table_matches_jacobi_route_bitwise():
+    for n in BITWISE_N:
+        rep = build_rep(n)
+        values = np.array([value for _, value, _ in
+                           number_from_arcsin(rep).table])
+        assert values.tobytes() == dense_arcsin_values(rep).tobytes(), n
+
+
+@pytest.mark.parametrize("shift,error", [(2e-12j, NotHermitian),
+                                         (-2.5, DomainError)])
+def test_arcsin_checks_sine_diagonal(monkeypatch, shift, error):
+    rep = build_rep(4)
+    m = _sine_diagonal(rep) + np.array([0, 0, shift, 0, 0])
+    monkeypatch.setattr("gentile.rep._sine_diagonal", lambda rep: m)
+    with pytest.raises(error):
+        number_from_arcsin(rep)
+
+
+def test_arcsin_clips_marginal_values(monkeypatch):
+    # a value just past 1 within ARCSIN_TOL reads as asin(1)
+    rep = build_rep(3)
+    m = np.array([0, 1 + 1e-14, 0, -1 - 1e-14], dtype=complex)
+    monkeypatch.setattr("gentile.rep._sine_diagonal", lambda rep: m)
+    values = [value for _, value, _ in number_from_arcsin(rep).table]
+    assert values[1] == 4 / (2 * math.pi) * (math.pi / 2)
+    assert values[3] == -values[1]
 
 
 def test_arcsin_collision_n3():
