@@ -262,8 +262,9 @@ def test_eval_output_pinned(expression, normal_form, digest, capsys):
 
 # the models sweeps' report bytes, pinned so that a change to the JSON
 # writer, the CSV writer or the clustering and collision sweeps behind
-# them shows here; the two su2 sweeps fail verification and print their
-# diagnostic on stderr
+# them shows here; the two su2 sweeps at n = 1..64 and the bdaga sweep at
+# n = 1..128 fail verification and print their diagnostic on stderr, and
+# the su2 sweeps that pass pin the lambda bytes
 PINNED_MODELS = [
     (["spectrum", "--n", "1..128"], 0, "out",
      "b23e9ae94bcbe7cb6fb337192648a5a6ca95aff999d5bd4402c13e1126c16115"),
@@ -283,6 +284,18 @@ PINNED_MODELS = [
      "5837a3a93fd4f8641e4a50751b0d60691b1a9e6d88e4e7ac833ffaccd42b200f"),
     (["su2", "--n", "1..64", "--A", "adagb"], 2, "err",
      "c9b2c34301f5430c44f2eca2584f980b8f80ad910a39f6a07833739b4013131b"),
+    (["su2", "--n", "1..34", "--A", "num"], 0, "out",
+     "0caf0b15cb9007cd12a0b40f190fd4c8a04a982b5668d2030d3c59b24b18d5c4"),
+    (["su2", "--n", "1..34", "--A", "adagb"], 0, "out",
+     "61637523ffa1b433acdd7276a811728f7673f4e18dbc2b2fea7430dc7b092c35"),
+    (["su2", "--n", "1..34", "--A", "bdaga"], 0, "out",
+     "5ac713cfec75f6930868db8a3e929e9259c4f2c480b62677bb930f35647cdd0b"),
+    (["su2", "--n", "1..64", "--A", "adaga"], 0, "out",
+     "7e08b32874c4f45cef6c44d1aa737f06b59bb4fce5998c2d019d4a553fa459dd"),
+    (["su2", "--n", "1..64", "--A", "aadag"], 0, "out",
+     "554a6c577ff25c313a711644c89148c1457351f27ef5e0fdf9dfa73ff2cd0780"),
+    (["su2", "--n", "1..128", "--A", "bdaga"], 2, "err",
+     "4c54ca93d866fa25306293b6f32b6cc5ba02afd6bec1aff66e7d62c086627c6f"),
 ]
 
 
@@ -290,7 +303,9 @@ PINNED_MODELS = [
                          ids=["spectrum", "spectrum-csv", "coherent",
                               "coherent-minus", "coherent-alternating",
                               "arcsin", "arcsin-256", "su2-num",
-                              "su2-adagb"])
+                              "su2-adagb", "su2-num-34", "su2-adagb-34",
+                              "su2-bdaga-34", "su2-adaga-64",
+                              "su2-aadag-64", "su2-bdaga-128"])
 def test_models_output_pinned(argv, code, stream, digest, capsys):
     assert main(argv) == code
     captured = capsys.readouterr()
