@@ -29,7 +29,8 @@ from .errors import (DegenerateNodes, GentileError, InconsistentVerdict,
 from .linalg import max_abs_diff
 from .oscillator import spectrum_crosscheck
 from .rep import build_rep, number_from_arcsin
-from .su2 import DiagonalChoice, solve_representation, verify_representation
+from .su2 import (DiagonalChoice, newton_coefficients, solve_representation,
+                  verify_representation)
 from .symbolic import normal_order, parse
 
 DEFAULT_SWEEP = "1..24"
@@ -234,7 +235,7 @@ def cmd_coherent(args) -> int:
 def cmd_su2(args) -> int:
     n_values = parse_n_values(args.n)
     choice = DiagonalChoice(args.diag)
-    records, failures = [], []
+    records, failures, newton = [], [], []
     for n in n_values:
         try:
             rep = solve_representation(n, choice)
@@ -246,16 +247,20 @@ def cmd_su2(args) -> int:
             })
             continue
         residuals, ok = verify_representation(rep)
-        records.append({
-            "n": n, "j": rep.j, "choice": choice.value,
-            "lambdas": list(rep.lambdas),
-            "residuals": residuals,
-        })
+        record = {"n": n, "j": rep.j, "choice": choice.value,
+                  "residuals": residuals}
+        records.append(record)
+        # keep the Newton data, not the rep and its dense matrices
+        newton.append((record, rep.nodes, rep.divided))
         if not ok:
             failures.append({"n": n, "residuals": residuals})
     if failures:
         sys.stderr.write(_diagnostic("verify_representation", failures))
         return 2
+    # lambda is solved only for a report that is printed
+    for record, nodes, divided in newton:
+        lambdas = np.conj(newton_coefficients(nodes, divided))
+        record["lambdas"] = lambdas.tolist()
     _emit(_dump_json(records), args.out)
     return 0
 

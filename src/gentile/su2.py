@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -63,18 +64,28 @@ def _check_nodes(nodes):
 
 
 def divided_differences(nodes, values):
-    """Newton divided-difference table d_0 .. d_(m-1) over distinct nodes."""
-    m = len(nodes)
-    divided = list(values)
-    for level in range(1, m):
-        for i in range(m - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) \
-                / (nodes[i] - nodes[i - level])
-    return divided
+    """Newton divided-difference table d_0 .. d_(m-1) over distinct nodes.
+
+    Level k replaces d_k .. d_(m-1) at once by
+    (d_i - d_(i-1)) / (x_i - x_(i-k)); numpy divides arrays and scalars
+    alike, so the table has the bits of the entry-by-entry loop.  The
+    entries come back as Python complex.
+    """
+    x = np.asarray(nodes, dtype=complex)
+    divided = np.array(values, dtype=complex)
+    for level in range(1, len(x)):
+        divided[level:] = (divided[level:] - divided[level - 1:-1]) \
+            / (x[level:] - x[:-level])
+    return divided.tolist()
 
 
 def newton_eval(nodes, divided, z: complex) -> complex:
-    """Horner evaluation of the interpolant in the Newton basis."""
+    """Horner evaluation of the interpolant in the Newton basis.
+
+    On Python complex nodes and coefficients each step rounds as numpy's
+    complex128 scalars do, (ac - bd, ad + bc) without a fused
+    multiply-add, and runs several times faster.
+    """
     acc = complex(divided[-1])
     for k in range(len(divided) - 2, -1, -1):
         acc = acc * (z - nodes[k]) + divided[k]
@@ -108,7 +119,6 @@ class Su2Rep:
     n: int
     j: float
     choice: DiagonalChoice
-    lambdas: tuple          # lambda_0 .. lambda_(n-1)
     j_plus: np.ndarray
     j_minus: np.ndarray
     j_z: np.ndarray
@@ -120,6 +130,12 @@ class Su2Rep:
     # <0>_n .. <n+1>_n of the GentileRep the solve used
     bracket_numbers: tuple
 
+    @cached_property
+    def lambdas(self) -> tuple:
+        """lambda_0 .. lambda_(n-1), solved on first use: only a printed
+        report needs them."""
+        return tuple(np.conj(newton_coefficients(self.nodes, self.divided)))
+
 
 def solve_representation(n: int, choice: DiagonalChoice) -> Su2Rep:
     """Solve the raising-operator interpolation for one diagonal choice.
@@ -130,16 +146,15 @@ def solve_representation(n: int, choice: DiagonalChoice) -> Su2Rep:
     in the Newton basis.
     """
     rep = build_rep(n)
-    a_matrix = diagonal_operator(rep, choice)
-    nodes = [a_matrix[v, v] for v in range(1, rep.dim)]
+    diagonal = diagonal_operator(rep, choice).diagonal().tolist()
+    nodes = diagonal[1:]
     _check_nodes(nodes)
     c_plus = ladder_targets(n)
     divided = divided_differences(
         nodes, [c_plus[v] / rep.a_dag[v + 1, v] for v in range(n)])
-    p = [newton_eval(nodes, divided, a) for a in a_matrix.diagonal()]
+    p = [newton_eval(nodes, divided, a) for a in diagonal]
     j_plus = np.array(p)[:, None] * rep.a_dag
     return Su2Rep(n=n, j=n / 2.0, choice=choice,
-                  lambdas=tuple(np.conj(newton_coefficients(nodes, divided))),
                   j_plus=j_plus, j_minus=j_plus.conj().T,
                   j_z=rep.num - (n / 2.0) * np.eye(n + 1),
                   nodes=tuple(nodes), divided=tuple(divided),
@@ -148,20 +163,39 @@ def solve_representation(n: int, choice: DiagonalChoice) -> Su2Rep:
 
 def verify_representation(rep: Su2Rep):
     """Residuals of the su(2) relations, the Casimir identity and, for
-    A = a_dag b, the printed equations (``e010``); True iff all <= TOL."""
+    A = a_dag b, the printed equations (``e010``); True iff all <= TOL.
+
+    J_z is the real diagonal N - n/2, so a product with it scales rows or
+    columns by z = diag(J_z); a dense product would give the same bits up
+    to the sign of some zeros, which the residuals' moduli drop.  The
+    checks still cover every entry of J_+ and J_-, so an entry off their
+    band shows.  Beyond float range a residual is inf or nan, which fails
+    the gate, so numpy's overflow warnings are not printed as well.
+    """
     jp, jm, jz = rep.j_plus, rep.j_minus, rep.j_z
-    eye = np.eye(jp.shape[0])
-    residuals = {
-        "comm87": max_abs_diff(jp @ jm - jm @ jp, 2.0 * jz),
-        "comm88p": max_abs_diff(jz @ jp - jp @ jz, jp),
-        "comm88m": max_abs_diff(jz @ jm - jm @ jz, -jm),
-        "casimir": max_abs_diff(
-            jz @ jz + (jp @ jm + jm @ jp) / 2.0,
-            rep.j * (rep.j + 1.0) * eye),
-    }
+    z = jz.diagonal()
+    with np.errstate(over="ignore", invalid="ignore"):
+        pm, mp = jp @ jm, jm @ jp
+        residuals = {
+            "comm87": max_abs_diff(pm - mp, 2.0 * jz),
+            "comm88p": max_abs_diff(z[:, None] * jp - jp * z, jp),
+            "comm88m": max_abs_diff(z[:, None] * jm - jm * z, -jm),
+            "casimir": max_abs_diff(
+                np.diag(z * z) + (pm + mp) / 2.0,
+                rep.j * (rep.j + 1.0) * np.eye(jp.shape[0])),
+        }
     if rep.choice is DiagonalChoice.ADAG_B:
         residuals["e010"] = e010_residual(rep)
     return residuals, all(r <= TOL for r in residuals.values())
+
+
+def _abs_squared(value: complex) -> float:
+    """|value| ** 2, and inf where it is beyond float range, as numpy
+    scalars give; Python's abs and ** raise OverflowError there."""
+    try:
+        return abs(value) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def e010_residual(rep: Su2Rep) -> float:
@@ -177,7 +211,7 @@ def e010_residual(rep: Su2Rep) -> float:
             f"printed equations apply to ADAG_B, not {rep.choice}")
     n = rep.n
     # |<nu>| |p(<nu>)|^2 for nu = 0..n+1, each bracket evaluated once
-    terms = [abs(br) * abs(newton_eval(rep.nodes, rep.divided, br)) ** 2
+    terms = [abs(br) * _abs_squared(newton_eval(rep.nodes, rep.divided, br))
              for br in rep.bracket_numbers]
     worst = 0.0
     for v in range(n + 1):

@@ -6,6 +6,8 @@ references are the all-pairs loops that the library's sorted sweeps
 replaced; the sweeps must give exactly their results.  The dense
 references are the matrix routes that the library's band routes
 replaced, down to the Jacobi eigensolver; the bands must give exactly
+their bits.  The su(2) references solve on numpy scalars, one entry at a
+time, and verify by nine dense products; the library must give exactly
 their bits.  Only the eigensolver checks its input: the others are
 called only with valid arguments.
 """
@@ -24,7 +26,8 @@ from gentile.oscillator import (CLUSTER_TOL, _case_levels,
                                 _prose_multiplicity, build_hamiltonian,
                                 case_class, per_state_energy)
 from gentile.rep import build_rep
-from gentile.su2 import NODE_SEPARATION, newton_eval
+from gentile.su2 import (NODE_SEPARATION, TOL, DiagonalChoice, Su2Rep,
+                         diagonal_operator, ladder_targets)
 
 
 def bracket_number(n: int, v: int) -> complex:
@@ -152,8 +155,8 @@ def e010_residual_by_pairs(rep):
     brackets = rep.bracket_numbers
     worst = 0.0
     for v in range(n + 1):
-        lo = newton_eval(rep.nodes, rep.divided, brackets[v])
-        hi = newton_eval(rep.nodes, rep.divided, brackets[v + 1])
+        lo = scalar_newton_eval(rep.nodes, rep.divided, brackets[v])
+        hi = scalar_newton_eval(rep.nodes, rep.divided, brackets[v + 1])
         total = abs(brackets[v]) * abs(lo) ** 2 \
             - abs(brackets[v + 1]) * abs(hi) ** 2
         worst = max(worst, abs(total - (2 * v - n)))
@@ -296,3 +299,65 @@ def dense_eigenstate_residual(state):
     lhs = state.ops.apply_b(element)
     rhs = state.ops.apply_psi(element)
     return float(np.max(np.abs(lhs - rhs)))
+
+
+# -- the su(2) solve on numpy scalars and its nine-product check --------------
+
+# the n at which tests hold the su(2) solve and check to these bit for bit
+SU2_BITWISE_N = (*range(1, 129), 256)
+
+
+def scalar_divided_differences(nodes, values):
+    """Newton divided-difference table d_0 .. d_(m-1) over distinct nodes."""
+    m = len(nodes)
+    divided = list(values)
+    for level in range(1, m):
+        for i in range(m - 1, level - 1, -1):
+            divided[i] = (divided[i] - divided[i - 1]) \
+                / (nodes[i] - nodes[i - level])
+    return divided
+
+
+def scalar_newton_eval(nodes, divided, z: complex) -> complex:
+    """Horner evaluation of the interpolant in the Newton basis."""
+    acc = complex(divided[-1])
+    for k in range(len(divided) - 2, -1, -1):
+        acc = acc * (z - nodes[k]) + divided[k]
+    return acc
+
+
+def scalar_solve(n: int, choice):
+    """``Su2Rep`` and p at A's diagonal, with the nodes and the
+    divided-difference table as numpy complex128 scalars."""
+    rep = build_rep(n)
+    a_matrix = diagonal_operator(rep, choice)
+    nodes = [a_matrix[v, v] for v in range(1, rep.dim)]
+    c_plus = ladder_targets(n)
+    divided = scalar_divided_differences(
+        nodes, [c_plus[v] / rep.a_dag[v + 1, v] for v in range(n)])
+    p = [scalar_newton_eval(nodes, divided, a) for a in a_matrix.diagonal()]
+    j_plus = np.array(p)[:, None] * rep.a_dag
+    su2 = Su2Rep(n=n, j=n / 2.0, choice=choice,
+                 j_plus=j_plus, j_minus=j_plus.conj().T,
+                 j_z=rep.num - (n / 2.0) * np.eye(n + 1),
+                 nodes=tuple(nodes), divided=tuple(divided),
+                 bracket_numbers=rep.bracket_numbers)
+    return su2, p
+
+
+def dense_verify_representation(rep):
+    """``su2.verify_representation`` by nine dense products, each residual
+    a Python float."""
+    jp, jm, jz = rep.j_plus, rep.j_minus, rep.j_z
+    eye = np.eye(jp.shape[0])
+    residuals = {
+        "comm87": max_abs_diff(jp @ jm - jm @ jp, 2.0 * jz),
+        "comm88p": max_abs_diff(jz @ jp - jp @ jz, jp),
+        "comm88m": max_abs_diff(jz @ jm - jm @ jz, -jm),
+        "casimir": max_abs_diff(
+            jz @ jz + (jp @ jm + jm @ jp) / 2.0,
+            rep.j * (rep.j + 1.0) * eye),
+    }
+    if rep.choice is DiagonalChoice.ADAG_B:
+        residuals["e010"] = float(e010_residual_by_pairs(rep))
+    return residuals, all(r <= TOL for r in residuals.values())

@@ -10,6 +10,7 @@ import json
 import math
 import pkgutil
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,26 @@ def test_su2_degenerate_diagnostic(capsys):
     assert main(["su2", "--n", "2", "--A", "adaga"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["degenerate_nodes"]["pair"] == [1, 2]
+
+
+@pytest.mark.parametrize("argv", [["su2", "--n", "171", "--A", "num"],
+                                  ["su2", "--n", "203", "--A", "adagb"],
+                                  ["su2", "--n", "374", "--A", "num"],
+                                  ["su2", "--n", "852", "--A", "adagb"]],
+                         ids=["num-171", "adagb-203", "num-374",
+                              "adagb-852"])
+def test_su2_failing_sweep_warns_nothing(argv, capsys):
+    # the monomial lambdas overflow from n = 171 (num) and 203 (adagb), and
+    # those n fail verification, so no lambda is solved; J+J- overflows at
+    # n = 374 (num) and e010's |p|^2 at n = 852 (adagb), where an inf or
+    # nan residual is the verdict; stderr holds only the diagnostic
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["contract"] == "verify_representation"
 
 
 def test_eval(capsys):

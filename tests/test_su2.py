@@ -1,14 +1,17 @@
 """su(2) representations from Gentile ladder operators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from _reference import (bracket_number, e010_residual_by_pairs,
-                        first_close_nodes)
+from _reference import (SU2_BITWISE_N, bracket_number,
+                        dense_verify_representation, e010_residual_by_pairs,
+                        first_close_nodes, scalar_solve)
 from gentile.errors import DegenerateNodes, OutOfRange, WrongChoice
 from gentile.linalg import max_abs_diff
 from gentile.rep import build_rep
-from gentile.su2 import (DiagonalChoice, Su2Rep, diagonal_operator,
+from gentile.su2 import (DiagonalChoice, diagonal_operator,
                          divided_differences, e010_residual, ladder_targets,
                          _check_nodes, newton_coefficients, newton_eval,
                          solve_representation, verify_representation)
@@ -183,11 +186,56 @@ def test_mutation_perturbed_lambda_fails():
     # must break verification
     rep = solve_representation(4, DiagonalChoice.ADAG_B)
     grep = build_rep(4)
-    mutated = Su2Rep(
-        n=rep.n, j=rep.j, choice=rep.choice, lambdas=rep.lambdas,
-        j_plus=rep.j_plus + 0.1 * grep.a_dag,
-        j_minus=(rep.j_plus + 0.1 * grep.a_dag).conj().T,
-        j_z=rep.j_z, nodes=rep.nodes, divided=rep.divided,
-        bracket_numbers=rep.bracket_numbers)
+    j_plus = rep.j_plus + 0.1 * grep.a_dag
+    mutated = dataclasses.replace(rep, j_plus=j_plus,
+                                  j_minus=j_plus.conj().T)
     _, ok = verify_representation(mutated)
     assert not ok
+
+
+@pytest.mark.parametrize("n", (1, 4, 16))
+def test_mutation_off_band_entry_fails(n):
+    # the checks cover every entry of J_+ and J_-, not only their bands
+    rep = solve_representation(n, DiagonalChoice.NUM)
+    j_plus = rep.j_plus.copy()
+    j_plus[0, n] = 0.1
+    mutated = dataclasses.replace(rep, j_plus=j_plus,
+                                  j_minus=j_plus.conj().T)
+    residuals, ok = verify_representation(mutated)
+    assert not ok
+    assert residuals["comm88p"] > 0.1 and residuals["comm88m"] > 0.1
+
+
+def test_lambdas_solved_on_first_use():
+    rep = solve_representation(6, DiagonalChoice.ADAG_B)
+    assert "lambdas" not in vars(rep)
+    expected = tuple(np.conj(newton_coefficients(rep.nodes, rep.divided)))
+    assert rep.lambdas == expected
+    assert rep.lambdas is rep.lambdas
+
+
+@pytest.mark.parametrize("choice", list(DiagonalChoice))
+def test_solve_and_verify_match_scalar_route_bitwise(choice):
+    # the Newton data on Python complex and the two-product check give the
+    # bits of the numpy-scalar solve and the nine dense products
+    solved = 0
+    for n in SU2_BITWISE_N:
+        try:
+            rep = solve_representation(n, choice)
+        except DegenerateNodes:
+            continue
+        solved += 1
+        reference, p_ref = scalar_solve(n, choice)
+        diagonal = diagonal_operator(build_rep(n), choice).diagonal()
+        p = [newton_eval(rep.nodes, rep.divided, a)
+             for a in diagonal.tolist()]
+        assert np.array(rep.divided).tobytes() \
+            == np.array(reference.divided).tobytes(), n
+        assert np.array(p).tobytes() == np.array(p_ref).tobytes(), n
+        assert rep.j_plus.tobytes() == reference.j_plus.tobytes(), n
+        residuals, ok = verify_representation(rep)
+        expected, expected_ok = dense_verify_representation(reference)
+        assert repr(residuals) == repr(expected), n
+        assert residuals == expected and ok == expected_ok, n
+    assert solved == {DiagonalChoice.ADAG_A: 1,
+                      DiagonalChoice.A_ADAG: 3}.get(choice, 129)
