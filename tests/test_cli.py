@@ -357,6 +357,59 @@ def test_audit_output_pinned(argv, code, stream, digest, capsys):
     test_models_output_pinned(argv, code, stream, digest, capsys)
 
 
+# help and usage-error text, pinned as sha256 of "code\0stdout\0stderr" so
+# that a change to how the parser is built shows here; argparse wraps at
+# the terminal width and words its messages per Python version, so these
+# hold at COLUMNS=80 on Python 3.11, the version CI runs
+PINNED_HELP = [
+    ([], "260a4c9f7bec7c9d4f7a87dfde98ecea45b85268c0b127974d2f0581791e4815"),
+    (["-h"],
+     "173ae1a3edd604cf7f88759d76e6826ff51017ab44a5819c8dfdd45817946d80"),
+    (["x"],
+     "c2b8af03932c3ed3408dfe0501c7d84eef39dcb0b04fb61a16321e957868e0c3"),
+    (["audit", "-h"],
+     "acddc9d0ea2357faa8f3a578875297208ddfd434d6e66141b71f3d04e96ce963"),
+    (["spectrum", "-h"],
+     "9e51ecd7291d2966b21b62cc8512cb2fb92973632c80daf5ffcc02399bbe6939"),
+    (["coherent", "-h"],
+     "3202f15dd9e0e6fe4f0409a8a6f1a7ccaceda76f56fc74ca0c8e34e69f65cddb"),
+    (["su2", "-h"],
+     "b9805a012cf401c31a644aece0db27dc442a60a18198047f6c96d41a8b32961f"),
+    (["eval", "-h"],
+     "3f3fddccb175dde1c8d8a99d704072c59b49791535adb9827e6c478e6fb5e419"),
+    (["arcsin-audit", "-h"],
+     "c31e5f6cc0679f66b7bb8e58776547424fa156d980771a6786207149b6b1e22a"),
+    (["audit", "--bogus"],
+     "ab559f536508142841f44ac1f71a71ca5ce1d337d287ba186cd3727e28f0276e"),
+    (["eval"],
+     "0b0a74bf28fca172428491a198ee773d54703e6ecb50d0ccd3b1254a6818b528"),
+    (["coherent", "--lambda", "zz"],
+     "1a216b5a624e878cef7866d26a88b7418a33a29524503d7efeb08dc2f2e3e8af"),
+    (["audit", "--n"],
+     "a3727c099815bc938efbb02d035f1cfb3b29034c592eec6980555c4b8a909244"),
+    (["--n", "3", "audit"],
+     "10e0de64d5c40d27889028e01abd381d2b5c93344f326c113f6c4608b645f233"),
+    # the expression is parsed before --n, and --n before --seed
+    (["eval", "c", "--n", "0"],
+     "65488a9b23f673c3465757248af3ddb7080fb9ee6741f9f046616f9a079c6ef6"),
+    (["eval", "(", "--n", "0"],
+     "6c8ae4033de98ed063a92662895f6e33da90a4e36a7716c191c069dc74d76fa4"),
+    (["audit", "--n", "0", "--seed", "x"],
+     "94052b0e6baf6c327abe93564906ce1af1464d43361a467631091758534822c6"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_HELP,
+                         ids=["_".join(argv) or "no-arguments"
+                              for argv, _ in PINNED_HELP])
+def test_help_and_usage_errors_pinned(argv, digest, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(argv)
+    captured = capsys.readouterr()
+    blob = f"{code}\0{captured.out}\0{captured.err}"
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("expression", [
     "q^100000000000000000000 b",
     "(((((q^10000000000 b)^64)^64)^64)^64)^64",
