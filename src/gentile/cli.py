@@ -1,9 +1,12 @@
 """Batch command-line front end.
 
-Subcommands: audit, spectrum, coherent, su2, eval, arcsin-audit.
-Exit codes: 0 success (including documented printed-relation FAILs that
-the oracles agree on), 1 configuration or parse errors, 2 contract
-violations (pipelines disagreeing with each other or with tolerance).
+``SUBCOMMANDS`` declares each subcommand once; ``build_parser`` builds
+only the subparser that argv names. A handler returns its report text or
+raises, and ``main`` maps the outcome to an exit code: 0 success
+(including documented printed-relation FAILs that the oracles agree on),
+1 configuration or parse errors, 2 contract violations (pipelines
+disagreeing with each other or with tolerance), with one JSON diagnostic
+on stderr.
 """
 
 from __future__ import annotations
@@ -130,11 +133,12 @@ def parse_n_values(spec_text: str):
     return list(range(int(lo[1]), int(hi[1]) + 1))
 
 
-def _diagnostic(contract: str, detail) -> str:
-    return _dump_json({"contract": contract, "detail": detail})
+class GateFailed(Exception):
+    """A gate failed; ``main`` writes its ``contract`` and ``detail`` as
+    the diagnostic and exits 2."""
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args) -> str:
     n_values = parse_n_values(args.n)
     try:
         seed = int(args.seed) if re.fullmatch(r"[0-9]+", args.seed) else -1
@@ -143,25 +147,18 @@ def cmd_audit(args) -> int:
     if seed < 0:
         raise OutOfRange(f"invalid --seed {args.seed} (need >= 0)")
     free, limit, matrix = run_full_audit(n_values=tuple(n_values), seed=seed)
-    try:
-        audit_crosscheck(matrix)
-    except InconsistentVerdict as exc:
-        sys.stderr.write(_diagnostic("audit_crosscheck", str(exc)))
-        return 2
+    audit_crosscheck(matrix)  # InconsistentVerdict -> exit 2 via main()
     if args.format == "table":
-        text = "\n".join(["# free suite", free.table(),
+        return "\n".join(["# free suite", free.table(),
                           "# limit suite", limit.table(),
                           "# matrix suite", matrix.table(), ""])
-    else:
-        text = _dump_json({
-            "free": [r.to_record(free.seed) for r in free.results],
-            "limit": [r.to_record(limit.seed) for r in limit.results],
-            "matrix": [r.to_record(matrix.seed) for r in matrix.results],
-            "crosscheck": "PASS",
-            "n_values": n_values,
-        })
-    _emit(text, args.out)
-    return 0
+    return _dump_json({
+        "free": [r.to_record(free.seed) for r in free.results],
+        "limit": [r.to_record(limit.seed) for r in limit.results],
+        "matrix": [r.to_record(matrix.seed) for r in matrix.results],
+        "crosscheck": "PASS",
+        "n_values": n_values,
+    })
 
 
 def _spectrum_csv(reports) -> str:
@@ -182,7 +179,7 @@ def _spectrum_csv(reports) -> str:
     return buf.getvalue()
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> str:
     n_values = parse_n_values(args.n)
     reports, failures = [], []
     for n in n_values:
@@ -191,23 +188,16 @@ def cmd_spectrum(args) -> int:
         if not passed:
             failures.append({"n": n, "deviation": deviation})
     if failures:
-        sys.stderr.write(_diagnostic("spectrum_crosscheck", failures))
-        return 2
+        raise GateFailed("spectrum_crosscheck", failures)
     if args.format == "csv":
-        text = _spectrum_csv(reports)
-    elif args.format == "table":
-        lines = []
-        for report in reports:
-            lines.append(f"n={report.n}  case {report.case_class}  "
-                         f"levels {report.levels}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = _dump_json([r.to_dict() for r in reports])
-    _emit(text, args.out)
-    return 0
+        return _spectrum_csv(reports)
+    if args.format == "table":
+        return "".join(f"n={report.n}  case {report.case_class}  "
+                       f"levels {report.levels}\n" for report in reports)
+    return _dump_json([r.to_dict() for r in reports])
 
 
-def cmd_coherent(args) -> int:
+def cmd_coherent(args) -> str:
     n_values = parse_n_values(args.n)
     choice = LambdaChoice(args.lam)
     records, failures = [], []
@@ -226,13 +216,11 @@ def cmd_coherent(args) -> int:
         if residual > EIGENSTATE_TOL:
             failures.append({"n": n, "residual": residual})
     if failures:
-        sys.stderr.write(_diagnostic("eigenstate_residual", failures))
-        return 2
-    _emit(_dump_json(records), args.out)
-    return 0
+        raise GateFailed("eigenstate_residual", failures)
+    return _dump_json(records)
 
 
-def cmd_su2(args) -> int:
+def cmd_su2(args) -> str:
     n_values = parse_n_values(args.n)
     choice = DiagonalChoice(args.diag)
     records, failures, newton = [], [], []
@@ -255,17 +243,15 @@ def cmd_su2(args) -> int:
         if not ok:
             failures.append({"n": n, "residuals": residuals})
     if failures:
-        sys.stderr.write(_diagnostic("verify_representation", failures))
-        return 2
+        raise GateFailed("verify_representation", failures)
     # lambda is solved only for a report that is printed
     for record, nodes, divided in newton:
         lambdas = np.conj(newton_coefficients(nodes, divided))
         record["lambdas"] = lambdas.tolist()
-    _emit(_dump_json(records), args.out)
-    return 0
+    return _dump_json(records)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> str:
     expr = parse(args.expression)
     poly = normal_order(expr)  # OutOfRange -> exit 1 via main()
     n_values = parse_n_values(args.n)
@@ -277,25 +263,22 @@ def cmd_eval(args) -> int:
         ordered = poly.eval_rep(rep)
         records.append({"n": n,
                         "matrix_residual": max_abs_diff(direct, ordered)})
-    payload = {"expression": args.expression,
-               "normal_form": repr(poly),
-               "per_n": records}
     if args.format == "table":
         lines = [f"normal form: {poly!r}"]
         for row in records:
             lines.append(f"n={row['n']:3d}  "
                          f"residual {row['matrix_residual']:.3e}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = _dump_json(payload)
-    _emit(text, args.out)
-    return 0
+        return "\n".join(lines) + "\n"
+    return _dump_json({"expression": args.expression,
+                       "normal_form": repr(poly),
+                       "per_n": records})
 
 
-def cmd_arcsin_audit(args) -> int:
+def cmd_arcsin_audit(args) -> str:
     n_values = parse_n_values(args.n)
     records = []
     for n in n_values:
+        # NotHermitian or DomainError -> exit 2 via main()
         audit = number_from_arcsin(build_rep(n))
         records.append({
             "n": n,
@@ -305,64 +288,70 @@ def cmd_arcsin_audit(args) -> int:
             "max_reconstruction_error": max(
                 abs(value - v) for v, value, _ in audit.table),
         })
-    _emit(_dump_json(records), args.out)
-    return 0
+    return _dump_json(records)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the options every subcommand takes; main() reads --out
+COMMON_OPTIONS = {
+    "--n": {"default": DEFAULT_SWEEP,
+            "help": "single n or range A..B (default %(default)s)"},
+    "--out": {"default": None, "help": "output file (UTF-8)"},
+}
+
+# name -> (help, handler, --format choices, further options as flag ->
+# add_argument keywords); the one place a subcommand is declared
+SUBCOMMANDS = {
+    "audit": ("identity-audit catalog", cmd_audit, ("json", "table"),
+              {"--seed": {"default": "0"}}),
+    "spectrum": ("oscillator spectrum crosscheck", cmd_spectrum,
+                 ("json", "csv", "table"), {}),
+    "coherent": ("coherent-state construction", cmd_coherent, (),
+                 {"--lambda": {"dest": "lam", "default": "plus",
+                               "choices": sorted(c.value
+                                                 for c in LambdaChoice)}}),
+    "su2": ("su(2) representation solver", cmd_su2, (),
+            {"--A": {"dest": "diag", "default": "num",
+                     "choices": [c.value for c in DiagonalChoice]}}),
+    "eval": ("normal-order and evaluate an expression", cmd_eval,
+             ("json", "table"), {"expression": {}}),
+    "arcsin-audit": ("Eq. (N2) arcsin reconstruction audit",
+                     cmd_arcsin_audit, (), {}),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``: with only the subparser that ``argv[0]``
+    names, or with all of them when it names none."""
+    names = [argv[0]] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS
+    # the usage names every subcommand even when one subparser is built
     parser = argparse.ArgumentParser(
         prog="gentile",
+        usage="%(prog)s [-h] {" + ",".join(SUBCOMMANDS) + "} ...",
         description="Intermediate-statistics verification toolkit")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, formats=()):
-        p.add_argument("--n", default=DEFAULT_SWEEP,
-                       help="single n or range A..B (default %(default)s)")
-        p.add_argument("--out", default=None, help="output file (UTF-8)")
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                prog=parser.prog)
+    for name in names:
+        help_text, handler, formats, options = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         if formats:
-            p.add_argument("--format", choices=formats, default="json")
-
-    p = sub.add_parser("audit", help="identity-audit catalog")
-    common(p, ("json", "table"))
-    p.add_argument("--seed", default="0")
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("spectrum", help="oscillator spectrum crosscheck")
-    common(p, ("json", "csv", "table"))
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("coherent", help="coherent-state construction")
-    common(p)
-    p.add_argument("--lambda", dest="lam", default="plus",
-                   choices=sorted(c.value for c in LambdaChoice))
-    p.set_defaults(func=cmd_coherent)
-
-    p = sub.add_parser("su2", help="su(2) representation solver")
-    common(p)
-    p.add_argument("--A", dest="diag", default="num",
-                   choices=[c.value for c in DiagonalChoice])
-    p.set_defaults(func=cmd_su2)
-
-    p = sub.add_parser("eval", help="normal-order and evaluate an expression")
-    p.add_argument("expression")
-    common(p, ("json", "table"))
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("arcsin-audit",
-                       help="Eq. (N2) arcsin reconstruction audit")
-    common(p)
-    p.set_defaults(func=cmd_arcsin_audit)
+            options = {"--format": {"choices": formats, "default": "json"},
+                       **options}
+        for flag, keywords in {**COMMON_OPTIONS, **options}.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for bad usage; remap to 1
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        _emit(args.func(args), args.out)
+        return 0
     except (ParseError, OutOfRange, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
@@ -370,12 +359,14 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: cannot write {args.out or 'stdout'}: "
                          f"{exc.strerror or exc}\n")
         return 1
-    except InconsistentVerdict as exc:
-        sys.stderr.write(_diagnostic("consistency", str(exc)))
-        return 2
+    except GateFailed as exc:
+        contract, detail = exc.args
+    except InconsistentVerdict as exc:  # only audit_crosscheck raises it
+        contract, detail = "audit_crosscheck", str(exc)
     except GentileError as exc:
-        sys.stderr.write(_diagnostic(type(exc).__name__, str(exc)))
-        return 2
+        contract, detail = type(exc).__name__, str(exc)
+    sys.stderr.write(_dump_json({"contract": contract, "detail": detail}))
+    return 2
 
 
 if __name__ == "__main__":

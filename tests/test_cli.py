@@ -1,6 +1,5 @@
 """Batch CLI: exit codes, formats, determinism."""
 
-import argparse
 import csv
 import hashlib
 import importlib
@@ -8,9 +7,13 @@ import inspect
 import io
 import json
 import math
+import os
 import pkgutil
+import re
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gentile
-from gentile.cli import MAX_N, _dump_json, build_parser, main, parse_n_values
-from gentile.errors import OutOfRange
+from gentile.cli import (COMMON_OPTIONS, MAX_N, SUBCOMMANDS, _dump_json,
+                         build_parser, main, parse_n_values)
+from gentile.errors import InconsistentVerdict, OutOfRange
 from gentile.symbolic.parser import MAX_PERM_OPERANDS, MAX_POWER
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 # only ASCII digits, one optional '..' and nothing else make an n spec; the
@@ -453,36 +459,181 @@ def test_eval_sumperm_above_cap_exit_one(capsys):
     assert "Traceback" not in err
 
 
-def _subparsers():
-    (action,) = [a for a in build_parser()._actions
-                 if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
+def _choices(name):
+    """Option -> choices of each option the table declares with choices."""
+    _, _, formats, options = SUBCOMMANDS[name]
+    declared = {"--format": formats} if formats else {}
+    declared.update({flag: keywords["choices"]
+                     for flag, keywords in options.items()
+                     if "choices" in keywords})
+    return declared
 
 
 def test_cli_surface():
     # each gate's tolerance is a constant of its module: no option sets one
-    common = ["--n", "--out", "-h", "--help"]
-    assert {name: sorted(s for a in sub._actions for s in a.option_strings)
-            for name, sub in _subparsers().items()} == {
-        "audit": sorted(common + ["--format", "--seed"]),
-        "spectrum": sorted(common + ["--format"]),
-        "coherent": sorted(common + ["--lambda"]),
-        "su2": sorted(common + ["--A"]),
-        "eval": sorted(common + ["--format"]),
-        "arcsin-audit": sorted(common),
+    assert list(COMMON_OPTIONS) == ["--n", "--out"]
+    assert {name: (formats, sorted(options))
+            for name, (_, _, formats, options) in SUBCOMMANDS.items()} == {
+        "audit": (("json", "table"), ["--seed"]),
+        "spectrum": (("json", "csv", "table"), []),
+        "coherent": ((), ["--lambda"]),
+        "su2": ((), ["--A"]),
+        "eval": (("json", "table"), ["expression"]),
+        "arcsin-audit": ((), []),
     }
 
 
-@pytest.mark.parametrize("subcommand", sorted(_subparsers()))
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
 def test_every_option_is_read(subcommand):
-    # an option the handler never reads would be accepted and ignored
-    sub = _subparsers()[subcommand]
-    source = inspect.getsource(sub.get_default("func"))
-    dests = [a.dest for a in sub._actions
-             if not isinstance(a, argparse._HelpAction)]
-    assert dests
-    for dest in dests:
+    # an option the handler never reads would be accepted and ignored;
+    # main reads --out, since it writes every report
+    _, handler, formats, options = SUBCOMMANDS[subcommand]
+    declared = {**COMMON_OPTIONS, **options}
+    if formats:
+        declared["--format"] = {}
+    for flag, keywords in declared.items():
+        dest = keywords.get("dest", flag.lstrip("-"))
+        source = inspect.getsource(main if flag == "--out" else handler)
         assert f"args.{dest}" in source, f"{subcommand}: {dest} is never read"
+
+
+def _accepts(parser, name) -> bool:
+    try:
+        parser.parse_args([name, "-h"])
+    except SystemExit as exc:
+        return exc.code == 0
+    return False
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["su2"], ["su2"]), (["eval", "b"], ["eval"]), ([], list(SUBCOMMANDS)),
+    (["-h"], list(SUBCOMMANDS)), (["x"], list(SUBCOMMANDS)),
+    (["--n", "3", "audit"], list(SUBCOMMANDS)),
+], ids=["su2", "eval", "no-arguments", "help", "unknown", "option-first"])
+def test_build_parser_builds_only_the_named_subparser(argv, built, capsys):
+    parser = build_parser(argv)
+    assert [name for name in SUBCOMMANDS if _accepts(parser, name)] == built
+    capsys.readouterr()
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    argv = ["spectrum", "--n", "1..3", "--format", "table"]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["gentile"] + argv)
+    assert main() == 0
+    assert capsys.readouterr() == expected
+
+
+def test_module_entry_point(capsys):
+    # the path the console script takes: main() with no arguments
+    assert main(["spectrum", "--n", "1..3"]) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(gentile.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "gentile.cli", "spectrum", "--n", "1..3"],
+        capture_output=True, text=True, env=env, check=False)
+    assert (result.returncode, result.stdout, result.stderr) \
+        == (0, expected, "")
+
+
+def _readme_table(header):
+    """Cells of each row of the README table under ``header``."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.replace(" ", "").startswith(header))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            return rows
+        # a cell may hold an escaped pipe, \|
+        rows.append([cell.strip()
+                     for cell in re.split(r"(?<!\\)\|", line)[1:-1]])
+    return rows
+
+
+def _readme_contracts(subcommand):
+    """The contracts README's gate table names for a subcommand."""
+    return {contract
+            for name, _, _, _, cell in _readme_table("|subcommand|gate|")
+            if name == f"`{subcommand}`"
+            for contract in re.findall(r"`([^`]+)`", cell)}
+
+
+def test_readme_gate_constants_match_the_code():
+    rows = _readme_table("|subcommand|gate|")
+    assert {name.strip("`") for name, *_ in rows} == set(SUBCOMMANDS)
+    constants = [(constant, value) for _, _, constant, value, _ in rows
+                 if constant != "—"]
+    assert constants
+    for constant, value in constants:
+        module, name = constant.strip("`").rsplit(".", 1)
+        module = importlib.import_module(f"gentile.{module}")
+        assert getattr(module, name) == float(value), constant
+
+
+def test_readme_flags_table_lists_every_declared_flag():
+    rows = {name.strip("`").split()[0]: flags
+            for name, flags in _readme_table("|subcommand|flags|")}
+    assert set(rows) == set(SUBCOMMANDS)
+    for name, (_, _, formats, options) in SUBCOMMANDS.items():
+        flags = [flag for flag in options if flag.startswith("-")]
+        if formats:
+            flags.append("--format")
+        if not flags:
+            assert rows[name] == "none"
+        for flag in flags:
+            assert re.search(f"`{flag}[ `]", rows[name]), (name, flag)
+        for flag, choices in _choices(name).items():
+            listed = re.search(f"`{flag} ([^`]*)`", rows[name])[1]
+            assert sorted(listed.split("\\|")) == sorted(choices), flag
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("argv,target,replacement,diagnostic", [
+    (["audit", "--n", "2"], "gentile.cli.audit_crosscheck",
+     lambda matrix: _raise(InconsistentVerdict("appX", "numeric 1.0")),
+     '{\n  "contract": "audit_crosscheck",\n  "detail": "inconsistent '
+     'verdicts for \'appX\': numeric 1.0"\n}\n'),
+    (["spectrum", "--n", "1"], "gentile.cli.spectrum_crosscheck",
+     lambda n: (False, 0.5, None),
+     '{\n  "contract": "spectrum_crosscheck",\n  "detail": [\n    {\n'
+     '      "deviation": 0.5,\n      "n": 1\n    }\n  ]\n}\n'),
+    (["spectrum", "--n", "1"], "gentile.oscillator.build_hamiltonian",
+     lambda n: np.full(n + 1, 1j),
+     '{\n  "contract": "NotHermitian",\n  "detail": "max |m - m^H| = '
+     '2.000e+00 exceeds tol 1.000e-10"\n}\n'),
+    (["coherent", "--n", "1"], "gentile.cli.eigenstate_residual",
+     lambda state: 1.0,
+     '{\n  "contract": "eigenstate_residual",\n  "detail": [\n    {\n'
+     '      "n": 1,\n      "residual": 1.0\n    }\n  ]\n}\n'),
+    (["su2", "--n", "1"], "gentile.cli.verify_representation",
+     lambda rep: ({"casimir": 1.0}, False),
+     '{\n  "contract": "verify_representation",\n  "detail": [\n    {\n'
+     '      "n": 1,\n      "residuals": {\n        "casimir": 1.0\n'
+     '      }\n    }\n  ]\n}\n'),
+    (["arcsin-audit", "--n", "1"], "gentile.rep._sine_diagonal",
+     lambda rep: np.full(rep.n + 1, 2j),
+     '{\n  "contract": "NotHermitian",\n  "detail": "max |m - m^H| = '
+     '4.000e+00 exceeds tol 1.000e-12"\n}\n'),
+    (["arcsin-audit", "--n", "1"], "gentile.rep._sine_diagonal",
+     lambda rep: np.full(rep.n + 1, 2 + 0j),
+     '{\n  "contract": "DomainError",\n  "detail": "eigenvalue outside '
+     'domain [-1.0, 1.0] by more than 1e-12"\n}\n'),
+], ids=["audit", "spectrum", "spectrum-hermitian", "coherent", "su2",
+        "arcsin-hermitian", "arcsin-domain"])
+def test_failed_gate_exits_two(argv, target, replacement, diagnostic,
+                               monkeypatch, capsys):
+    monkeypatch.setattr(target, replacement)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", diagnostic)
+    assert json.loads(diagnostic)["contract"] in _readme_contracts(argv[0])
 
 
 # functions of src/gentile that no subcommand calls, each with its reason
@@ -495,14 +646,14 @@ UNREACHED_ALLOWED = {
 
 def _reach_argvs():
     """Every subcommand at n <= 3, once per value of each choice option."""
-    for name, sub in sorted(_subparsers().items()):
+    for name in sorted(SUBCOMMANDS):
         base = [name, "--n", "1..3"]
         if name == "eval":
             base.insert(1, "sumperm(adag, N) - {b^2, 1/2 q^-1 [N, adag]_n}")
         yield base
-        for action in sub._actions:
-            for choice in action.choices or ():
-                yield base + [action.option_strings[0], choice]
+        for flag, choices in _choices(name).items():
+            for choice in choices:
+                yield base + [flag, choice]
 
 
 def _modules():
