@@ -10,10 +10,9 @@ disagreement between the two pipelines is an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .catalog import FORMAL_Q, FREE, Q_EQ_1, build_catalog
 from .errors import InconsistentVerdict
 from .linalg import max_abs_diff
@@ -54,15 +53,16 @@ def eval_expr(e: Expr, assignment: dict, qval, dim: int) -> np.ndarray:
         power=np.linalg.matrix_power))
 
 
-@dataclass
-class IdentityResult:
-    identity_id: str
-    strategy: str
-    specialization: str
-    residual_digest: str | None  # None when numeric_residual is set
-    numeric_residual: float | None
-    n_tested: tuple
-    verdict: str
+class IdentityResult(Record):
+    __slots__ = _fields = (
+        "identity_id",
+        "strategy",
+        "specialization",
+        "residual_digest",  # None when numeric_residual is set
+        "numeric_residual",
+        "n_tested",
+        "verdict",
+    )
 
     def to_record(self, seed: int) -> dict:
         return {
@@ -77,14 +77,13 @@ class IdentityResult:
         }
 
 
-@dataclass
-class AuditReport:
-    results: list
-    seed: int
+class AuditReport(Record):
+    __slots__ = _fields = ("results", "seed")
 
-    def __post_init__(self):
-        ids = [r.identity_id for r in self.results]
+    def __init__(self, results: list, seed: int):
+        ids = [r.identity_id for r in results]
         assert len(ids) == len(set(ids)), "duplicate result ids"
+        super().__init__(results, seed)
 
     def table(self) -> str:
         lines = [f"{'identity':36} {'strategy':9} {'spec':12} "

@@ -10,11 +10,11 @@ instantiated up to total degree 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 
+from ._record import FrozenRecord
 from .laurent import ONE, Q, QINV, LaurentScalar
 from .symbolic import (Add, AntiCommutator, Commutator, Expr, Gen, Mul,
                        NBracket, Pow, Scal, perm_sum, cyc_sum, product)
@@ -28,12 +28,9 @@ Q_EQ_1 = "Q_EQ_1"
 Q_EQ_MINUS_1 = "Q_EQ_MINUS_1"
 
 
-@dataclass(frozen=True)
-class IdentityEntry:
-    id: str
-    lhs: Expr
-    rhs: Expr
-    specialization: str = FORMAL_Q
+class IdentityEntry(FrozenRecord):
+    __slots__ = _fields = ("id", "lhs", "rhs", "specialization")
+    _defaults = {"specialization": FORMAL_Q}
 
     @property
     def strategy(self) -> str:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
-import io
 import math
 import re
 import sys
@@ -162,9 +160,8 @@ def cmd_audit(args) -> str:
 
 
 def _spectrum_csv(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "nu", "energy", "level_index", "multiplicity"])
+    # no field holds a comma, quote or line break, so none is quoted
+    rows = ["n,nu,energy,level_index,multiplicity\n"]
     for report in reports:
         levels = report.levels
         energies = [e for e, _ in levels]  # ascending
@@ -174,9 +171,9 @@ def _spectrum_csv(reports) -> str:
             k = bisect_left(energies, energy)
             idx = min(range(max(k - 1, 0), min(k + 1, len(levels))),
                       key=lambda i: abs(energies[i] - energy))
-            writer.writerow([report.n, nu, format(energy, ".17g"),
-                             idx, levels[idx][1]])
-    return buf.getvalue()
+            rows.append(f"{report.n},{nu},{energy:.17g},{idx},"
+                        f"{levels[idx][1]}\n")
+    return "".join(rows)
 
 
 def cmd_spectrum(args) -> str:
@@ -317,6 +314,10 @@ SUBCOMMANDS = {
     "arcsin-audit": ("Eq. (N2) arcsin reconstruction audit",
                      cmd_arcsin_audit, (), {}),
 }
+# every option flag some subcommand takes
+OPTION_FLAGS = frozenset(["--format", *COMMON_OPTIONS, *(
+    flag for *_, options in SUBCOMMANDS.values() for flag in options
+    if flag.startswith("-"))])
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
@@ -346,7 +347,11 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv).parse_args(argv)
+        parser = build_parser(argv)
+        flag = argv[0].partition("=")[0] if argv else None
+        if flag in OPTION_FLAGS:
+            parser.error(f"option {flag} must follow the subcommand")
+        args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for bad usage; remap to 1
         return 0 if exc.code == 0 else 1
     try:

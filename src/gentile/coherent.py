@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._record import FrozenRecord
 from .errors import OutOfRange
 from .rep import build_rep
 
@@ -68,13 +68,13 @@ class GrassmannOps:
         return out
 
 
-@dataclass(frozen=True)
-class CoherentState:
-    n: int
-    choice: LambdaChoice
-    # delta(0, n) .. delta(n, n), the coefficients of |nu> psi^nu
-    delta: tuple
-    ops: GrassmannOps
+class CoherentState(FrozenRecord):
+    __slots__ = _fields = (
+        "n",
+        "choice",
+        "delta",  # delta(0, n) .. delta(n, n), the coefficients of |nu> psi^nu
+        "ops",
+    )
 
 
 def build_coherent(n: int, choice) -> CoherentState:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import FrozenRecord
 from .errors import NotHermitian, OutOfRange, PreconditionViolation
 from .rep import build_rep
 
@@ -84,18 +84,19 @@ def _prose_multiplicity(cls: str, index: int, level_count: int) -> int:
     return 2  # 4t+3: all two-fold
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    n: int
-    case_class: str
-    levels: tuple            # (energy, multiplicity), ascending
-    ground: float
-    highest: float
-    per_state_energies: tuple
-    prose_level_count: int
-    # (level index, computed multiplicity, prose multiplicity) wherever
-    # the computed value contradicts the prose claim
-    degeneracy_discrepancies: tuple
+class SpectrumReport(FrozenRecord):
+    __slots__ = _fields = (
+        "n",
+        "case_class",
+        "levels",  # (energy, multiplicity), ascending
+        "ground",
+        "highest",
+        "per_state_energies",
+        "prose_level_count",
+        # (level index, computed multiplicity, prose multiplicity) wherever
+        # the computed value contradicts the prose claim
+        "degeneracy_discrepancies",
+    )
 
     def to_dict(self):
         return {

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
+from ._record import FrozenRecord
 from .errors import DomainError, NotHermitian, OutOfRange
 
 ARCSIN_TOL = 1e-12  # Hermiticity and arcsin domain margin of the sine matrix
@@ -29,8 +29,7 @@ def _readonly(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class GentileRep:
+class GentileRep(FrozenRecord):
     """One Gentile mode on the (n+1)-dimensional Fock space.
 
     The ladder amplitudes are the data; the dense matrices are built
@@ -40,10 +39,13 @@ class GentileRep:
     Fermi and Bose limits).
     """
 
-    n: int
-    q: complex
-    bracket_numbers: tuple  # <0>_n ... <n+1>_n
-    amp: np.ndarray  # sqrt(<1>_n) .. sqrt(<n>_n), read-only complex128
+    # no __slots__: cached_property needs an instance __dict__
+    _fields = (
+        "n",
+        "q",
+        "bracket_numbers",  # <0>_n ... <n+1>_n
+        "amp",  # sqrt(<1>_n) .. sqrt(<n>_n), read-only complex128
+    )
 
     @property
     def dim(self) -> int:
@@ -123,16 +125,17 @@ def _close_pairs(values, tol: float):
     return sorted(pairs)
 
 
-@dataclass(frozen=True)
-class ArcsinAudit:
+class ArcsinAudit(FrozenRecord):
     """Outcome of the arcsin-based number-operator reconstruction."""
 
-    # rows (nu, reconstructed value, agrees with nu)
-    table: tuple
-    # (nu, nu') pairs of distinct occupation numbers sharing an eigenvalue
-    # of the sine matrix; any such pair makes reconstruction impossible
-    # for every arcsin branch
-    collisions: tuple
+    __slots__ = _fields = (
+        # rows (nu, reconstructed value, agrees with nu)
+        "table",
+        # (nu, nu') pairs of distinct occupation numbers sharing an
+        # eigenvalue of the sine matrix; any such pair makes
+        # reconstruction impossible for every arcsin branch
+        "collisions",
+    )
 
     @property
     def collision_flag(self) -> bool:

@@ -12,12 +12,12 @@ verified a posteriori.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
+from ._record import FrozenRecord
 from .errors import DegenerateNodes, OutOfRange, WrongChoice
 from .linalg import max_abs_diff
 from .rep import GentileRep, _close_pairs, build_rep
@@ -114,21 +114,23 @@ def newton_coefficients(nodes, divided):
     return coeffs
 
 
-@dataclass(frozen=True)
-class Su2Rep:
-    n: int
-    j: float
-    choice: DiagonalChoice
-    j_plus: np.ndarray
-    j_minus: np.ndarray
-    j_z: np.ndarray
-    # Newton-basis data of p(z) = sum_l conj(lambda_l) z^l, kept for
-    # stable residual checks (the monomial lambdas are report-friendly
-    # but ill-conditioned to evaluate directly for larger n)
-    nodes: tuple
-    divided: tuple
-    # <0>_n .. <n+1>_n of the GentileRep the solve used
-    bracket_numbers: tuple
+class Su2Rep(FrozenRecord):
+    # no __slots__: cached_property needs an instance __dict__
+    _fields = (
+        "n",
+        "j",
+        "choice",
+        "j_plus",
+        "j_minus",
+        "j_z",
+        # Newton-basis data of p(z) = sum_l conj(lambda_l) z^l, kept for
+        # stable residual checks (the monomial lambdas are report-friendly
+        # but ill-conditioned to evaluate directly for larger n)
+        "nodes",
+        "divided",
+        # <0>_n .. <n+1>_n of the GentileRep the solve used
+        "bracket_numbers",
+    )
 
     @cached_property
     def lambdas(self) -> tuple:

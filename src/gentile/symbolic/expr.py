@@ -1,6 +1,7 @@
 """Operator-expression syntax trees.
 
-Nodes are immutable dataclasses.  Products are binary; long products are
+Nodes are immutable records (:mod:`gentile._record`) compared and hashed
+by exact type and fields.  Products are binary; long products are
 built by left folds.  Permutation/cyclic sum nodes carry a tuple of
 operand expressions and denote the sum of products over all (cyclic)
 orderings; sums over permuted *arguments of an arbitrary body* are built
@@ -11,12 +12,11 @@ quotient normal forms, matrices).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
 from operator import add
-from typing import Callable, NamedTuple
 
+from .._record import FrozenRecord, _setattr
 from ..laurent import ONE, LaurentScalar
 
 DEFAULT_ALPHABET = frozenset(
@@ -24,8 +24,9 @@ DEFAULT_ALPHABET = frozenset(
                                        "adag", "a", "b", "bdag", "N"})
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(FrozenRecord):
+    __slots__ = ()
+
     def __add__(self, other):
         return Add(self, _coerce(other))
 
@@ -53,73 +54,78 @@ def _coerce(x) -> Expr:
     return Scal(LaurentScalar.from_rational(x))
 
 
-@dataclass(frozen=True)
 class Gen(Expr):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _setattr(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Scal(Expr):
-    value: LaurentScalar
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: LaurentScalar):
+        _setattr(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
+class _Binary(Expr):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Mul(_Binary):
+    __slots__ = ()
+
+
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = _fields = ("base", "exponent")
 
-    def __post_init__(self):
-        if self.exponent < 0:
+    def __init__(self, base: Expr, exponent: int):
+        if exponent < 0:
             raise ValueError("operator powers must be non-negative")
+        _setattr(self, "base", base)
+        _setattr(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class NBracket(Expr):
+class NBracket(_Binary):
     """Deformed bracket [x, y]_n = x y - q y x with q formal."""
-    left: Expr
-    right: Expr
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Commutator(Expr):
-    left: Expr
-    right: Expr
+class Commutator(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AntiCommutator(Expr):
-    left: Expr
-    right: Expr
+class AntiCommutator(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SumPerm(Expr):
+class _Operands(Expr):
+    __slots__ = _fields = ("operands",)
+
+    def __init__(self, operands: tuple):
+        _setattr(self, "operands", operands)
+
+
+class SumPerm(_Operands):
     """Sum of the product of the operands over all orderings."""
-    operands: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SumCyc(Expr):
+class SumCyc(_Operands):
     """Sum of the product of the operands over all cyclic rotations."""
-    operands: tuple
+    __slots__ = ()
 
 
 def product(factors) -> Expr:
@@ -130,12 +136,12 @@ def product(factors) -> Expr:
 def _map_children(e: Expr, f) -> Expr:
     """A node of ``e``'s type with ``f`` applied to each child expression.
 
-    A node's ``vars`` are its dataclass fields in order, so they are also
-    its constructor arguments.
+    A node's field values, in its class's field order, are also its
+    constructor arguments.
     """
     return type(e)(*[f(v) if isinstance(v, Expr)
                      else tuple(map(f, v)) if isinstance(v, tuple) else v
-                     for v in vars(e).values()])
+                     for v in e._values])
 
 
 def substitute(e: Expr, mapping: dict) -> Expr:
@@ -150,7 +156,7 @@ def substitute(e: Expr, mapping: dict) -> Expr:
 
 def _children(e: Expr):
     """The child expressions of ``e``, in field order."""
-    for v in vars(e).values():
+    for v in e._values:
         if isinstance(v, Expr):
             yield v
         elif isinstance(v, tuple):
@@ -188,13 +194,21 @@ def cyc_sum(body: Expr, symbols) -> Expr:
     return _sum_over(body, symbols, _rotations)
 
 
-class Algebra(NamedTuple):
-    """Where :func:`fold` sends a tree; its values must support + and -."""
-    gen: Callable        # generator name -> value
-    scalar: Callable     # LaurentScalar -> value
-    mul: Callable        # (x, y) -> x y
-    qscale: Callable     # x -> q x
-    power: Callable | None = None  # (x, k) -> x^k; default repeated mul
+class Algebra(FrozenRecord):
+    """Where :func:`fold` sends a tree; its values must support + and -.
+
+    ``gen`` maps a generator name to a value, ``scalar`` a LaurentScalar,
+    ``mul`` is (x, y) -> x y, ``qscale`` x -> q x, and ``power`` (x, k) ->
+    x^k, or None for repeated ``mul``.
+    """
+    __slots__ = _fields = ("gen", "scalar", "mul", "qscale", "power")
+
+    def __init__(self, gen, scalar, mul, qscale, power=None):
+        _setattr(self, "gen", gen)
+        _setattr(self, "scalar", scalar)
+        _setattr(self, "mul", mul)
+        _setattr(self, "qscale", qscale)
+        _setattr(self, "power", power)
 
 
 def fold(e: Expr, alg: Algebra):

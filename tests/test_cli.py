@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gentile
-from gentile.cli import (COMMON_OPTIONS, MAX_N, SUBCOMMANDS, _dump_json,
-                         build_parser, main, parse_n_values)
+from gentile.cli import (COMMON_OPTIONS, MAX_N, OPTION_FLAGS, SUBCOMMANDS,
+                         _dump_json, build_parser, main, parse_n_values)
 from gentile.errors import InconsistentVerdict, OutOfRange
 from gentile.symbolic.parser import MAX_PERM_OPERANDS, MAX_POWER
 
@@ -394,7 +394,7 @@ PINNED_HELP = [
     (["audit", "--n"],
      "a3727c099815bc938efbb02d035f1cfb3b29034c592eec6980555c4b8a909244"),
     (["--n", "3", "audit"],
-     "10e0de64d5c40d27889028e01abd381d2b5c93344f326c113f6c4608b645f233"),
+     "4435939f5b9c5809bb381835bc352f7f1020999d0df7cb9d7ec09a635cc0c140"),
     # the expression is parsed before --n, and --n before --seed
     (["eval", "c", "--n", "0"],
      "65488a9b23f673c3465757248af3ddb7080fb9ee6741f9f046616f9a079c6ef6"),
@@ -538,6 +538,33 @@ def test_module_entry_point(capsys):
         capture_output=True, text=True, env=env, check=False)
     assert (result.returncode, result.stdout, result.stderr) \
         == (0, expected, "")
+
+
+def test_option_flags_are_every_subcommand_option():
+    assert OPTION_FLAGS == {"--n", "--out", "--format", "--seed", "--lambda",
+                            "--A"}
+
+
+def test_import_loads_neither_dataclasses_nor_csv():
+    # the classes are written out, so no code is generated at import
+    src = str(Path(gentile.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, gentile.cli; "
+         "print(sorted({'dataclasses', 'csv'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, check=False)
+    assert (result.returncode, result.stdout, result.stderr) \
+        == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("flag", sorted(OPTION_FLAGS))
+def test_option_before_subcommand_is_named(flag, capsys):
+    for argv in ([flag, "1", "audit"], [f"{flag}=1", "audit"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"gentile: error: option {flag} must follow the subcommand\n")
 
 
 def _readme_table(header):

@@ -1,7 +1,5 @@
 """su(2) representations from Gentile ladder operators."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,7 @@ from _reference import (SU2_BITWISE_N, bracket_number,
 from gentile.errors import DegenerateNodes, OutOfRange, WrongChoice
 from gentile.linalg import max_abs_diff
 from gentile.rep import build_rep
-from gentile.su2 import (DiagonalChoice, diagonal_operator,
+from gentile.su2 import (DiagonalChoice, Su2Rep, diagonal_operator,
                          divided_differences, e010_residual, ladder_targets,
                          _check_nodes, newton_coefficients, newton_eval,
                          solve_representation, verify_representation)
@@ -181,14 +179,19 @@ def test_a_adag_solvable_below_n4(n):
     assert ok
 
 
+def _with_j_plus(rep, j_plus):
+    """``rep`` with J_+ replaced by ``j_plus`` and J_- by its adjoint."""
+    return Su2Rep(n=rep.n, j=rep.j, choice=rep.choice, j_plus=j_plus,
+                  j_minus=j_plus.conj().T, j_z=rep.j_z, nodes=rep.nodes,
+                  divided=rep.divided, bracket_numbers=rep.bracket_numbers)
+
+
 def test_mutation_perturbed_lambda_fails():
     # mutation test: nudging the constant interpolation coefficient by 0.1
     # must break verification
     rep = solve_representation(4, DiagonalChoice.ADAG_B)
     grep = build_rep(4)
-    j_plus = rep.j_plus + 0.1 * grep.a_dag
-    mutated = dataclasses.replace(rep, j_plus=j_plus,
-                                  j_minus=j_plus.conj().T)
+    mutated = _with_j_plus(rep, rep.j_plus + 0.1 * grep.a_dag)
     _, ok = verify_representation(mutated)
     assert not ok
 
@@ -199,8 +202,7 @@ def test_mutation_off_band_entry_fails(n):
     rep = solve_representation(n, DiagonalChoice.NUM)
     j_plus = rep.j_plus.copy()
     j_plus[0, n] = 0.1
-    mutated = dataclasses.replace(rep, j_plus=j_plus,
-                                  j_minus=j_plus.conj().T)
+    mutated = _with_j_plus(rep, j_plus)
     residuals, ok = verify_representation(mutated)
     assert not ok
     assert residuals["comm88p"] > 0.1 and residuals["comm88m"] > 0.1
