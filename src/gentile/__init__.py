@@ -28,7 +28,7 @@ from .audit import (
     IdentityResult, AuditReport, audit_crosscheck, run_full_audit, eval_expr,
 )
 from .coherent import (
-    LambdaChoice, lambda_value, GrassmannOps, CoherentState, build_coherent,
+    LambdaChoice, lambda_value, CoherentState, build_coherent,
     eigenstate_residual, closed_form_deltas, compare_closed_form,
     normalization_poly,
 )

@@ -26,30 +26,26 @@ TOL = 1e-9  # crosscheck: PASS needs residual <= TOL, FAIL > 10 * TOL
 RANDOM_DIM = 5
 
 
-def _scalar_at(s, qval):
-    """``s`` at ``qval``, taking a stacked ``qval`` one distinct q at a time.
+def eval_expr(e: Expr, assignment: dict, roots, dim: int) -> np.ndarray:
+    """Numeric matrix value of an expression tree at the root of unity
+    whose powers q^0 .. q^n are ``roots`` (``GentileRep.roots``).
 
-    numpy's array ``q**2`` and ``q**-1`` differ from scalar ``pow`` in the
-    last bit, so each distinct q is evaluated as a scalar and broadcast.
+    Generators may also be stacked ``(B, dim, dim)`` arrays with ``roots``
+    a list of B tables, one per row; every slice of the result then equals
+    the unstacked evaluation of that slice bit for bit.
     """
-    if np.ndim(qval) == 0:
-        return s.eval_at(qval)
-    distinct, index = np.unique(np.ravel(qval), return_inverse=True)
-    values = np.array([s.eval_at(q) for q in distinct], dtype=complex)
-    return values[index].reshape(np.shape(qval))
-
-
-def eval_expr(e: Expr, assignment: dict, qval, dim: int) -> np.ndarray:
-    """Numeric matrix value of an expression tree.
-
-    Generators may also be stacked ``(B, dim, dim)`` arrays with ``qval`` a
-    ``(B, 1, 1)`` array; every slice of the result then equals the
-    unstacked evaluation of that slice bit for bit.
-    """
+    if isinstance(roots, list):
+        def at(s):
+            return np.array([s.eval_at(r) for r in roots])[:, None, None]
+        q = np.array([r[1] for r in roots])[:, None, None]
+    else:
+        def at(s):
+            return s.eval_at(roots)
+        q = roots[1]
     return fold(e, Algebra(
         gen=assignment.__getitem__,
-        scalar=lambda s: _scalar_at(s, qval) * np.eye(dim, dtype=complex),
-        mul=np.matmul, qscale=lambda x: qval * x,
+        scalar=lambda s: at(s) * np.eye(dim, dtype=complex),
+        mul=np.matmul, qscale=lambda x: q * x,
         power=np.linalg.matrix_power))
 
 
@@ -147,14 +143,14 @@ def run_full_audit(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS, seed=0,
     generator names in sorted order, a 5x5 block of ``uniform(0, 1)``
     numbers r and then a 5x5 block of ``uniform(0, 2 pi)`` numbers phi, and
     sets that generator to ``sqrt(r) * exp(1j * phi)``.  All draws of an
-    entry are evaluated as one stacked batch, with q = exp(2 pi i/(n + 1))
-    computed from each Python-int n; the residual is the largest entrywise
-    |lhs - rhs| over the batch.
+    entry are evaluated as one stacked batch, each row with the table of
+    powers of q = exp(2 pi i/(n + 1)) of its n; the residual is the largest
+    entrywise |lhs - rhs| over the batch.
     """
     rng = np.random.default_rng(seed)
     reps = {n: build_rep(n) for n in n_values}
-    q_draws = np.array([np.exp(2j * np.pi / (n + 1)) for n in n_values],
-                       dtype=complex).repeat(trials).reshape(-1, 1, 1)
+    # the batch's rows are (n, trial) in order, each with its n's table
+    row_roots = [reps[n].roots for n in n_values for _ in range(trials)]
     free, limit, matrix = [], [], []
     for entry in build_catalog() if entries is None else entries:
         spec = entry.specialization
@@ -176,10 +172,10 @@ def run_full_audit(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS, seed=0,
                 continue  # limit forms have no finite-n specialization
             assign = _random_draws(
                 generators_of(entry.lhs) | generators_of(entry.rhs), rng,
-                len(q_draws))
+                len(row_roots))
             worst = max_abs_diff(
-                eval_expr(entry.lhs, assign, q_draws, RANDOM_DIM),
-                eval_expr(entry.rhs, assign, q_draws, RANDOM_DIM))
+                eval_expr(entry.lhs, assign, row_roots, RANDOM_DIM),
+                eval_expr(entry.rhs, assign, row_roots, RANDOM_DIM))
         else:
             residual_poly = normal_order(entry.lhs) - normal_order(entry.rhs)
             verdict = "PASS" if residual_poly.is_zero else "FAIL"
@@ -187,8 +183,8 @@ def run_full_audit(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS, seed=0,
             for n in n_values:
                 rep = reps[n]
                 assign = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
-                lhs = eval_expr(entry.lhs, assign, rep.q, rep.dim)
-                rhs = eval_expr(entry.rhs, assign, rep.q, rep.dim)
+                lhs = eval_expr(entry.lhs, assign, rep.roots, rep.dim)
+                rhs = eval_expr(entry.rhs, assign, rep.roots, rep.dim)
                 worst = max(worst, max_abs_diff(lhs, rhs))
         matrix.append(IdentityResult(
             identity_id=entry.id, strategy=entry.strategy,

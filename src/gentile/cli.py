@@ -60,8 +60,10 @@ def _json_text(obj, pad: str) -> str:
     """JSON text of a report value that starts on a line indented by ``pad``.
 
     Byte for byte what ``json.dumps(obj, indent=2, sort_keys=True)``
-    writes, with complex numbers as ``[re, im]`` and numpy scalars as
-    their Python values; dict keys must be strings.
+    writes, with complex numbers as ``[re, im]``, numpy scalars as their
+    Python values and a non-finite float as the string ``"NaN"``,
+    ``"Infinity"`` or ``"-Infinity"`` (strict JSON, RFC 8259, has no bare
+    NaN or Infinity); dict keys must be strings.
     """
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
@@ -76,7 +78,8 @@ def _json_text(obj, pad: str) -> str:
     if isinstance(obj, float):
         if math.isfinite(obj):
             return float.__repr__(obj)
-        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+        return ('"NaN"' if obj != obj else '"Infinity"' if obj > 0
+                else '"-Infinity"')
     inner = pad + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -110,6 +113,11 @@ def _emit(text: str, out_path):
 
 # Largest n accepted: every n builds dense (n+1) x (n+1) matrices.
 MAX_N = 1024
+
+# Longest normal-form word eval prints.  Nested powers grow a word
+# exponentially (((b^64)^64)^64 is b^262144) and each letter prints as up
+# to five characters, so this keeps one word under 5 MB.
+MAX_WORD = 10 ** 6
 
 
 def _digits_key(digits: str):
@@ -251,12 +259,16 @@ def cmd_su2(args) -> str:
 def cmd_eval(args) -> str:
     expr = parse(args.expression)
     poly = normal_order(expr)  # OutOfRange -> exit 1 via main()
+    longest = max(map(sum, poly.sorted_keys()), default=0)
+    if longest > MAX_WORD:
+        raise OutOfRange(f"a normal-form word of {longest} letters is above "
+                         f"{MAX_WORD}, so it cannot be printed")
     n_values = parse_n_values(args.n)
     records = []
     for n in n_values:
         rep = build_rep(n)
         assignment = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
-        direct = eval_expr(expr, assignment, rep.q, rep.dim)
+        direct = eval_expr(expr, assignment, rep.roots, rep.dim)
         ordered = poly.eval_rep(rep)
         records.append({"n": n,
                         "matrix_residual": max_abs_diff(direct, ordered)})

@@ -11,7 +11,6 @@ delta(nu+1) * sqrt(<nu+1>) = delta(nu) * lambda(nu).
 from __future__ import annotations
 
 import cmath
-import math
 from enum import Enum
 
 import numpy as np
@@ -29,64 +28,46 @@ class LambdaChoice(Enum):
     ALTERNATING = "alternating"
 
 
-def lambda_value(choice, v: int, n: int) -> complex:
-    """The twist phase lambda(nu, n) for the chosen construction."""
-    if not 0 <= v <= n:
-        raise OutOfRange(f"v must lie in [0, {n}], got {v}")
+def lambda_value(choice, v: int, roots) -> complex:
+    """The twist phase lambda(nu, n), from the table ``roots`` of
+    q^0 .. q^n (``GentileRep.roots``)."""
+    m = len(roots)
+    if not 0 <= v < m:
+        raise OutOfRange(f"v must lie in [0, {m - 1}], got {v}")
     if choice is LambdaChoice.ROOT_OF_UNITY_PLUS:
-        return cmath.exp(2j * math.pi * v / (n + 1))
+        return roots[v]
     if choice is LambdaChoice.ROOT_OF_UNITY_MINUS:
-        return cmath.exp(-2j * math.pi * v / (n + 1))
+        return roots[-v % m]
     if choice is LambdaChoice.ALTERNATING:
         return complex((-1) ** v)
     raise OutOfRange(f"unknown lambda choice {choice!r}")
 
 
-class GrassmannOps:
-    """Operator actions on the module for one (n, lambda) choice.
-
-    Module elements are (n+1, n+1) complex arrays indexed [nu, k], or
-    stacks of them along leading axes.  The b amplitudes are the ladder
-    amplitudes ``build_rep(n).amp``.
-    """
-
-    def __init__(self, n: int, choice):
-        self.n = n
-        self.rep = build_rep(n)
-        self.lam = [lambda_value(choice, v, n) for v in range(n + 1)]
-
-    def apply_b(self, e: np.ndarray) -> np.ndarray:
-        """Move every row nu of e to nu - 1 with amplitude sqrt(<nu>)."""
-        out = np.zeros(e.shape, dtype=complex)
-        out[..., :-1, :] += self.rep.amp[:, None] * e[..., 1:, :]
-        return out
-
-    def apply_psi(self, e: np.ndarray) -> np.ndarray:
-        """Left multiplication by psi; the k = n column truncates away."""
-        out = np.zeros(e.shape, dtype=complex)
-        out[..., 1:] += np.array(self.lam)[:, None] * e[..., :-1]
-        return out
-
-
 class CoherentState(FrozenRecord):
+    """The coherent state on the module with basis |nu> psi^k, 0 <= nu,
+    k <= n; b acts with the amplitudes ``rep.amp``, psi with ``lam``."""
+
     __slots__ = _fields = (
         "n",
         "choice",
         "delta",  # delta(0, n) .. delta(n, n), the coefficients of |nu> psi^nu
-        "ops",
+        "rep",
+        "lam",  # lambda(0, n) .. lambda(n, n)
     )
 
 
 def build_coherent(n: int, choice) -> CoherentState:
     """Coherent state from the delta recursion, diagonal in (nu, k)."""
-    ops = GrassmannOps(n, choice)
-    amp = ops.rep.amp  # sqrt(<1>) .. sqrt(<n>)
+    rep = build_rep(n)
+    lam = tuple(lambda_value(choice, v, rep.roots) for v in range(n + 1))
+    amp = rep.amp  # sqrt(<1>) .. sqrt(<n>)
     delta = [1 + 0j]
     for v in range(n):
         # a Python complex divisor: numpy's complex division rounds
         # differently
-        delta.append(delta[v] * ops.lam[v] / complex(amp[v]))
-    return CoherentState(n=n, choice=choice, delta=tuple(delta), ops=ops)
+        delta.append(delta[v] * lam[v] / complex(amp[v]))
+    return CoherentState(n=n, choice=choice, delta=tuple(delta), rep=rep,
+                         lam=lam)
 
 
 def eigenstate_residual(state: CoherentState) -> float:
@@ -97,30 +78,32 @@ def eigenstate_residual(state: CoherentState) -> float:
     lambda(nu), and psi^(n+1) truncates the top state away.
     """
     delta = np.array(state.delta)
-    lam = np.array(state.ops.lam[:-1])
-    return float(np.max(np.abs(state.ops.rep.amp * delta[1:]
+    lam = np.array(state.lam[:-1])
+    return float(np.max(np.abs(state.rep.amp * delta[1:]
                                - lam * delta[:-1])))
 
 
-def closed_form_deltas(n: int, sign: int) -> list:
-    """Printed closed form for delta(0, n) .. delta(n, n), principal roots.
+def closed_form_deltas(roots, sign: int) -> list:
+    """Printed closed form for delta(0, n) .. delta(n, n), principal roots,
+    from the table ``roots`` of q^0 .. q^n.
 
-    ``sign`` +1/-1 selects the two root-of-unity lambda choices, 0 the
-    alternating choice.  Nested principal roots need not distribute over
-    the product, so a value can differ from the recursion by a sign.
+    ``sign`` +1/-1 selects the two root-of-unity lambda choices, whose
+    phase is q^(sign v(v-1)/2), and 0 the alternating choice.  Nested
+    principal roots need not distribute over the product, so a value can
+    differ from the recursion by a sign.
     """
     if sign not in (1, -1, 0):
         raise OutOfRange(f"sign must be +1, -1, or 0, got {sign}")
-    q = cmath.exp(2j * math.pi / (n + 1))
+    m = len(roots)
     deltas = [1 + 0j]
     denominator = 1 + 0j
-    for v in range(1, n + 1):
+    for v in range(1, m):
         if sign == 0:
             phase = complex((-1) ** ((v - 1) * v // 2))
         else:
-            phase = cmath.exp(sign * 1j * math.pi * v * (v - 1) / (n + 1))
-        denominator *= cmath.sqrt(1 - cmath.exp(2j * math.pi * v / (n + 1)))
-        deltas.append(phase * (1 - q) ** (v / 2) / denominator)
+            phase = roots[sign * (v * (v - 1) // 2) % m]
+        denominator *= cmath.sqrt(1 - roots[v])
+        deltas.append(phase * (1 - roots[1]) ** (v / 2) / denominator)
     return deltas
 
 
@@ -135,7 +118,7 @@ def compare_closed_form(state: CoherentState):
             LambdaChoice.ALTERNATING: 0}[state.choice]
     rows = []
     for v, (rec, closed) in enumerate(
-            zip(state.delta, closed_form_deltas(state.n, sign))):
+            zip(state.delta, closed_form_deltas(state.rep.roots, sign))):
         rel = 1 if abs(closed - rec) <= abs(closed + rec) else -1
         rows.append((v, rec, closed, rel, abs(abs(closed) - abs(rec))))
     return rows

@@ -5,7 +5,7 @@ rational coefficients, held as integer numerators over one common
 denominator, and integer (possibly negative) exponents.  The
 symbol q stands for the phase ``exp(i*2*pi/(n+1))``; it is kept formal so
 that identity checks are exact zero tests, and is specialized to a root of
-unity only at evaluation time.
+unity only at evaluation time, from the table ``GentileRep.roots``.
 """
 
 from __future__ import annotations
@@ -218,21 +218,24 @@ class LaurentScalar(Terms):
             e >>= 1
         return result
 
-    def eval_at(self, q: complex) -> complex:
-        """Numeric value with q set to an arbitrary complex number.
+    def eval_at(self, roots) -> complex:
+        """Numeric value at the root of unity whose powers q^0 .. q^n are
+        ``roots`` (``GentileRep.roots``).
 
-        ``c / _den`` is correctly rounded, so each coefficient is the
-        float of its exact value; a coefficient or exponent beyond float
+        Each exponent k is reduced mod n+1 as an int, so q^k is a table
+        entry for any k; ``c / _den`` is correctly rounded, so each
+        coefficient is the float of its exact value, and one beyond float
         range raises OutOfRange.
         """
         if not self._terms:
             return 0j
-        den = self._den
+        den, m = self._den, len(roots)
         try:
-            return sum(complex(c / den) * q ** k
+            return sum(complex(c / den) * roots[k % m]
                        for k, c in self._terms.items())
         except OverflowError:
-            raise _beyond_float_range() from None
+            raise OutOfRange("a coefficient is beyond float range, so it "
+                             "cannot be evaluated") from None
 
     def subs_unit(self, sign: int) -> Fraction:
         """Exact value at q = +1 or q = -1."""
@@ -256,11 +259,6 @@ class LaurentScalar(Terms):
             else:
                 parts.append(f"{v}*q^{k}" if v != 1 else f"q^{k}")
         return " + ".join(parts)
-
-
-def _beyond_float_range() -> OutOfRange:
-    return OutOfRange("a coefficient or q exponent is beyond float range, "
-                      "so it cannot be evaluated")
 
 
 ZERO = LaurentScalar()

@@ -10,7 +10,6 @@ level-counting claims.
 
 from __future__ import annotations
 
-import cmath
 import math
 from bisect import bisect_left, bisect_right
 
@@ -32,8 +31,9 @@ def build_hamiltonian(n: int) -> np.ndarray:
     Each term pairs a raising with a lowering ladder matrix, so H is
     diagonal (see ``GentileRep.quadratic_diagonals``).
     """
-    adag_b, bdag_a, a_bdag, b_adag = build_rep(n).quadratic_diagonals()
-    alpha, beta = 1 + 0j, cmath.exp(-2j * math.pi / (n + 1))
+    rep = build_rep(n)
+    adag_b, bdag_a, a_bdag, b_adag = rep.quadratic_diagonals()
+    alpha, beta = 1 + 0j, rep.q.conjugate()
     return (alpha * adag_b + beta * b_adag
             + np.conj(alpha) * bdag_a + np.conj(beta) * a_bdag) / 4.0
 

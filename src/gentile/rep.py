@@ -6,6 +6,9 @@ sqrt(<nu+1>), the annihilation operator b lowers with sqrt(<nu>), where
 <nu> is the q-integer bracket number at q = exp(i*2*pi/(n+1)).  The
 deformed exchange rule  b a^dag - q a^dag b = 1  then holds exactly,
 including the wraparound on the top state where -q<n> = 1.
+
+``build_rep`` is the one place q is specialized: its table ``roots`` holds
+q^0 .. q^n, and every numeric q^k in the package is ``roots[k % (n+1)]``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ class GentileRep(FrozenRecord):
     # no __slots__: cached_property needs an instance __dict__
     _fields = (
         "n",
-        "q",
+        "roots",  # q^0 .. q^n, a tuple of Python complex
         "bracket_numbers",  # <0>_n ... <n+1>_n
         "amp",  # sqrt(<1>_n) .. sqrt(<n>_n), read-only complex128
     )
@@ -50,6 +53,10 @@ class GentileRep(FrozenRecord):
     @property
     def dim(self) -> int:
         return self.n + 1
+
+    @property
+    def q(self) -> complex:
+        return self.roots[1]
 
     @cached_property
     def a_dag(self) -> np.ndarray:
@@ -94,14 +101,12 @@ def build_rep(n: int) -> GentileRep:
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
     theta = 2.0 * math.pi / (n + 1)
-    q = cmath.exp(1j * theta)
-    # <0>_n .. <n+1>_n as running sums of exp(i theta j), j = 0..n, from
-    # the int 0
-    brackets = tuple(accumulate(
-        (cmath.exp(1j * theta * j) for j in range(n + 1)), initial=0))
+    roots = tuple(cmath.exp(1j * theta * j) for j in range(n + 1))
+    # <0>_n .. <n+1>_n as running sums of q^j, j = 0..n, from the int 0
+    brackets = tuple(accumulate(roots, initial=0))
     amp = np.array([cmath.sqrt(br) for br in brackets[1:n + 1]],
                    dtype=complex)
-    return GentileRep(n=n, q=q, bracket_numbers=brackets,
+    return GentileRep(n=n, roots=roots, bracket_numbers=brackets,
                       amp=_readonly(amp))
 
 

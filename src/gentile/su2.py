@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -115,8 +114,7 @@ def newton_coefficients(nodes, divided):
 
 
 class Su2Rep(FrozenRecord):
-    # no __slots__: cached_property needs an instance __dict__
-    _fields = (
+    __slots__ = _fields = (
         "n",
         "j",
         "choice",
@@ -131,12 +129,6 @@ class Su2Rep(FrozenRecord):
         # <0>_n .. <n+1>_n of the GentileRep the solve used
         "bracket_numbers",
     )
-
-    @cached_property
-    def lambdas(self) -> tuple:
-        """lambda_0 .. lambda_(n-1), solved on first use: only a printed
-        report needs them."""
-        return tuple(np.conj(newton_coefficients(self.nodes, self.divided)))
 
 
 def solve_representation(n: int, choice: DiagonalChoice) -> Su2Rep:

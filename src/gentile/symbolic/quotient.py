@@ -31,7 +31,6 @@ from ..laurent import ONE, Q, LaurentScalar, Terms, q_integer
 from .expr import Algebra, Expr, fold, generators_of
 
 QUOTIENT_ALPHABET = frozenset({"adag", "b", "N"})
-_INT64 = np.iinfo(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +108,7 @@ class QuotientPoly(Terms):
         """Float form of the coefficients, converted once per normal form.
 
         Returns ``(exps, values, groups)``: coefficient t is
-        ``sum_e values[t, e] q^exps[e]``; each group is
+        ``sum_e values[t, e] q^exps[e]``, with ``exps`` a list of ints; each group is
         ``(j, k, rows, ms)``, the terms adag^j b^k N^m at ``rows``, in
         (j, k, m) order.
         """
@@ -119,9 +118,6 @@ class QuotientPoly(Terms):
             pass
         keys = sorted(self._terms)
         exps = sorted({e for c in self._terms.values() for e in c._terms})
-        if exps and not _INT64.min <= exps[0] <= exps[-1] <= _INT64.max:
-            raise OutOfRange("a q exponent of the normal form does not fit "
-                             "in int64, so it cannot be evaluated")
         column = {e: i for i, e in enumerate(exps)}
         values = np.zeros((len(keys), len(exps)))
         for t, key in enumerate(keys):
@@ -139,7 +135,7 @@ class QuotientPoly(Terms):
             run = list(run)
             groups.append((j, k, slice(run[0][0], run[-1][0] + 1),
                            np.array([key[2] for _, key in run])))
-        self._bands = (np.array(exps, dtype=np.int64), values, tuple(groups))
+        self._bands = (exps, values, tuple(groups))
         return self._bands
 
     def eval_rep(self, rep) -> np.ndarray:
@@ -150,9 +146,11 @@ class QuotientPoly(Terms):
         fills one band of the matrix; words with j or k above n vanish.
         """
         exps, values, groups = self._band_tables()
-        n, dim = rep.n, rep.dim
+        n, dim, roots = rep.n, rep.dim, rep.roots
         total = np.zeros((dim, dim), dtype=complex)
-        coefs = values @ (rep.q ** exps)
+        # q^e from the rep's table, e reduced mod n+1 as an int
+        coefs = values @ np.array([roots[e % dim] for e in exps],
+                                  dtype=complex)
         amp = rep.amp  # b|nu> = amp[nu-1]|nu-1>, adag|mu> = amp[mu]|mu+1>
         max_j = max((j for j, _, _, _ in groups if j <= n), default=0)
         max_k = max((k for _, k, _, _ in groups if k <= n), default=0)

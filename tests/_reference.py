@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from gentile.coherent import GrassmannOps
+from gentile.coherent import lambda_value
 from gentile.errors import (DimensionMismatch, DomainError, GentileError,
                             NotHermitian)
 from gentile.linalg import max_abs_diff
@@ -38,6 +38,34 @@ def bracket_number(n: int, v: int) -> complex:
     """
     theta = 2.0 * math.pi / (n + 1)
     return sum(cmath.exp(1j * theta * j) for j in range(v))
+
+
+class GrassmannOps:
+    """Operator actions on the coherent-state module for one (n, lambda)
+    choice.
+
+    Module elements are (n+1, n+1) complex arrays indexed [nu, k], or
+    stacks of them along leading axes.  The b amplitudes are the ladder
+    amplitudes ``build_rep(n).amp``.
+    """
+
+    def __init__(self, n: int, choice):
+        self.n = n
+        self.rep = build_rep(n)
+        self.lam = [lambda_value(choice, v, self.rep.roots)
+                    for v in range(n + 1)]
+
+    def apply_b(self, e: np.ndarray) -> np.ndarray:
+        """Move every row nu of e to nu - 1 with amplitude sqrt(<nu>)."""
+        out = np.zeros(e.shape, dtype=complex)
+        out[..., :-1, :] += self.rep.amp[:, None] * e[..., 1:, :]
+        return out
+
+    def apply_psi(self, e: np.ndarray) -> np.ndarray:
+        """Left multiplication by psi; the k = n column truncates away."""
+        out = np.zeros(e.shape, dtype=complex)
+        out[..., 1:] += np.array(self.lam)[:, None] * e[..., :-1]
+        return out
 
 
 def ladder_commutation_check(n: int, tol: float = 1e-12):
@@ -295,9 +323,10 @@ def dense_arcsin_values(rep):
 def dense_eigenstate_residual(state):
     """Max-abs coefficient of b|psi> - psi|psi> on the dense module element
     with delta on its diagonal."""
+    ops = GrassmannOps(state.n, state.choice)
     element = np.diag(state.delta)
-    lhs = state.ops.apply_b(element)
-    rhs = state.ops.apply_psi(element)
+    lhs = ops.apply_b(element)
+    rhs = ops.apply_psi(element)
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -138,8 +138,8 @@ def test_criterion_7_appendix_b_oracle():
     for n in (2, 3, 5):
         rep = build_rep(n)
         assignment = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
-        residual = (eval_expr(entry.lhs, assignment, rep.q, rep.dim)
-                    - eval_expr(entry.rhs, assignment, rep.q, rep.dim))
+        residual = (eval_expr(entry.lhs, assignment, rep.roots, rep.dim)
+                    - eval_expr(entry.rhs, assignment, rep.roots, rep.dim))
         predicted = (rep.q ** 2 - rep.q) \
             * np.linalg.matrix_power(rep.a_dag, 2) \
             @ np.linalg.matrix_power(rep.b, 2)

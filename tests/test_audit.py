@@ -164,7 +164,7 @@ def test_phase_tree_is_q_to_the_n_minus_1():
     assert right.rhs.right == phase
     for n in range(1, 129):
         rep = build_rep(n)
-        got = eval_expr(phase, _rep_assignment(rep), rep.q, rep.dim)
+        got = eval_expr(phase, _rep_assignment(rep), rep.roots, rep.dim)
         assert max_abs_diff(got, _phase(rep)) <= 1e-13, n
 
 
@@ -183,7 +183,7 @@ def test_phase_trees_match_matrix_builders(identity_id):
         for tree, builder in zip((entry.lhs, entry.rhs),
                                  REFERENCE_BUILDERS[identity_id]):
             want = builder(rep)
-            got = eval_expr(tree, assign, rep.q, rep.dim)
+            got = eval_expr(tree, assign, rep.roots, rep.dim)
             bound = 1e-12 * max(1.0, np.abs(want).max())
             assert max_abs_diff(got, want) <= bound, (n, builder.__name__)
 
@@ -201,7 +201,7 @@ def _sequential_residuals(n_values, trials, seed):
         names = sorted(generators_of(entry.lhs) | generators_of(entry.rhs))
         worst[entry.id] = 0.0
         for n in n_values:
-            qval = np.exp(2j * np.pi / (n + 1))
+            roots = build_rep(n).roots
             for _ in range(trials):
                 assign = {}
                 for name in names:
@@ -209,8 +209,8 @@ def _sequential_residuals(n_values, trials, seed):
                     phi = rng.uniform(0.0, 2.0 * np.pi, (5, 5))
                     assign[name] = r * np.exp(1j * phi)
                 worst[entry.id] = max(worst[entry.id], max_abs_diff(
-                    eval_expr(entry.lhs, assign, qval, 5),
-                    eval_expr(entry.rhs, assign, qval, 5)))
+                    eval_expr(entry.lhs, assign, roots, 5),
+                    eval_expr(entry.rhs, assign, roots, 5)))
     return worst
 
 
@@ -227,15 +227,15 @@ def test_eval_expr_stacked_matches_row_by_row():
     expr = parse("[u^2, 1/3 q^2 v]_n + q^-1 sumperm(u, v, w) "
                  "- {sumcyc(u, 2 v, q^3 w), w}")
     n_rows = (1, 12, 20, 12, 7)
-    q = np.array([np.exp(2j * np.pi / (n + 1)) for n in n_rows])
+    tables = [build_rep(n).roots for n in n_rows]
     rng = np.random.default_rng(4)
     gens = {name: rng.standard_normal((len(n_rows), 4, 4))
             + 1j * rng.standard_normal((len(n_rows), 4, 4))
             for name in "uvw"}
-    stacked = eval_expr(expr, gens, q.reshape(-1, 1, 1), 4)
+    stacked = eval_expr(expr, gens, tables, 4)
     assert stacked.shape == (len(n_rows), 4, 4)
-    for i, qval in enumerate(q):
-        row = eval_expr(expr, {k: v[i] for k, v in gens.items()}, qval, 4)
+    for i, roots in enumerate(tables):
+        row = eval_expr(expr, {k: v[i] for k, v in gens.items()}, roots, 4)
         assert stacked[i].tobytes() == row.tobytes()
 
 

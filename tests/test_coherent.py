@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from _reference import (BITWISE_N, bracket_number,
+from _reference import (BITWISE_N, GrassmannOps, bracket_number,
                         dense_eigenstate_residual, move_relation_check)
-from gentile.coherent import (GrassmannOps, LambdaChoice, build_coherent,
-                              compare_closed_form, eigenstate_residual,
-                              lambda_value, normalization_poly)
+from gentile.coherent import (LambdaChoice, build_coherent,
+                              closed_form_deltas, compare_closed_form,
+                              eigenstate_residual, lambda_value,
+                              normalization_poly)
 from gentile.errors import OutOfRange
+from gentile.rep import build_rep
 
 PRINTED_CHOICES = (LambdaChoice.ROOT_OF_UNITY_PLUS,
                    LambdaChoice.ROOT_OF_UNITY_MINUS,
@@ -19,13 +21,41 @@ PRINTED_CHOICES = (LambdaChoice.ROOT_OF_UNITY_PLUS,
 
 
 def test_lambda_values():
-    n = 3
-    assert lambda_value(LambdaChoice.ROOT_OF_UNITY_PLUS, 1, n) \
+    roots = build_rep(3).roots
+    assert lambda_value(LambdaChoice.ROOT_OF_UNITY_PLUS, 1, roots) \
         == pytest.approx(cmath.exp(2j * math.pi / 4))
-    assert lambda_value(LambdaChoice.ALTERNATING, 2, n) == 1.0
-    assert lambda_value(LambdaChoice.ALTERNATING, 3, n) == -1.0
+    assert lambda_value(LambdaChoice.ALTERNATING, 2, roots) == 1.0
+    assert lambda_value(LambdaChoice.ALTERNATING, 3, roots) == -1.0
     with pytest.raises(OutOfRange):
-        lambda_value(LambdaChoice.ALTERNATING, 4, n)
+        lambda_value(LambdaChoice.ALTERNATING, 4, roots)
+
+
+@pytest.mark.parametrize("n", (1, 2, 7, 64, 1024))
+def test_lambda_values_match_exponentials(n):
+    # lambda(nu) = exp(+-2 pi i nu/(n+1)), read from the rep's table
+    roots = build_rep(n).roots
+    for v in range(n + 1):
+        for choice, sign in ((LambdaChoice.ROOT_OF_UNITY_PLUS, 1),
+                             (LambdaChoice.ROOT_OF_UNITY_MINUS, -1)):
+            want = cmath.exp(sign * 2j * math.pi * v / (n + 1))
+            assert abs(lambda_value(choice, v, roots) - want) <= 4e-15
+
+
+@pytest.mark.parametrize("n", (1, 2, 7, 40))
+@pytest.mark.parametrize("sign", (1, -1, 0))
+def test_closed_form_deltas_match_exponentials(n, sign):
+    # the printed closed form with every phase as an exponential
+    want = [1 + 0j]
+    denominator = 1 + 0j
+    q = cmath.exp(2j * math.pi / (n + 1))
+    for v in range(1, n + 1):
+        phase = (complex((-1) ** ((v - 1) * v // 2)) if sign == 0 else
+                 cmath.exp(sign * 1j * math.pi * v * (v - 1) / (n + 1)))
+        denominator *= cmath.sqrt(1 - cmath.exp(2j * math.pi * v / (n + 1)))
+        want.append(phase * (1 - q) ** (v / 2) / denominator)
+    got = closed_form_deltas(build_rep(n).roots, sign)
+    for g, w in zip(got, want, strict=True):
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
 
 
 def test_fermi_case_delta():
@@ -44,7 +74,8 @@ def test_delta_recursion_invariant():
             for v in range(n):
                 amp = cmath.sqrt(bracket_number(n, v + 1))
                 lhs = state.delta[v + 1] * amp
-                rhs = state.delta[v] * lambda_value(choice, v, n)
+                rhs = state.delta[v] * lambda_value(choice, v,
+                                                    state.rep.roots)
                 assert abs(lhs - rhs) <= 1e-12
 
 

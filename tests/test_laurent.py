@@ -12,9 +12,10 @@ from gentile.errors import OutOfRange
 from gentile.laurent import ONE, Q, QINV, ZERO, LaurentScalar, q_integer
 
 
-def q_at(n):
-    """q = exp(i*2*pi/(n+1)), the root of unity of occupation bound n."""
-    return cmath.exp(2j * cmath.pi / (n + 1))
+def roots_at(n):
+    """q^0 .. q^n for q = exp(i*2*pi/(n+1)), the root of unity of
+    occupation bound n, each power an exponential of its own."""
+    return tuple(cmath.exp(2j * cmath.pi * j / (n + 1)) for j in range(n + 1))
 
 
 # -- frozen oracle values ---------------------------------------------------
@@ -69,23 +70,34 @@ def test_subs_unit():
 
 def test_laurent_eval_exact_zero():
     # cancellation happens exactly before floats: q - q evaluates to 0j
-    assert (Q - Q).eval_at(q_at(5)) == 0j
+    assert (Q - Q).eval_at(roots_at(5)) == 0j
 
 
 def test_laurent_eval_root_of_unity():
     # q = exp(i*2*pi/(n+1)); at n=3, q = i, so 1 + q^2 = 0
-    value = (ONE + Q ** 2).eval_at(q_at(3))
+    value = (ONE + Q ** 2).eval_at(roots_at(3))
     assert abs(value) <= 1e-15
-    assert abs(Q.eval_at(q_at(3)) - 1j) <= 1e-15
+    assert abs(Q.eval_at(roots_at(3)) - 1j) <= 1e-15
 
 
-@pytest.mark.parametrize("s", [
-    LaurentScalar.q_power(10 ** 400),
-    LaurentScalar.from_rational(10 ** 400),
-], ids=["q-exponent", "coefficient"])
+@pytest.mark.parametrize("k", [-1, 3, 10 ** 15, -(10 ** 15) - 1, 2 ** 64 + 1,
+                               10 ** 400],
+                         ids=["minus-one", "three", "1e15", "minus-1e15",
+                              "beyond-int64", "beyond-float-range"])
+def test_q_exponent_reduced_exactly(k):
+    # q^k is q^(k mod (n+1)) read from the table, for an exponent of any size
+    for n in (1, 2, 3, 6):
+        roots = roots_at(n)
+        s = LaurentScalar.q_power(k)
+        assert s.eval_at(roots) == roots[k % (n + 1)]
+        assert (s * s).eval_at(roots) == roots[2 * k % (n + 1)]
+
+
+@pytest.mark.parametrize("s", [LaurentScalar.from_rational(10 ** 400)],
+                         ids=["coefficient"])
 def test_evaluation_beyond_float_range_is_out_of_range(s):
     with pytest.raises(OutOfRange, match="beyond float range"):
-        s.eval_at(q_at(2))
+        s.eval_at(roots_at(2))
 
 
 # -- property-based ring laws -----------------------------------------------
@@ -122,9 +134,9 @@ def test_subs_unit_is_ring_homomorphism(a, b):
 @settings(max_examples=100, deadline=None)
 @given(scalars, scalars, st.integers(min_value=1, max_value=6))
 def test_eval_commutes_with_arithmetic(a, b, n):
-    q = q_at(n)
-    prod_val = (a * b).eval_at(q)
-    sep_val = a.eval_at(q) * b.eval_at(q)
+    roots = roots_at(n)
+    prod_val = (a * b).eval_at(roots)
+    sep_val = a.eval_at(roots) * b.eval_at(roots)
     scale = max(1.0, abs(prod_val))
     assert abs(prod_val - sep_val) <= 1e-10 * scale
 
@@ -182,10 +194,11 @@ class _FractionScalar:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def eval_at(self, q):
+    def eval_at(self, roots):
         if not self.terms:
             return 0j
-        return sum(complex(v) * q ** k for k, v in self.terms.items())
+        return sum(complex(v) * roots[k % len(roots)]
+                   for k, v in self.terms.items())
 
     def subs_unit(self, sign):
         return sum((v if sign == 1 or k % 2 == 0 else -v
@@ -224,8 +237,8 @@ def _assert_matches(s, ref, n):
     for sign in (1, -1):
         assert s.subs_unit(sign) == ref.subs_unit(sign)
     # bit-equal floating-point values
-    for q in (q_at(n), 0.7 - 0.3j):
-        assert s.eval_at(q) == ref.eval_at(q)
+    for roots in (roots_at(n), roots_at(2 * n + 1)):
+        assert s.eval_at(roots) == ref.eval_at(roots)
 
 
 _fractions = st.fractions(min_value=-10, max_value=10, max_denominator=7)

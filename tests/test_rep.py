@@ -40,6 +40,21 @@ def test_build_rep_brackets_equal_bracket_number():
             assert value == reference
 
 
+def test_roots_table_is_the_powers_of_q():
+    # roots[j] = q^j, the terms <v> sums; q and its conjugate (the
+    # oscillator's beta) have the bits of the exponentials they replaced
+    for n in range(1, 1025):
+        rep = build_rep(n)
+        roots = rep.roots
+        assert type(roots) is tuple and len(roots) == n + 1
+        assert rep.q == roots[1] == np.exp(2j * np.pi / (n + 1))
+        assert rep.q.conjugate() == cmath.exp(-2j * math.pi / (n + 1))
+        if n in (1, 2, 3, 7, 64, 1024):
+            for j, value in enumerate(roots):
+                want = cmath.exp(2j * math.pi * j / (n + 1))
+                assert abs(value - want) <= 4e-15, (n, j)
+
+
 def test_bracket_number_recursion():
     # <v+1> = 1 + q <v>, including the top wraparound <n+1> = 0
     for n in range(1, 12):

@@ -208,14 +208,6 @@ def test_mutation_off_band_entry_fails(n):
     assert residuals["comm88p"] > 0.1 and residuals["comm88m"] > 0.1
 
 
-def test_lambdas_solved_on_first_use():
-    rep = solve_representation(6, DiagonalChoice.ADAG_B)
-    assert "lambdas" not in vars(rep)
-    expected = tuple(np.conj(newton_coefficients(rep.nodes, rep.divided)))
-    assert rep.lambdas == expected
-    assert rep.lambdas is rep.lambdas
-
-
 @pytest.mark.parametrize("choice", list(DiagonalChoice))
 def test_solve_and_verify_match_scalar_route_bitwise(choice):
     # the Newton data on Python complex and the two-product check give the

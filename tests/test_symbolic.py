@@ -334,7 +334,7 @@ def test_normal_order_matches_representation(word, n):
     expr = product([Gen(name) for name in word])
     rep = build_rep(n)
     assignment = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
-    direct = eval_expr(expr, assignment, rep.q, rep.dim)
+    direct = eval_expr(expr, assignment, rep.roots, rep.dim)
     ordered = normal_order(expr).eval_rep(rep)
     scale = max(1.0, float(np.max(np.abs(direct))))
     assert max_abs_diff(direct, ordered) <= 1e-10 * scale
@@ -355,7 +355,7 @@ def test_eval_rep_matches_dense_powers(n):
                 dense = (np.linalg.matrix_power(rep.a_dag, j)
                          @ np.linalg.matrix_power(rep.b, k)
                          @ np.linalg.matrix_power(rep.num, m))
-                want = coef.eval_at(rep.q) * dense
+                want = coef.eval_at(rep.roots) * dense
                 if j > n or k > n:
                     assert not got.any() and not dense.any()
                 # one product per entry, so the error is relative entrywise
@@ -431,7 +431,7 @@ def test_normal_order_matches_eval_expr_every_node(expr):
         assignment = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
         norms = {name: float(np.linalg.norm(mat, 2))
                  for name, mat in assignment.items()}
-        direct = eval_expr(expr, assignment, rep.q, rep.dim)
+        direct = eval_expr(expr, assignment, rep.roots, rep.dim)
         ordered = poly.eval_rep(rep)
         nf_size = sum(
             float(sum(abs(c) for c in coeff.coeffs.values()))
