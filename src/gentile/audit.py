@@ -14,7 +14,7 @@ import numpy as np
 
 from ._record import Record
 from .catalog import FORMAL_Q, FREE, Q_EQ_1, build_catalog
-from .errors import InconsistentVerdict
+from .errors import GateFailed
 from .linalg import max_abs_diff
 from .rep import build_rep
 from .symbolic import (Algebra, Expr, expand_free, fold, generators_of,
@@ -27,21 +27,17 @@ RANDOM_DIM = 5
 
 
 def eval_expr(e: Expr, assignment: dict, roots, dim: int) -> np.ndarray:
-    """Numeric matrix value of an expression tree at the root of unity
-    whose powers q^0 .. q^n are ``roots`` (``GentileRep.roots``).
+    """Numeric matrix values of an expression tree for a batch of B rows.
 
-    Generators may also be stacked ``(B, dim, dim)`` arrays with ``roots``
-    a list of B tables, one per row; every slice of the result then equals
-    the unstacked evaluation of that slice bit for bit.
+    Generators are stacked ``(B, dim, dim)`` arrays and ``roots`` is a
+    list of B tables; row i is taken at the root of unity whose powers
+    q^0 .. q^n are ``roots[i]`` (a ``GentileRep.roots``).  Every slice of
+    the result equals the evaluation of that row alone bit for bit.
     """
-    if isinstance(roots, list):
-        def at(s):
-            return np.array([s.eval_at(r) for r in roots])[:, None, None]
-        q = np.array([r[1] for r in roots])[:, None, None]
-    else:
-        def at(s):
-            return s.eval_at(roots)
-        q = roots[1]
+    def at(s):
+        return np.array([s.eval_at(r) for r in roots])[:, None, None]
+
+    q = np.array([r[1] for r in roots])[:, None, None]
     return fold(e, Algebra(
         gen=assignment.__getitem__,
         scalar=lambda s: at(s) * np.eye(dim, dtype=complex),
@@ -106,7 +102,9 @@ def _random_draws(names, rng, batch: int) -> dict:
 
 
 def audit_crosscheck(matrix_report: AuditReport) -> bool:
-    """True iff symbolic verdicts agree with all numeric spot-checks.
+    """True when symbolic verdicts agree with all numeric spot-checks;
+    otherwise raises ``GateFailed("audit_crosscheck")`` at the first
+    disagreement.
 
     PASS requires every residual <= TOL; FAIL requires some residual
     > 10*TOL.  Vacuously true for an empty report.
@@ -115,14 +113,14 @@ def audit_crosscheck(matrix_report: AuditReport) -> bool:
         if r.numeric_residual is None:
             continue
         if r.verdict == "PASS" and r.numeric_residual > TOL:
-            raise InconsistentVerdict(
-                r.identity_id,
-                f"symbolic PASS but numeric residual {r.numeric_residual:.3e}")
+            raise GateFailed("audit_crosscheck", (
+                f"inconsistent verdicts for {r.identity_id!r}: symbolic "
+                f"PASS but numeric residual {r.numeric_residual:.3e}"))
         if r.verdict == "FAIL" and r.n_tested \
                 and r.numeric_residual <= 10.0 * TOL:
-            raise InconsistentVerdict(
-                r.identity_id,
-                f"symbolic FAIL but numeric residual {r.numeric_residual:.3e}")
+            raise GateFailed("audit_crosscheck", (
+                f"inconsistent verdicts for {r.identity_id!r}: symbolic "
+                f"FAIL but numeric residual {r.numeric_residual:.3e}"))
     return True
 
 
@@ -182,9 +180,10 @@ def run_full_audit(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS, seed=0,
             worst = 0.0
             for n in n_values:
                 rep = reps[n]
-                assign = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
-                lhs = eval_expr(entry.lhs, assign, rep.roots, rep.dim)
-                rhs = eval_expr(entry.rhs, assign, rep.roots, rep.dim)
+                assign = {"adag": rep.a_dag[None], "b": rep.b[None],
+                          "N": rep.num[None]}
+                lhs = eval_expr(entry.lhs, assign, [rep.roots], rep.dim)[0]
+                rhs = eval_expr(entry.rhs, assign, [rep.roots], rep.dim)[0]
                 worst = max(worst, max_abs_diff(lhs, rhs))
         matrix.append(IdentityResult(
             identity_id=entry.id, strategy=entry.strategy,

@@ -15,9 +15,10 @@ from functools import reduce
 from itertools import permutations
 
 from ._record import FrozenRecord
-from .laurent import ONE, Q, QINV, LaurentScalar
-from .symbolic import (Add, AntiCommutator, Commutator, Expr, Gen, Mul,
-                       NBracket, Pow, Scal, perm_sum, cyc_sum, product)
+from .laurent import ONE, Q, QINV
+from .symbolic import (Add, AntiCommutator, Commutator, Gen, Mul, NBracket,
+                       Pow, perm_sum, cyc_sum, product)
+from .symbolic.expr import _coerce as _scal
 
 FREE = "FREE"
 QUOTIENT = "QUOTIENT"
@@ -36,11 +37,6 @@ class IdentityEntry(FrozenRecord):
     def strategy(self) -> str:
         """QUOTIENT for relations at q = exp(2 pi i/(n+1)), else FREE."""
         return QUOTIENT if self.specialization == Q_AT_N else FREE
-
-
-def _scal(x) -> Expr:
-    return Scal(x if isinstance(x, LaurentScalar) else
-                LaurentScalar.from_rational(x))
 
 
 _ONE_MINUS_Q = ONE - Q
@@ -71,41 +67,28 @@ def _product_rule(us, vs, deformed: bool):
     return total
 
 
-def _nested_bracket(syms):
-    """[[...[s1, s2]_n, s3]_n ..., sk]_n."""
-    node = NBracket(syms[0], syms[1])
-    for s in syms[2:]:
-        node = NBracket(node, s)
-    return node
-
-
-def _nested_self_power(sym, k):
-    """[...[u, u]_n ..., u]_n with k-1 brackets; equals (1-q)^(k-1) u^k."""
-    if k == 1:
-        return sym
-    node = NBracket(sym, sym)
-    for _ in range(k - 2):
-        node = NBracket(node, sym)
-    return node
+def _signed_sum(terms, signs):
+    """terms[0] +- terms[1] +- ..., folded from the left; a positive
+    signs[i] adds terms[i] and any other subtracts it."""
+    total = terms[0]
+    for sign, term in zip(signs[1:], terms[1:]):
+        total = total + term if sign > 0 else total - term
+    return total
 
 
 def _eps_sum(bracket_cls, signed: bool):
     """Sum over i,j,k in 1..3 of eps (or |eps|) times [[ui,uj], uk]."""
-    u1, u2, u3 = _us(3)
-    syms = {1: u1, 2: u2, 3: u3}
-    total = None
-    for perm in permutations((1, 2, 3)):
-        i, j, k = perm
+    terms = []
+    for perm in permutations(range(3)):
         sign = 1
         if signed:
             # parity of the permutation (i j k) of (1 2 3)
             inversions = sum(1 for a in range(3) for b in range(a + 1, 3)
                              if perm[a] > perm[b])
             sign = -1 if inversions % 2 else 1
-        term = bracket_cls(bracket_cls(syms[i], syms[j]), syms[k])
-        term = Mul(_scal(sign), term)
-        total = term if total is None else total + term
-    return total
+        i, j, k = (_U[p] for p in perm)
+        terms.append(Mul(_scal(sign), bracket_cls(bracket_cls(i, j), k)))
+    return reduce(Add, terms)
 
 
 def build_catalog() -> list:
@@ -154,37 +137,22 @@ def build_catalog() -> list:
             NBracket(product(us), product(vs)),
             _product_rule(us, vs, deformed=True))
 
-    # two-fold bracket sums, Eqs. (6a)/(6b)
-    def two_fold(signs):
-        pieces = [
-            NBracket(NBracket(u, v), w), NBracket(NBracket(w, u), v),
-            NBracket(NBracket(v, w), u), NBracket(NBracket(v, u), w),
-            NBracket(NBracket(w, v), u), NBracket(NBracket(u, w), v)]
-        total = pieces[0]
-        for s, p in zip(signs[1:], pieces[1:]):
-            total = total + p if s > 0 else total - p
-        return total
-
-    words6 = [product([u, v, w]), product([w, u, v]), product([v, w, u]),
-              product([v, u, w]), product([w, v, u]), product([u, w, v])]
-
-    def word_sum(signs):
-        total = words6[0]
-        for s, p in zip(signs[1:], words6[1:]):
-            total = total + p if s > 0 else total - p
-        return total
-
-    add("sec2_eq6a",
-        two_fold([1, 1, 1, 1, 1, 1]),
-        Mul(_scal(_ONE_MINUS_Q * _ONE_MINUS_Q), word_sum([1, 1, 1, 1, 1, 1])))
-    add("sec2_eq6b",
-        two_fold([1, 1, 1, -1, -1, -1]),
-        Mul(_scal(ONE - Q * Q), word_sum([1, 1, 1, -1, -1, -1])))
+    # two-fold bracket sums, Eqs. (6a)/(6b): the cyclic orders of (u, v,
+    # w), then the anticyclic ones
+    orders = [(u, v, w), (w, u, v), (v, w, u), (v, u, w), (w, v, u),
+              (u, w, v)]
+    two_fold = [NBracket(NBracket(x, y), z) for x, y, z in orders]
+    words6 = [product(order) for order in orders]
+    for id_, scalar, signs in (
+            ("sec2_eq6a", _ONE_MINUS_Q * _ONE_MINUS_Q, [1, 1, 1, 1, 1, 1]),
+            ("sec2_eq6b", ONE - Q * Q, [1, 1, 1, -1, -1, -1])):
+        add(id_, _signed_sum(two_fold, signs),
+            Mul(_scal(scalar), _signed_sum(words6, signs)))
 
     # k-fold nested bracket under a full permutation sum
     for k in (2, 3, 4):
         syms = [f"u{i}" for i in range(1, k + 1)]
-        lhs = perm_sum(_nested_bracket(_us(k)), syms)
+        lhs = perm_sum(reduce(NBracket, _us(k)), syms)
         rhs = Mul(_scal(_ONE_MINUS_Q ** (k - 1)),
                   perm_sum(product(_us(k)), syms))
         add(f"sec2_nested_k{k}", lhs, rhs)
@@ -229,7 +197,9 @@ def build_catalog() -> list:
     for k, m in ((2, 2), (3, 2), (2, 3)):
         lhs = Mul(_scal(_ONE_MINUS_Q ** (k + m - 2)),
                   NBracket(Pow(u, k), Pow(v, m)))
-        rhs = NBracket(_nested_self_power(u, k), _nested_self_power(v, m))
+        # [...[u, u]_n ..., u]_n with k - 1 brackets is (1-q)^(k-1) u^k
+        rhs = NBracket(reduce(NBracket, [u] * k),
+                       reduce(NBracket, [v] * m))
         add(f"appA_nested_power_k{k}m{m}", lhs, rhs)
 
     # step-down recursions
@@ -299,19 +269,16 @@ def build_catalog() -> list:
     add("lim_eq81_jacobi", _eps_sum(NBracket, signed=True), _scal(0),
         spec=Q_EQ_1)
     # anticommutator analogues of Eqs. (80)/(81)
-    perm_words = None
-    for perm in permutations((0, 1, 2)):
-        term = product([_U[i] for i in perm])
-        perm_words = term if perm_words is None else perm_words + term
     add("lim_anti_eps_abs",
-        _eps_sum(NBracket, signed=False), Mul(_scal(4), perm_words),
+        _eps_sum(NBracket, signed=False),
+        Mul(_scal(4), perm_sum(product(_us(3)), ["u1", "u2", "u3"])),
         spec=Q_EQ_MINUS_1)
     add("lim_anti_eps_signed",
         _eps_sum(NBracket, signed=True), _scal(0), spec=Q_EQ_MINUS_1)
 
     for k in (3, 4):
         syms = [f"u{i}" for i in range(1, k + 1)]
-        nested = perm_sum(_nested_bracket(_us(k)), syms)
+        nested = perm_sum(reduce(NBracket, _us(k)), syms)
         add(f"lim_comm_nested_k{k}", nested, _scal(0), spec=Q_EQ_1)
         add(f"lim_anti_nested_k{k}", nested,
             Mul(_scal(2 ** (k - 1)), perm_sum(product(_us(k)), syms)),

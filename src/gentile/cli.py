@@ -25,8 +25,8 @@ from .audit import audit_crosscheck, eval_expr, run_full_audit
 from .coherent import (EIGENSTATE_TOL, LambdaChoice, build_coherent,
                        compare_closed_form, eigenstate_residual,
                        normalization_poly)
-from .errors import (DegenerateNodes, GentileError, InconsistentVerdict,
-                     OutOfRange, ParseError)
+from .errors import (DegenerateNodes, GateFailed, GentileError, OutOfRange,
+                     ParseError)
 from .linalg import max_abs_diff
 from .oscillator import spectrum_crosscheck
 from .rep import build_rep, number_from_arcsin
@@ -139,11 +139,6 @@ def parse_n_values(spec_text: str):
     return list(range(int(lo[1]), int(hi[1]) + 1))
 
 
-class GateFailed(Exception):
-    """A gate failed; ``main`` writes its ``contract`` and ``detail`` as
-    the diagnostic and exits 2."""
-
-
 def cmd_audit(args) -> str:
     n_values = parse_n_values(args.n)
     try:
@@ -153,7 +148,7 @@ def cmd_audit(args) -> str:
     if seed < 0:
         raise OutOfRange(f"invalid --seed {args.seed} (need >= 0)")
     free, limit, matrix = run_full_audit(n_values=tuple(n_values), seed=seed)
-    audit_crosscheck(matrix)  # InconsistentVerdict -> exit 2 via main()
+    audit_crosscheck(matrix)  # GateFailed -> exit 2 via main()
     if args.format == "table":
         return "\n".join(["# free suite", free.table(),
                           "# limit suite", limit.table(),
@@ -267,8 +262,9 @@ def cmd_eval(args) -> str:
     records = []
     for n in n_values:
         rep = build_rep(n)
-        assignment = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
-        direct = eval_expr(expr, assignment, rep.roots, rep.dim)
+        assignment = {"adag": rep.a_dag[None], "b": rep.b[None],
+                      "N": rep.num[None]}
+        direct = eval_expr(expr, assignment, [rep.roots], rep.dim)[0]
         ordered = poly.eval_rep(rep)
         records.append({"n": n,
                         "matrix_residual": max_abs_diff(direct, ordered)})
@@ -287,7 +283,7 @@ def cmd_arcsin_audit(args) -> str:
     n_values = parse_n_values(args.n)
     records = []
     for n in n_values:
-        # NotHermitian or DomainError -> exit 2 via main()
+        # GateFailed -> exit 2 via main()
         audit = number_from_arcsin(build_rep(n))
         records.append({
             "n": n,
@@ -378,8 +374,6 @@ def main(argv=None) -> int:
         return 1
     except GateFailed as exc:
         contract, detail = exc.args
-    except InconsistentVerdict as exc:  # only audit_crosscheck raises it
-        contract, detail = "audit_crosscheck", str(exc)
     except GentileError as exc:
         contract, detail = type(exc).__name__, str(exc)
     sys.stderr.write(_dump_json({"contract": contract, "detail": detail}))

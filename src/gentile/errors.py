@@ -9,19 +9,7 @@ class DimensionMismatch(GentileError):
     pass
 
 
-class NotHermitian(GentileError):
-    pass
-
-
-class DomainError(GentileError):
-    pass
-
-
 class OutOfRange(GentileError):
-    pass
-
-
-class PreconditionViolation(GentileError):
     pass
 
 
@@ -54,14 +42,7 @@ class DegenerateNodes(GentileError):
         self.separation = separation
 
 
-class WrongChoice(GentileError):
-    pass
-
-
-class InconsistentVerdict(GentileError):
-    """Symbolic and numeric audit pipelines disagree on an identity."""
-
-    def __init__(self, identity_id, detail=""):
-        super().__init__(f"inconsistent verdicts for {identity_id!r}"
-                         + (f": {detail}" if detail else ""))
-        self.identity_id = identity_id
+class GateFailed(GentileError):
+    """A gate failed: ``GateFailed(contract, detail)``, where ``contract``
+    names the gate.  ``main`` writes the two as the JSON diagnostic and
+    exits 2."""

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from ._record import FrozenRecord
-from .errors import NotHermitian, OutOfRange, PreconditionViolation
+from .errors import GateFailed, OutOfRange
 from .rep import build_rep
 
 CLUSTER_TOL = 1e-9
@@ -156,8 +156,8 @@ def spectrum_crosscheck(n: int):
     h = build_hamiltonian(n)
     dev = float(np.max(np.abs(h - h.conj())))
     if not dev <= SPECTRUM_TOL:  # a NaN entry makes dev NaN
-        raise NotHermitian(
-            f"max |m - m^H| = {dev:.3e} exceeds tol {SPECTRUM_TOL:.3e}")
+        raise GateFailed("NotHermitian", f"max |m - m^H| = {dev:.3e} "
+                         f"exceeds tol {SPECTRUM_TOL:.3e}")
     eigvals = np.sort(h.real)
     expanded = []
     for e, m in report.levels:
@@ -166,23 +166,3 @@ def spectrum_crosscheck(n: int):
         return False, math.inf, report
     deviation = max(abs(a - b) for a, b in zip(sorted(expanded), eigvals))
     return deviation <= SPECTRUM_TOL, deviation, report
-
-
-def bose_limit_check(n: int, v_max: int):
-    """Worst deviation of E(nu) from nu + 1/2 for nu <= v_max << n.
-
-    Also reports the deviation from the printed intermediate
-    approximation pi*nu/(n+1) * cot(pi/(n+1)) + cos(2 pi/(n+1))/2.
-    """
-    if v_max > n / 100:
-        raise PreconditionViolation(
-            f"v_max = {v_max} too large for n = {n} (need v_max <= n/100)")
-    t = math.pi / (n + 1)
-    worst_bose = 0.0
-    worst_approx = 0.0
-    for v in range(v_max + 1):
-        e = per_state_energy(n, v)
-        worst_bose = max(worst_bose, abs(e - (v + 0.5)))
-        approx = math.pi * v / (n + 1) / math.tan(t) + 0.5 * math.cos(2 * t)
-        worst_approx = max(worst_approx, abs(e - approx))
-    return worst_bose, worst_approx

@@ -21,7 +21,7 @@ from itertools import accumulate
 import numpy as np
 
 from ._record import FrozenRecord
-from .errors import DomainError, NotHermitian, OutOfRange
+from .errors import GateFailed, OutOfRange
 
 ARCSIN_TOL = 1e-12  # Hermiticity and arcsin domain margin of the sine matrix
 MATCH_TOL = 1e-9  # a value agrees with nu; two sine eigenvalues collide
@@ -165,13 +165,13 @@ def number_from_arcsin(rep: GentileRep) -> ArcsinAudit:
     m = _sine_diagonal(rep)
     dev = float(np.max(np.abs(m - m.conj())))
     if not dev <= ARCSIN_TOL:  # a NaN entry makes dev NaN
-        raise NotHermitian(
-            f"max |m - m^H| = {dev:.3e} exceeds tol {ARCSIN_TOL:.3e}")
+        raise GateFailed("NotHermitian", f"max |m - m^H| = {dev:.3e} "
+                         f"exceeds tol {ARCSIN_TOL:.3e}")
     diag_m = m.real
     if not (np.all(diag_m >= -1.0 - ARCSIN_TOL)
             and np.all(diag_m <= 1.0 + ARCSIN_TOL)):
-        raise DomainError(
-            f"eigenvalue outside domain [-1.0, 1.0] by more than {ARCSIN_TOL}")
+        raise GateFailed("DomainError", "eigenvalue outside domain "
+                         f"[-1.0, 1.0] by more than {ARCSIN_TOL}")
     scale = (rep.n + 1) / (2.0 * math.pi)
     table = []
     for v, x in enumerate(np.clip(diag_m, -1.0, 1.0).tolist()):

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from ._record import FrozenRecord
-from .errors import DegenerateNodes, OutOfRange, WrongChoice
+from .errors import DegenerateNodes, OutOfRange
 from .linalg import max_abs_diff
 from .rep import GentileRep, _close_pairs, build_rep
 
@@ -200,9 +200,6 @@ def e010_residual(rep: Su2Rep) -> float:
     with p(z) = sum_l conj(lambda_l) z^l, so it is evaluated through the
     stable Newton form of p rather than raw monomial powers.
     """
-    if rep.choice is not DiagonalChoice.ADAG_B:
-        raise WrongChoice(
-            f"printed equations apply to ADAG_B, not {rep.choice}")
     n = rep.n
     # |<nu>| |p(<nu>)|^2 for nu = 0..n+1, each bracket evaluated once
     terms = [abs(br) * _abs_squared(newton_eval(rep.nodes, rep.divided, br))

@@ -8,8 +8,8 @@ references are the matrix routes that the library's band routes
 replaced, down to the Jacobi eigensolver; the bands must give exactly
 their bits.  The su(2) references solve on numpy scalars, one entry at a
 time, and verify by nine dense products; the library must give exactly
-their bits.  Only the eigensolver checks its input: the others are
-called only with valid arguments.
+their bits.  Only the eigensolver and the Bose-limit check check their
+input: the others are called only with valid arguments.
 """
 
 import cmath
@@ -18,9 +18,9 @@ import sys
 
 import numpy as np
 
+from gentile.audit import eval_expr
 from gentile.coherent import lambda_value
-from gentile.errors import (DimensionMismatch, DomainError, GentileError,
-                            NotHermitian)
+from gentile.errors import DimensionMismatch, GentileError
 from gentile.linalg import max_abs_diff
 from gentile.oscillator import (CLUSTER_TOL, _case_levels,
                                 _prose_multiplicity, build_hamiltonian,
@@ -38,6 +38,13 @@ def bracket_number(n: int, v: int) -> complex:
     """
     theta = 2.0 * math.pi / (n + 1)
     return sum(cmath.exp(1j * theta * j) for j in range(v))
+
+
+def eval_one(e, assignment: dict, roots, dim: int) -> np.ndarray:
+    """``audit.eval_expr`` of one (dim, dim) matrix per generator, at the
+    root of unity whose powers are ``roots``: a batch of one."""
+    batch = {name: m[None] for name, m in assignment.items()}
+    return eval_expr(e, batch, [roots], dim)[0]
 
 
 class GrassmannOps:
@@ -131,6 +138,26 @@ def move_relation_check(n: int, choice, power: int):
     return residuals
 
 
+def bose_limit_check(n: int, v_max: int):
+    """Worst deviation of E(nu) from nu + 1/2 for nu <= v_max << n.
+
+    Also reports the deviation from the printed intermediate
+    approximation pi*nu/(n+1) * cot(pi/(n+1)) + cos(2 pi/(n+1))/2.
+    """
+    if v_max > n / 100:
+        raise ValueError(
+            f"v_max = {v_max} too large for n = {n} (need v_max <= n/100)")
+    t = math.pi / (n + 1)
+    worst_bose = 0.0
+    worst_approx = 0.0
+    for v in range(v_max + 1):
+        e = per_state_energy(n, v)
+        worst_bose = max(worst_bose, abs(e - (v + 0.5)))
+        approx = math.pi * v / (n + 1) / math.tan(t) + 0.5 * math.cos(2 * t)
+        worst_approx = max(worst_approx, abs(e - approx))
+    return worst_bose, worst_approx
+
+
 # -- all-pairs scans that the sorted sweeps replaced --------------------------
 
 
@@ -200,6 +227,14 @@ MAX_SWEEPS = 100
 
 
 class NoConvergence(GentileError):
+    pass
+
+
+class NotHermitian(GentileError):
+    pass
+
+
+class DomainError(GentileError):
     pass
 
 

@@ -7,16 +7,16 @@ import time
 import numpy as np
 
 from _acceptance_log import record
-from _reference import hermitian_eigen, move_relation_check
-from gentile.audit import audit_crosscheck, eval_expr, run_full_audit
+from _reference import (bose_limit_check, eval_one, hermitian_eigen,
+                        move_relation_check)
+from gentile.audit import audit_crosscheck, run_full_audit
 from gentile.catalog import build_catalog
 from gentile.cli import main as cli_main
 from gentile.coherent import (LambdaChoice, build_coherent,
                               compare_closed_form, eigenstate_residual)
 from gentile.errors import DegenerateNodes
 from gentile.linalg import max_abs_diff
-from gentile.oscillator import (bose_limit_check,
-                                build_hamiltonian, closed_form_spectrum,
+from gentile.oscillator import (build_hamiltonian, closed_form_spectrum,
                                 per_state_energy, spectrum_crosscheck)
 from gentile.rep import build_rep, number_from_arcsin
 from gentile.su2 import (DiagonalChoice, solve_representation,
@@ -138,8 +138,8 @@ def test_criterion_7_appendix_b_oracle():
     for n in (2, 3, 5):
         rep = build_rep(n)
         assignment = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
-        residual = (eval_expr(entry.lhs, assignment, rep.roots, rep.dim)
-                    - eval_expr(entry.rhs, assignment, rep.roots, rep.dim))
+        residual = (eval_one(entry.lhs, assignment, rep.roots, rep.dim)
+                    - eval_one(entry.rhs, assignment, rep.roots, rep.dim))
         predicted = (rep.q ** 2 - rep.q) \
             * np.linalg.matrix_power(rep.a_dag, 2) \
             @ np.linalg.matrix_power(rep.b, 2)

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _reference import eval_one
 from gentile.audit import (RANDOM_DIM, TOL, audit_crosscheck, eval_expr,
                            run_full_audit)
 from gentile.catalog import (FREE, FORMAL_Q, Q_AT_N, Q_EQ_1, Q_EQ_MINUS_1,
                              QUOTIENT, IdentityEntry, build_catalog)
-from gentile.errors import InconsistentVerdict
+from gentile.errors import GateFailed
 from gentile.linalg import max_abs_diff
 from gentile.rep import build_rep
 from gentile.symbolic import expand_free, generators_of, normal_order, parse
@@ -164,7 +165,7 @@ def test_phase_tree_is_q_to_the_n_minus_1():
     assert right.rhs.right == phase
     for n in range(1, 129):
         rep = build_rep(n)
-        got = eval_expr(phase, _rep_assignment(rep), rep.roots, rep.dim)
+        got = eval_one(phase, _rep_assignment(rep), rep.roots, rep.dim)
         assert max_abs_diff(got, _phase(rep)) <= 1e-13, n
 
 
@@ -183,7 +184,7 @@ def test_phase_trees_match_matrix_builders(identity_id):
         for tree, builder in zip((entry.lhs, entry.rhs),
                                  REFERENCE_BUILDERS[identity_id]):
             want = builder(rep)
-            got = eval_expr(tree, assign, rep.roots, rep.dim)
+            got = eval_one(tree, assign, rep.roots, rep.dim)
             bound = 1e-12 * max(1.0, np.abs(want).max())
             assert max_abs_diff(got, want) <= bound, (n, builder.__name__)
 
@@ -209,8 +210,8 @@ def _sequential_residuals(n_values, trials, seed):
                     phi = rng.uniform(0.0, 2.0 * np.pi, (5, 5))
                     assign[name] = r * np.exp(1j * phi)
                 worst[entry.id] = max(worst[entry.id], max_abs_diff(
-                    eval_expr(entry.lhs, assign, roots, 5),
-                    eval_expr(entry.rhs, assign, roots, 5)))
+                    eval_one(entry.lhs, assign, roots, 5),
+                    eval_one(entry.rhs, assign, roots, 5)))
     return worst
 
 
@@ -235,7 +236,7 @@ def test_eval_expr_stacked_matches_row_by_row():
     stacked = eval_expr(expr, gens, tables, 4)
     assert stacked.shape == (len(n_rows), 4, 4)
     for i, roots in enumerate(tables):
-        row = eval_expr(expr, {k: v[i] for k, v in gens.items()}, roots, 4)
+        row = eval_one(expr, {k: v[i] for k, v in gens.items()}, roots, 4)
         assert stacked[i].tobytes() == row.tobytes()
 
 
@@ -259,7 +260,7 @@ def test_mutated_identity_fails_both_pipelines():
     assert result.identity_id == "mutation_sign_flip"
     assert result.verdict == "FAIL"
     assert result.numeric_residual > TOL * 10
-    # consistent FAIL/FAIL: crosscheck raises no InconsistentVerdict
+    # consistent FAIL/FAIL: crosscheck raises no GateFailed
     assert audit_crosscheck(matrix)
 
 
@@ -269,8 +270,13 @@ def test_crosscheck_detects_pipeline_disagreement():
                                   entries=[_mutated_entry()])
     (result,) = matrix.results
     result.verdict = "PASS"
-    with pytest.raises(InconsistentVerdict):
+    with pytest.raises(GateFailed) as failed:
         audit_crosscheck(matrix)
+    contract, detail = failed.value.args
+    assert contract == "audit_crosscheck"
+    assert detail == ("inconsistent verdicts for 'mutation_sign_flip': "
+                      "symbolic PASS but numeric residual "
+                      f"{result.numeric_residual:.3e}")
 
 
 # -- report serialization -------------------------------------------------------

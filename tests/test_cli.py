@@ -1,5 +1,6 @@
 """Batch CLI: exit codes, formats, determinism."""
 
+import ast
 import csv
 import hashlib
 import importlib
@@ -21,10 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gentile
+from gentile.audit import AuditReport, IdentityResult
 from gentile.cli import (COMMON_OPTIONS, MAX_N, MAX_WORD, OPTION_FLAGS,
                          SUBCOMMANDS, _dump_json, build_parser, main,
                          parse_n_values)
-from gentile.errors import InconsistentVerdict, OutOfRange
+from gentile.errors import OutOfRange
 from gentile.symbolic.parser import MAX_PERM_OPERANDS, MAX_POWER
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -648,15 +650,38 @@ def test_readme_flags_table_lists_every_declared_flag():
             assert sorted(listed.split("\\|")) == sorted(choices), flag
 
 
-def _raise(exc):
-    raise exc
+def test_readme_contracts_are_the_gate_failed_contracts():
+    # the first argument of every GateFailed(...) in the package is a
+    # string literal, and README's gate table names exactly these
+    src = Path(gentile.__path__[0])
+    contracts = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "GateFailed"):
+                assert isinstance(node.args[0], ast.Constant), path
+                contracts.add(node.args[0].value)
+    assert contracts == set().union(*map(_readme_contracts, SUBCOMMANDS))
+    assert contracts == {"audit_crosscheck", "spectrum_crosscheck",
+                         "NotHermitian", "eigenstate_residual",
+                         "verify_representation", "DomainError"}
+
+
+def _inconsistent_audit(n_values, seed):
+    # free, limit and matrix reports with one symbolic PASS whose numeric
+    # residual is far above audit.TOL
+    result = IdentityResult(
+        identity_id="appX", strategy="QUOTIENT", specialization="Q_AT_N",
+        residual_digest=None, numeric_residual=1.0, n_tested=n_values,
+        verdict="PASS")
+    return AuditReport([], 0), AuditReport([], 0), AuditReport([result], seed)
 
 
 @pytest.mark.parametrize("argv,target,replacement,diagnostic", [
-    (["audit", "--n", "2"], "gentile.cli.audit_crosscheck",
-     lambda matrix: _raise(InconsistentVerdict("appX", "numeric 1.0")),
+    (["audit", "--n", "2"], "gentile.cli.run_full_audit", _inconsistent_audit,
      '{\n  "contract": "audit_crosscheck",\n  "detail": "inconsistent '
-     'verdicts for \'appX\': numeric 1.0"\n}\n'),
+     'verdicts for \'appX\': symbolic PASS but numeric residual '
+     '1.000e+00"\n}\n'),
     (["spectrum", "--n", "1"], "gentile.cli.spectrum_crosscheck",
      lambda n: (False, 0.5, None),
      '{\n  "contract": "spectrum_crosscheck",\n  "detail": [\n    {\n'
@@ -692,12 +717,6 @@ def test_failed_gate_exits_two(argv, target, replacement, diagnostic,
     assert json.loads(diagnostic)["contract"] in _readme_contracts(argv[0])
 
 
-# functions of src/gentile that no subcommand calls, each with its reason
-UNREACHED_ALLOWED = {
-    # acceptance criterion 5 needs n = 10^6, far above MAX_N; it builds no
-    # matrix, so it stays in the library although no subcommand runs it
-    "gentile.oscillator.bose_limit_check",
-}
 # members that no subcommand calls but the benchmark's tracer reads
 BENCH_READS = {
     # bench/tracer.py counts the terms of expand_free's and normal_order's
@@ -772,7 +791,7 @@ def test_every_public_function_is_reached(capsys):
     assert set(codes) == {0}
     unreached = {name for name, code in _public_functions().items()
                  if code not in called}
-    assert unreached == UNREACHED_ALLOWED | BENCH_READS
+    assert unreached == BENCH_READS
 
 
 # -- JSON encoding, against the per-value walk it replaced --------------------

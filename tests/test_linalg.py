@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from _reference import NoConvergence, hermitian_eigen, matrix_function
-from gentile.errors import DimensionMismatch, DomainError, NotHermitian
+from _reference import (DomainError, NoConvergence, NotHermitian,
+                        hermitian_eigen, matrix_function)
+from gentile.errors import DimensionMismatch
 from gentile.linalg import max_abs_diff
 
 

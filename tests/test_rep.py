@@ -8,7 +8,7 @@ import pytest
 
 from _reference import (BITWISE_N, arcsin_collisions, bracket_number,
                         dense_arcsin_values, dense_sine_matrix)
-from gentile.errors import DomainError, NotHermitian, OutOfRange
+from gentile.errors import GateFailed, OutOfRange
 from gentile.linalg import max_abs_diff
 from gentile.rep import _sine_diagonal, build_rep, number_from_arcsin
 
@@ -181,14 +181,15 @@ def test_arcsin_table_matches_jacobi_route_bitwise():
         assert values.tobytes() == dense_arcsin_values(rep).tobytes(), n
 
 
-@pytest.mark.parametrize("shift,error", [(2e-12j, NotHermitian),
-                                         (-2.5, DomainError)])
-def test_arcsin_checks_sine_diagonal(monkeypatch, shift, error):
+@pytest.mark.parametrize("shift,contract", [(2e-12j, "NotHermitian"),
+                                            (-2.5, "DomainError")])
+def test_arcsin_checks_sine_diagonal(monkeypatch, shift, contract):
     rep = build_rep(4)
     m = _sine_diagonal(rep) + np.array([0, 0, shift, 0, 0])
     monkeypatch.setattr("gentile.rep._sine_diagonal", lambda rep: m)
-    with pytest.raises(error):
+    with pytest.raises(GateFailed) as failed:
         number_from_arcsin(rep)
+    assert failed.value.args[0] == contract
 
 
 def test_arcsin_clips_marginal_values(monkeypatch):

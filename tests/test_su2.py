@@ -6,7 +6,7 @@ import pytest
 from _reference import (SU2_BITWISE_N, bracket_number,
                         dense_verify_representation, e010_residual_by_pairs,
                         first_close_nodes, scalar_solve)
-from gentile.errors import DegenerateNodes, OutOfRange, WrongChoice
+from gentile.errors import DegenerateNodes, OutOfRange
 from gentile.linalg import max_abs_diff
 from gentile.rep import build_rep
 from gentile.su2 import (DiagonalChoice, Su2Rep, diagonal_operator,
@@ -143,12 +143,6 @@ def test_solvers_carry_bracket_numbers():
     brackets = build_rep(5).bracket_numbers
     assert solve_representation(5, DiagonalChoice.ADAG_B).bracket_numbers \
         == brackets
-
-
-def test_e010_wrong_choice():
-    rep = solve_representation(3, DiagonalChoice.NUM)
-    with pytest.raises(WrongChoice):
-        e010_residual(rep)
 
 
 @pytest.mark.parametrize("n", range(2, 17))

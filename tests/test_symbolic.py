@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gentile.audit import eval_expr
+from _reference import eval_one
 from gentile.errors import OutOfRange, ParseError
 from gentile.laurent import ONE, Q, QINV, ZERO, LaurentScalar, q_integer
 from gentile.linalg import max_abs_diff
@@ -334,7 +334,7 @@ def test_normal_order_matches_representation(word, n):
     expr = product([Gen(name) for name in word])
     rep = build_rep(n)
     assignment = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
-    direct = eval_expr(expr, assignment, rep.roots, rep.dim)
+    direct = eval_one(expr, assignment, rep.roots, rep.dim)
     ordered = normal_order(expr).eval_rep(rep)
     scale = max(1.0, float(np.max(np.abs(direct))))
     assert max_abs_diff(direct, ordered) <= 1e-10 * scale
@@ -431,7 +431,7 @@ def test_normal_order_matches_eval_expr_every_node(expr):
         assignment = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
         norms = {name: float(np.linalg.norm(mat, 2))
                  for name, mat in assignment.items()}
-        direct = eval_expr(expr, assignment, rep.roots, rep.dim)
+        direct = eval_one(expr, assignment, rep.roots, rep.dim)
         ordered = poly.eval_rep(rep)
         nf_size = sum(
             float(sum(abs(c) for c in coeff.coeffs.values()))
