@@ -223,7 +223,7 @@ def cmd_coherent(args) -> str:
 def cmd_su2(args) -> str:
     n_values = parse_n_values(args.n)
     choice = DiagonalChoice(args.diag)
-    records, failures, newton = [], [], []
+    records, failures, solved = [], [], []
     for n in n_values:
         try:
             rep = solve_representation(n, choice)
@@ -238,15 +238,14 @@ def cmd_su2(args) -> str:
         record = {"n": n, "j": rep.j, "choice": choice.value,
                   "residuals": residuals}
         records.append(record)
-        # keep the Newton data, not the rep and its dense matrices
-        newton.append((record, rep.nodes, rep.divided))
+        solved.append((record, rep))
         if not ok:
             failures.append({"n": n, "residuals": residuals})
     if failures:
         raise GateFailed("verify_representation", failures)
     # lambda is solved only for a report that is printed
-    for record, nodes, divided in newton:
-        lambdas = np.conj(newton_coefficients(nodes, divided))
+    for record, rep in solved:
+        lambdas = np.conj(newton_coefficients(rep.nodes, rep.divided))
         record["lambdas"] = lambdas.tolist()
     return _dump_json(records)
 

@@ -37,9 +37,7 @@ class GentileRep(FrozenRecord):
 
     The ladder amplitudes are the data; the dense matrices are built
     from them on first use and are read-only.  a_dag and b carry the
-    principal square roots of the bracket numbers; a and b_dag are their
-    conjugate transposes (the four are distinct matrices except in the
-    Fermi and Bose limits).
+    principal square roots of the bracket numbers, a and b_dag conj(amp).
     """
 
     # no __slots__: cached_property needs an instance __dict__
@@ -65,14 +63,6 @@ class GentileRep(FrozenRecord):
     @cached_property
     def b(self) -> np.ndarray:
         return _readonly(np.diag(self.amp, 1))
-
-    @cached_property
-    def a(self) -> np.ndarray:
-        return _readonly(self.a_dag.conj().T)
-
-    @cached_property
-    def b_dag(self) -> np.ndarray:
-        return _readonly(self.b.conj().T)
 
     @cached_property
     def num(self) -> np.ndarray:

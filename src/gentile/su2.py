@@ -6,7 +6,8 @@ solved by Newton divided differences over the n eigenvalue nodes of A on
 |1>..|n>, the linear problem that makes each raising matrix element equal
 the standard spin value c_+(nu) = sqrt((n-nu)(nu+1)).  The quadratic
 coefficient equations from the [J_+, J_-] = 2 J_z diagonal are then
-verified a posteriori.
+verified a posteriori.  A and J_z are held as diagonals and J_+ as its
+one band, so no matrix is built.
 """
 
 from __future__ import annotations
@@ -40,18 +41,17 @@ def ladder_targets(n: int):
     return [math.sqrt((n - v) * (v + 1)) for v in range(n + 1)]
 
 
-def diagonal_operator(rep: GentileRep, choice: DiagonalChoice) -> np.ndarray:
+def operator_diagonal(rep: GentileRep, choice: DiagonalChoice) -> np.ndarray:
+    """A's diagonal on |0>..|n> from the ladder amplitudes; a_dag a and
+    a a_dag are |amp|^2 = re^2 + im^2, real, shifted down or up."""
     if choice is DiagonalChoice.NUM:
-        return rep.num
-    if choice is DiagonalChoice.ADAG_B:
-        return rep.a_dag @ rep.b
-    if choice is DiagonalChoice.BDAG_A:
-        return rep.b_dag @ rep.a
-    if choice is DiagonalChoice.ADAG_A:
-        return rep.a_dag @ rep.a
-    if choice is DiagonalChoice.A_ADAG:
-        return rep.a @ rep.a_dag
-    raise OutOfRange(f"unknown diagonal choice {choice!r}")
+        return np.arange(rep.dim, dtype=complex)
+    if choice in (DiagonalChoice.ADAG_B, DiagonalChoice.BDAG_A):
+        adag_b, bdag_a, _, _ = rep.quadratic_diagonals()
+        return adag_b if choice is DiagonalChoice.ADAG_B else bdag_a
+    modulus = rep.amp.real ** 2 + rep.amp.imag ** 2
+    pair = (0.0, modulus) if choice is DiagonalChoice.ADAG_A else (modulus, 0.0)
+    return np.hstack(pair).astype(complex)
 
 
 def _check_nodes(nodes):
@@ -60,6 +60,22 @@ def _check_nodes(nodes):
         i, j = pairs[0]
         # node index i corresponds to state |i+1>
         raise DegenerateNodes((i + 1, j + 1), abs(nodes[i] - nodes[j]))
+
+
+def leja_order(nodes):
+    """Indices of distinct ``nodes`` in Leja order: first the node of
+    largest modulus, then each time the node with the largest sum of log
+    distances to the nodes already taken, the lowest index on a tie."""
+    x = np.asarray(nodes, dtype=complex)
+    with np.errstate(divide="ignore"):
+        # log 0 = -inf on the diagonal rules a node out once it is taken
+        log_distance = np.log(np.abs(x[:, None] - x))
+    order = [int(np.argmax(np.abs(x)))]
+    score = np.zeros(len(x))
+    for _ in range(len(x) - 1):
+        score += log_distance[order[-1]]
+        order.append(int(np.argmax(score)))
+    return order
 
 
 def divided_differences(nodes, values):
@@ -97,19 +113,15 @@ def newton_coefficients(nodes, divided):
     ``divided`` is the divided-difference table of ``nodes``; the Newton
     basis is expanded into powers.  The monomial form is for reporting;
     assembly and residual checks stay in the Newton basis, which is far
-    better conditioned here.
+    better conditioned here.  Nested like Horner's rule, the expansion
+    stays in float range where summing the expanded basis products does
+    not (A = N from n = 171 on).
     """
-    m = len(nodes)
-    # accumulate prod_(j<k) (x - x_j) in the monomial basis
-    coeffs = np.zeros(m, dtype=complex)
-    basis = np.zeros(m, dtype=complex)
-    basis[0] = 1.0
-    coeffs += divided[0] * basis
-    for k in range(1, m):
-        shifted = np.zeros(m, dtype=complex)
-        shifted[1:] = basis[:-1]
-        basis = shifted - nodes[k - 1] * basis
-        coeffs += divided[k] * basis
+    coeffs = np.zeros(len(nodes), dtype=complex)
+    for k in range(len(nodes) - 1, -1, -1):
+        # coeffs <- coeffs * (z - x_k) + d_k
+        coeffs[1:] = coeffs[:-1] - nodes[k] * coeffs[1:]
+        coeffs[0] = divided[k] - nodes[k] * coeffs[0]
     return coeffs
 
 
@@ -118,12 +130,12 @@ class Su2Rep(FrozenRecord):
         "n",
         "j",
         "choice",
-        "j_plus",
-        "j_minus",
-        "j_z",
-        # Newton-basis data of p(z) = sum_l conj(lambda_l) z^l, kept for
-        # stable residual checks (the monomial lambdas are report-friendly
-        # but ill-conditioned to evaluate directly for larger n)
+        "j_plus",  # <nu+1|J_+|nu>, nu = 0..n-1; J_- is its adjoint
+        "j_z",  # <nu|J_z|nu> = nu - n/2, nu = 0..n
+        # Newton-basis data of p(z) = sum_l conj(lambda_l) z^l, nodes in
+        # Leja order, kept for stable residual checks (the monomial
+        # lambdas are report-friendly but ill-conditioned to evaluate
+        # directly for larger n)
         "nodes",
         "divided",
         # <0>_n .. <n+1>_n of the GentileRep the solve used
@@ -136,22 +148,22 @@ def solve_representation(n: int, choice: DiagonalChoice) -> Su2Rep:
 
     J_+ = p(A) a_dag, where p interpolates c_+(nu) / <nu+1|a_dag|nu> at
     the nodes A|nu+1>; the monomial coefficients of p are
-    conj(lambda_l).  A is diagonal: p(A) is p at its diagonal, by Horner
-    in the Newton basis.
+    conj(lambda_l).  Row 0 of a_dag is zero, so J_+'s band is p at the
+    nodes times a_dag's.  The nodes are checked in state order, then
+    divided in Leja order, which keeps the table stable (Reichel, BIT 30,
+    1990).
     """
     rep = build_rep(n)
-    diagonal = diagonal_operator(rep, choice).diagonal().tolist()
-    nodes = diagonal[1:]
+    nodes = operator_diagonal(rep, choice)[1:].tolist()
     _check_nodes(nodes)
-    c_plus = ladder_targets(n)
-    divided = divided_differences(
-        nodes, [c_plus[v] / rep.a_dag[v + 1, v] for v in range(n)])
-    p = [newton_eval(nodes, divided, a) for a in diagonal]
-    j_plus = np.array(p)[:, None] * rep.a_dag
-    return Su2Rep(n=n, j=n / 2.0, choice=choice,
-                  j_plus=j_plus, j_minus=j_plus.conj().T,
-                  j_z=rep.num - (n / 2.0) * np.eye(n + 1),
-                  nodes=tuple(nodes), divided=tuple(divided),
+    targets = (np.array(ladder_targets(n)[:n]) / rep.amp).tolist()
+    order = leja_order(nodes)
+    leja = [nodes[k] for k in order]
+    divided = divided_differences(leja, [targets[k] for k in order])
+    p = np.array([newton_eval(leja, divided, x) for x in nodes])
+    return Su2Rep(n=n, j=n / 2.0, choice=choice, j_plus=p * rep.amp,
+                  j_z=np.arange(n + 1) - n / 2.0, nodes=tuple(leja),
+                  divided=tuple(divided),
                   bracket_numbers=rep.bracket_numbers)
 
 
@@ -159,24 +171,23 @@ def verify_representation(rep: Su2Rep):
     """Residuals of the su(2) relations, the Casimir identity and, for
     A = a_dag b, the printed equations (``e010``); True iff all <= TOL.
 
-    J_z is the real diagonal N - n/2, so a product with it scales rows or
-    columns by z = diag(J_z); a dense product would give the same bits up
-    to the sign of some zeros, which the residuals' moduli drop.  The
-    checks still cover every entry of J_+ and J_-, so an entry off their
-    band shows.  Beyond float range a residual is inf or nan, which fails
-    the gate, so numpy's overflow warnings are not printed as well.
+    Each relation is zero off the bands it is taken on, all O(n): J_+J_-
+    and J_-J_+ are |J_+|^2 = re^2 + im^2, real, shifted down and up, and
+    [J_z, J_+-] lie on the bands of J_+-.  Beyond float range a residual
+    is inf or nan, which fails the gate, so numpy's overflow warnings are
+    not printed as well.
     """
-    jp, jm, jz = rep.j_plus, rep.j_minus, rep.j_z
-    z = jz.diagonal()
+    jp, z = rep.j_plus, rep.j_z
+    jm = jp.conj()
     with np.errstate(over="ignore", invalid="ignore"):
-        pm, mp = jp @ jm, jm @ jp
+        norm = jp.real ** 2 + jp.imag ** 2
+        pm, mp = np.hstack((0.0, norm)), np.hstack((norm, 0.0))
         residuals = {
-            "comm87": max_abs_diff(pm - mp, 2.0 * jz),
-            "comm88p": max_abs_diff(z[:, None] * jp - jp * z, jp),
-            "comm88m": max_abs_diff(z[:, None] * jm - jm * z, -jm),
-            "casimir": max_abs_diff(
-                np.diag(z * z) + (pm + mp) / 2.0,
-                rep.j * (rep.j + 1.0) * np.eye(jp.shape[0])),
+            "comm87": max_abs_diff(pm - mp, 2.0 * z),
+            "comm88p": max_abs_diff(z[1:] * jp - jp * z[:-1], jp),
+            "comm88m": max_abs_diff(z[:-1] * jm - jm * z[1:], -jm),
+            "casimir": max_abs_diff(z * z + (pm + mp) / 2.0,
+                                    np.full_like(z, rep.j * (rep.j + 1.0))),
         }
     if rep.choice is DiagonalChoice.ADAG_B:
         residuals["e010"] = e010_residual(rep)

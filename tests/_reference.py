@@ -7,9 +7,10 @@ replaced; the sweeps must give exactly their results.  The dense
 references are the matrix routes that the library's band routes
 replaced, down to the Jacobi eigensolver; the bands must give exactly
 their bits.  The su(2) references solve on numpy scalars, one entry at a
-time, and verify by nine dense products; the library must give exactly
-their bits.  Only the eigensolver and the Bose-limit check check their
-input: the others are called only with valid arguments.
+time, and verify by nine dense products of J_+ expanded from its band;
+the library must give exactly their bits.  Only the eigensolver and the
+Bose-limit check check their input: the others are called only with
+valid arguments.
 """
 
 import cmath
@@ -26,8 +27,8 @@ from gentile.oscillator import (CLUSTER_TOL, _case_levels,
                                 _prose_multiplicity, build_hamiltonian,
                                 case_class, per_state_energy)
 from gentile.rep import build_rep
-from gentile.su2 import (NODE_SEPARATION, TOL, DiagonalChoice, Su2Rep,
-                         diagonal_operator, ladder_targets)
+from gentile.su2 import (NODE_SEPARATION, TOL, DiagonalChoice,
+                         ladder_targets, leja_order, operator_diagonal)
 
 
 def bracket_number(n: int, v: int) -> complex:
@@ -90,8 +91,8 @@ def ladder_commutation_check(n: int, tol: float = 1e-12):
                        for v in range(rep.dim)])
     cases = {
         "adag": (rep.a_dag, +1),
-        "a": (rep.a, -1),
-        "bdag": (rep.b_dag, +1),
+        "a": (rep.a_dag.conj().T, -1),
+        "bdag": (rep.b.conj().T, +1),
         "b": (rep.b, -1),
     }
     residuals = {}
@@ -120,10 +121,10 @@ def move_relation_check(n: int, choice, power: int):
     rep = ops.rep
     ratio = ops.lam[power] / ops.lam[0]
     residuals = {}
-    for name, x, psi_left in (("psi_bdag", rep.b_dag, True),
+    for name, x, psi_left in (("psi_bdag", rep.b.conj().T, True),
                               ("psi_adag", rep.a_dag, True),
                               ("b_psi", rep.b, False),
-                              ("a_psi", rep.a, False)):
+                              ("a_psi", rep.a_dag.conj().T, False)):
         x_power = np.linalg.matrix_power(x, power)
         worst = 0.0
         for k in range(n + 1):
@@ -344,8 +345,9 @@ def matrix_function(m: np.ndarray, f, tol: float = JACOBI_TOL,
 
 def dense_sine_matrix(rep):
     """M = (i/2)(a^dag b - b^dag a + a b^dag - b a^dag), by BLAS products."""
-    return 0.5j * (rep.a_dag @ rep.b - rep.b_dag @ rep.a
-                   + rep.a @ rep.b_dag - rep.b @ rep.a_dag)
+    a, b_dag = rep.a_dag.conj().T, rep.b.conj().T
+    return 0.5j * (rep.a_dag @ rep.b - b_dag @ a
+                   + a @ b_dag - rep.b @ rep.a_dag)
 
 
 def dense_arcsin_values(rep):
@@ -371,6 +373,36 @@ def dense_eigenstate_residual(state):
 SU2_BITWISE_N = (*range(1, 129), 256)
 
 
+def diagonal_operator(rep, choice):
+    """The dense matrix A of one diagonal choice, by a BLAS product of
+    the ladder matrices."""
+    if choice is DiagonalChoice.NUM:
+        return rep.num
+    a, b_dag = rep.a_dag.conj().T, rep.b.conj().T
+    left, right = {DiagonalChoice.ADAG_B: (rep.a_dag, rep.b),
+                   DiagonalChoice.BDAG_A: (b_dag, a),
+                   DiagonalChoice.ADAG_A: (rep.a_dag, a),
+                   DiagonalChoice.A_ADAG: (a, rep.a_dag)}[choice]
+    return left @ right
+
+
+def leja_shortfall(nodes, order):
+    """Largest relative shortfall of ``order`` from the Leja rule: of the
+    first node's modulus from the largest, and at each later step of the
+    node's sum of log distances to the nodes taken from the best among
+    the nodes left, the sums taken with math.log in Python floats."""
+    moduli = [abs(x) for x in nodes]
+    worst = (max(moduli) - moduli[order[0]]) / max(moduli)
+    score = [0.0] * len(nodes)
+    for step in range(1, len(order)):
+        left = order[step:]
+        for i in left:
+            score[i] += math.log(abs(nodes[i] - nodes[order[step - 1]]))
+        best = max(score[i] for i in left)
+        worst = max(worst, (best - score[order[step]]) / (1.0 + abs(best)))
+    return worst
+
+
 def scalar_divided_differences(nodes, values):
     """Newton divided-difference table d_0 .. d_(m-1) over distinct nodes."""
     m = len(nodes)
@@ -391,28 +423,24 @@ def scalar_newton_eval(nodes, divided, z: complex) -> complex:
 
 
 def scalar_solve(n: int, choice):
-    """``Su2Rep`` and p at A's diagonal, with the nodes and the
-    divided-difference table as numpy complex128 scalars."""
+    """The divided-difference table over the Leja-ordered nodes and p at
+    the nodes in state order, on numpy complex128 scalars."""
     rep = build_rep(n)
-    a_matrix = diagonal_operator(rep, choice)
-    nodes = [a_matrix[v, v] for v in range(1, rep.dim)]
+    nodes = list(operator_diagonal(rep, choice)[1:])
     c_plus = ladder_targets(n)
-    divided = scalar_divided_differences(
-        nodes, [c_plus[v] / rep.a_dag[v + 1, v] for v in range(n)])
-    p = [scalar_newton_eval(nodes, divided, a) for a in a_matrix.diagonal()]
-    j_plus = np.array(p)[:, None] * rep.a_dag
-    su2 = Su2Rep(n=n, j=n / 2.0, choice=choice,
-                 j_plus=j_plus, j_minus=j_plus.conj().T,
-                 j_z=rep.num - (n / 2.0) * np.eye(n + 1),
-                 nodes=tuple(nodes), divided=tuple(divided),
-                 bracket_numbers=rep.bracket_numbers)
-    return su2, p
+    targets = [c_plus[v] / rep.amp[v] for v in range(n)]
+    order = leja_order(nodes)
+    leja = [nodes[k] for k in order]
+    divided = scalar_divided_differences(leja, [targets[k] for k in order])
+    return divided, [scalar_newton_eval(leja, divided, x) for x in nodes]
 
 
 def dense_verify_representation(rep):
-    """``su2.verify_representation`` by nine dense products, each residual
-    a Python float."""
-    jp, jm, jz = rep.j_plus, rep.j_minus, rep.j_z
+    """``su2.verify_representation`` by nine dense products of J_+
+    expanded from its band, J_- = J_+^H and J_z, each residual a Python
+    float."""
+    jp = np.diag(rep.j_plus, -1)
+    jm, jz = jp.conj().T, np.diag(rep.j_z).astype(complex)
     eye = np.eye(jp.shape[0])
     residuals = {
         "comm87": max_abs_diff(jp @ jm - jm @ jp, 2.0 * jz),

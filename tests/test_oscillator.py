@@ -50,10 +50,11 @@ def test_hamiltonian_diagonal():
 def _dense_hamiltonian(n):
     """Reference: the Hamiltonian as four dense ladder-matrix products."""
     rep = build_rep(n)
+    a, b_dag = rep.a_dag.conj().T, rep.b.conj().T
     alpha, beta = 1 + 0j, cmath.exp(-2j * math.pi / (n + 1))
     return (alpha * (rep.a_dag @ rep.b) + beta * (rep.b @ rep.a_dag)
-            + np.conj(alpha) * (rep.b_dag @ rep.a)
-            + np.conj(beta) * (rep.a @ rep.b_dag)) / 4.0
+            + np.conj(alpha) * (b_dag @ a)
+            + np.conj(beta) * (a @ b_dag)) / 4.0
 
 
 def test_hamiltonian_matches_dense_products():

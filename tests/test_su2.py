@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from _reference import (SU2_BITWISE_N, bracket_number,
-                        dense_verify_representation, e010_residual_by_pairs,
-                        first_close_nodes, scalar_solve)
+                        dense_verify_representation, diagonal_operator,
+                        e010_residual_by_pairs, first_close_nodes,
+                        leja_shortfall, scalar_solve)
 from gentile.errors import DegenerateNodes, OutOfRange
 from gentile.linalg import max_abs_diff
 from gentile.rep import build_rep
-from gentile.su2 import (DiagonalChoice, Su2Rep, diagonal_operator,
-                         divided_differences, e010_residual, ladder_targets,
+from gentile.su2 import (TOL, DiagonalChoice, Su2Rep, divided_differences,
+                         e010_residual, ladder_targets, leja_order,
                          _check_nodes, newton_coefficients, newton_eval,
-                         solve_representation, verify_representation)
+                         operator_diagonal, solve_representation,
+                         verify_representation)
 
 SOLVABLE = (DiagonalChoice.NUM, DiagonalChoice.ADAG_B, DiagonalChoice.BDAG_A)
 
@@ -34,10 +36,21 @@ def test_ladder_targets_telescoping():
 
 
 def test_diagonal_operator_commutes_with_num():
-    rep = build_rep(5)
-    for choice in DiagonalChoice:
-        a = diagonal_operator(rep, choice)
-        assert max_abs_diff(a @ rep.num, rep.num @ a) <= 1e-12
+    # the dense products are diagonal, and the band diagonal is theirs;
+    # N's is exact, and a_dag a's and a a_dag's are real
+    eps = np.finfo(float).eps
+    for n in (1, 5, 64):
+        rep = build_rep(n)
+        for choice in DiagonalChoice:
+            a = diagonal_operator(rep, choice)
+            diagonal = operator_diagonal(rep, choice)
+            assert max_abs_diff(a @ rep.num, rep.num @ a) <= 1e-12
+            assert max_abs_diff(np.diag(diagonal), a) \
+                <= 4 * eps * np.max(np.abs(a))
+            if choice is DiagonalChoice.NUM:
+                assert diagonal.tobytes() == a.diagonal().tobytes()
+            elif choice in (DiagonalChoice.ADAG_A, DiagonalChoice.A_ADAG):
+                assert not np.any(diagonal.imag)
 
 
 def test_newton_interpolation_exactness():
@@ -53,13 +66,15 @@ def test_newton_interpolation_exactness():
 
 def test_n1_pauli_oracle():
     rep = solve_representation(1, DiagonalChoice.NUM)
-    assert max_abs_diff(rep.j_plus, np.array([[0, 0], [1, 0]])) <= 1e-14
-    assert max_abs_diff(rep.j_z, np.diag([-0.5, 0.5])) <= 1e-14
+    assert max_abs_diff(np.diag(rep.j_plus, -1),
+                        np.array([[0, 0], [1, 0]])) <= 1e-14
+    assert max_abs_diff(rep.j_z, np.array([-0.5, 0.5])) <= 1e-14
 
 
 def test_jz_eigenvalues():
     rep = solve_representation(6, DiagonalChoice.ADAG_B)
-    assert np.allclose(np.diag(rep.j_z).real, np.arange(7) - 3.0)
+    assert rep.j_z.tolist() == (np.arange(7) - 3.0).tolist()
+    assert rep.j_plus.shape == (6,)
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -91,7 +106,7 @@ def test_j_plus_matches_dense_horner(choice):
         except DegenerateNodes:
             continue
         reference = _dense_horner_j_plus(rep)
-        assert max_abs_diff(rep.j_plus, reference) \
+        assert max_abs_diff(np.diag(rep.j_plus, -1), reference) \
             <= 64 * eps * np.max(np.abs(reference)), n
 
 
@@ -123,8 +138,7 @@ def test_e010_residual_matches_two_evaluations_per_bracket(n):
 def test_check_nodes_matches_all_pairs_scan(choice):
     raised = 0
     for n in range(1, 129):
-        a_matrix = diagonal_operator(build_rep(n), choice)
-        nodes = [a_matrix[v, v] for v in range(1, n + 1)]
+        nodes = operator_diagonal(build_rep(n), choice)[1:].tolist()
         expected = first_close_nodes(nodes)
         try:
             _check_nodes(nodes)
@@ -174,10 +188,10 @@ def test_a_adag_solvable_below_n4(n):
 
 
 def _with_j_plus(rep, j_plus):
-    """``rep`` with J_+ replaced by ``j_plus`` and J_- by its adjoint."""
+    """``rep`` with the band of J_+ replaced by ``j_plus``."""
     return Su2Rep(n=rep.n, j=rep.j, choice=rep.choice, j_plus=j_plus,
-                  j_minus=j_plus.conj().T, j_z=rep.j_z, nodes=rep.nodes,
-                  divided=rep.divided, bracket_numbers=rep.bracket_numbers)
+                  j_z=rep.j_z, nodes=rep.nodes, divided=rep.divided,
+                  bracket_numbers=rep.bracket_numbers)
 
 
 def test_mutation_perturbed_lambda_fails():
@@ -185,27 +199,30 @@ def test_mutation_perturbed_lambda_fails():
     # must break verification
     rep = solve_representation(4, DiagonalChoice.ADAG_B)
     grep = build_rep(4)
-    mutated = _with_j_plus(rep, rep.j_plus + 0.1 * grep.a_dag)
+    mutated = _with_j_plus(rep, rep.j_plus + 0.1 * grep.amp)
     _, ok = verify_representation(mutated)
     assert not ok
 
 
 @pytest.mark.parametrize("n", (1, 4, 16))
-def test_mutation_off_band_entry_fails(n):
-    # the checks cover every entry of J_+ and J_-, not only their bands
+def test_mutation_perturbed_band_entry_fails(n):
+    # J_+ is held as its band, so it has no entry off it to perturb; one
+    # band entry nudged by 0.1 moves |J_+|^2, which comm87 and the Casimir
+    # see, while [J_z, J_+-] = +-J_+- holds for any band
     rep = solve_representation(n, DiagonalChoice.NUM)
     j_plus = rep.j_plus.copy()
-    j_plus[0, n] = 0.1
-    mutated = _with_j_plus(rep, j_plus)
-    residuals, ok = verify_representation(mutated)
+    j_plus[n // 2] += 0.1
+    residuals, ok = verify_representation(_with_j_plus(rep, j_plus))
     assert not ok
-    assert residuals["comm88p"] > 0.1 and residuals["comm88m"] > 0.1
+    assert residuals["comm87"] > 0.1 and residuals["casimir"] > 0.1
+    assert residuals["comm88p"] <= TOL and residuals["comm88m"] <= TOL
 
 
 @pytest.mark.parametrize("choice", list(DiagonalChoice))
 def test_solve_and_verify_match_scalar_route_bitwise(choice):
-    # the Newton data on Python complex and the two-product check give the
-    # bits of the numpy-scalar solve and the nine dense products
+    # the Newton data on Python complex give the bits of the numpy-scalar
+    # solve, and the band check gives those of nine dense products on J_+
+    # expanded from its band
     solved = 0
     for n in SU2_BITWISE_N:
         try:
@@ -213,17 +230,33 @@ def test_solve_and_verify_match_scalar_route_bitwise(choice):
         except DegenerateNodes:
             continue
         solved += 1
-        reference, p_ref = scalar_solve(n, choice)
-        diagonal = diagonal_operator(build_rep(n), choice).diagonal()
-        p = [newton_eval(rep.nodes, rep.divided, a)
-             for a in diagonal.tolist()]
+        divided, p_ref = scalar_solve(n, choice)
+        nodes = operator_diagonal(build_rep(n), choice)[1:].tolist()
+        p = [newton_eval(rep.nodes, rep.divided, x) for x in nodes]
         assert np.array(rep.divided).tobytes() \
-            == np.array(reference.divided).tobytes(), n
+            == np.array(divided).tobytes(), n
         assert np.array(p).tobytes() == np.array(p_ref).tobytes(), n
-        assert rep.j_plus.tobytes() == reference.j_plus.tobytes(), n
         residuals, ok = verify_representation(rep)
-        expected, expected_ok = dense_verify_representation(reference)
+        expected, expected_ok = dense_verify_representation(rep)
         assert repr(residuals) == repr(expected), n
         assert residuals == expected and ok == expected_ok, n
     assert solved == {DiagonalChoice.ADAG_A: 1,
                       DiagonalChoice.A_ADAG: 3}.get(choice, 129)
+
+
+@pytest.mark.parametrize("choice", SOLVABLE)
+def test_leja_order_takes_the_farthest_node(choice):
+    # near-ties are decided by rounding, so the order is held to the Leja
+    # rule within a relative 1e-13 of each step's best, not to one order
+    for n in range(1, 129):
+        nodes = operator_diagonal(build_rep(n), choice)[1:].tolist()
+        order = leja_order(nodes)
+        assert sorted(order) == list(range(n))
+        assert leja_shortfall(nodes, order) <= 1e-13, n
+
+
+def test_leja_order_breaks_exact_ties_by_lowest_index():
+    # four nodes of modulus 1 tie for the start, and -1 and 1 tie at the
+    # third step, each distance to 1j and -1j being hypot(1, 1)
+    assert leja_order([0.5, 1j, -1, 1, -1j]) == [1, 4, 2, 3, 0]
+    assert leja_order([2.0]) == [0]
