@@ -25,19 +25,72 @@ DEFAULT_TRIALS = 3
 TOL = 1e-9  # crosscheck: PASS needs residual <= TOL, FAIL > 10 * TOL
 RANDOM_DIM = 5
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the state's increment and
+# the two multipliers of its output finalizer
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
 
-def eval_expr(e: Expr, assignment: dict, roots, dim: int) -> np.ndarray:
+
+def _mix64(z):
+    """The SplitMix64 finalizer of a uint64 array, in place."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+class SplitMix64:
+    """A counter-based SplitMix64 stream of uniforms on [0, 1).
+
+    Draw i, counted from 0 over the stream's life, is
+    ``(mix64(s + (i + 1) * GAMMA mod 2^64) >> 11) * 2^-53``.  The state s
+    starts at 0 and takes each 64-bit limb L of ``seed``, least
+    significant first, as ``s = mix64((s ^ L) + GAMMA)``; seed 0 has no
+    limb.  The bytes depend on no library's generator.
+    """
+    __slots__ = ("_state", "_drawn")
+
+    def __init__(self, seed: int):
+        state = 0
+        while seed:
+            limb = seed & _MASK64
+            z = np.array([((state ^ limb) + _GAMMA) & _MASK64], np.uint64)
+            state = int(_mix64(z)[0])
+            seed >>= 64
+        self._state = state
+        self._drawn = 0
+
+    def random(self, shape) -> np.ndarray:
+        """The next ``prod(shape)`` draws, in C order."""
+        size = int(np.prod(shape))
+        z = np.arange(self._drawn + 1, self._drawn + size + 1,
+                      dtype=np.uint64)
+        self._drawn += size
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        u = (_mix64(z) >> np.uint64(11)).astype(np.float64)
+        u *= 2.0 ** -53
+        return u.reshape(shape)
+
+
+def eval_expr(e: Expr, assignment: dict, roots, dim: int,
+              rows=slice(None)) -> np.ndarray:
     """Numeric matrix values of an expression tree for a batch of B rows.
 
     Generators are stacked ``(B, dim, dim)`` arrays and ``roots`` is a
-    list of B tables; row i is taken at the root of unity whose powers
-    q^0 .. q^n are ``roots[i]`` (a ``GentileRep.roots``).  Every slice of
-    the result equals the evaluation of that row alone bit for bit.
+    list of tables, each the powers q^0 .. q^n of a root of unity (a
+    ``GentileRep.roots``); row i is taken at table ``rows[i]``, by default
+    table i.  Each scalar is evaluated once per table.  Every slice of the
+    result equals the evaluation of that row alone bit for bit.
     """
     def at(s):
-        return np.array([s.eval_at(r) for r in roots])[:, None, None]
+        return np.array([s.eval_at(r) for r in roots])[rows, None, None]
 
-    q = np.array([r[1] for r in roots])[:, None, None]
+    q = np.array([r[1] for r in roots])[rows, None, None]
     return fold(e, Algebra(
         gen=assignment.__getitem__,
         scalar=lambda s: at(s) * np.eye(dim, dtype=complex),
@@ -135,20 +188,23 @@ def run_full_audit(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS, seed=0,
     QUOTIENT entries get a normal-form verdict and are evaluated in the
     Gentile representation at every n; both go to the matrix report.
 
-    Draw order, which keeps a seed's output stable: one generator seeded
-    with ``seed`` serves the FREE formal-q entries in catalog order.  Each
-    entry takes, for each n, for each of ``trials`` draws, for each of its
-    generator names in sorted order, a 5x5 block of ``uniform(0, 1)``
-    numbers r and then a 5x5 block of ``uniform(0, 2 pi)`` numbers phi, and
-    sets that generator to ``sqrt(r) * exp(1j * phi)``.  All draws of an
-    entry are evaluated as one stacked batch, each row with the table of
-    powers of q = exp(2 pi i/(n + 1)) of its n; the residual is the largest
+    Draw order, which keeps a seed's output stable: one
+    ``SplitMix64(seed)`` stream serves the FREE formal-q entries in catalog
+    order.  With R = len(n_values) * trials rows, entry e of G sorted
+    generator names starts at draw b_e, the sum of 50 * R * G over the
+    formal-q FREE entries before it.  In row t = n_index * trials + trial,
+    name g gets the uniforms u_p[j, k] = draw
+    ``b_e + (((t * G + g) * 2 + p) * 5 + j) * 5 + k`` for p = 0, 1 and sets
+    entry (j, k) to ``sqrt(u_0) * exp(2 pi i u_1)``.  All rows of an entry
+    are evaluated as one stacked batch, each with the table of powers of
+    q = exp(2 pi i/(n + 1)) of its n; the residual is the largest
     entrywise |lhs - rhs| over the batch.
     """
-    rng = np.random.default_rng(seed)
+    rng = SplitMix64(seed)
     reps = {n: build_rep(n) for n in n_values}
+    tables = [reps[n].roots for n in n_values]
     # the batch's rows are (n, trial) in order, each with its n's table
-    row_roots = [reps[n].roots for n in n_values for _ in range(trials)]
+    rows = np.repeat(np.arange(len(n_values)), trials)
     free, limit, matrix = [], [], []
     for entry in build_catalog() if entries is None else entries:
         spec = entry.specialization
@@ -170,10 +226,10 @@ def run_full_audit(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS, seed=0,
                 continue  # limit forms have no finite-n specialization
             assign = _random_draws(
                 generators_of(entry.lhs) | generators_of(entry.rhs), rng,
-                len(row_roots))
+                len(rows))
             worst = max_abs_diff(
-                eval_expr(entry.lhs, assign, row_roots, RANDOM_DIM),
-                eval_expr(entry.rhs, assign, row_roots, RANDOM_DIM))
+                eval_expr(entry.lhs, assign, tables, RANDOM_DIM, rows),
+                eval_expr(entry.rhs, assign, tables, RANDOM_DIM, rows))
         else:
             residual_poly = normal_order(entry.lhs) - normal_order(entry.rhs)
             verdict = "PASS" if residual_poly.is_zero else "FAIL"

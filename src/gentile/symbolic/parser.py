@@ -15,7 +15,8 @@ Identifiers outside :data:`DEFAULT_ALPHABET` are parse errors (catches
 typos in identity entry).  Input nested or built
 deeper than :data:`MAX_DEPTH` levels, an operator exponent above
 :data:`MAX_POWER`, and a ``sumperm`` of more than :data:`MAX_PERM_OPERANDS`
-operands are parse errors too.
+operands are parse errors too.  A power of a scalar is folded into one
+exact scalar.
 """
 
 from __future__ import annotations
@@ -149,6 +150,10 @@ class _Parser:
             k = int(k_tok.text)
             if k > MAX_POWER:
                 raise ParseError(f"exponent above {MAX_POWER}", k_tok.pos)
+            if type(base) is Scal:
+                # so that the matrix pipeline reads one q table entry
+                # rather than raising a scalar matrix to the power
+                return Scal(base.value ** k), depth
             return Pow(base, k), self.deeper(tok, depth)
         return base, depth
 

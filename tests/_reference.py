@@ -8,7 +8,9 @@ references are the matrix routes that the library's band routes
 replaced, down to the Jacobi eigensolver; the bands must give exactly
 their bits.  The su(2) references solve on numpy scalars, one entry at a
 time, and verify by nine dense products of J_+ expanded from its band;
-the library must give exactly their bits.  Only the eigensolver and the
+the library must give exactly their bits.  The SplitMix64 stream is
+restated on Python ints from its published constants; the audit's numpy
+stream must give exactly its draws.  Only the eigensolver and the
 Bose-limit check check their input: the others are called only with
 valid arguments.
 """
@@ -46,6 +48,39 @@ def eval_one(e, assignment: dict, roots, dim: int) -> np.ndarray:
     root of unity whose powers are ``roots``: a batch of one."""
     batch = {name: m[None] for name, m in assignment.items()}
     return eval_expr(e, batch, [roots], dim)[0]
+
+
+# SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014), on Python ints reduced mod 2^64
+SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64_mix(z: int) -> int:
+    """The SplitMix64 output finalizer of a 64-bit int."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix64_outputs(state: int):
+    """The endless 64-bit outputs of SplitMix64 started at ``state``."""
+    while True:
+        state = (state + SPLITMIX64_GAMMA) & MASK64
+        yield splitmix64_mix(state)
+
+
+def splitmix64_uniforms(seed: int):
+    """The endless uniforms of ``audit.SplitMix64(seed)``: the state takes
+    each 64-bit limb of the seed, least significant first, and each
+    output keeps its top 53 bits."""
+    state = 0
+    while seed:
+        state = splitmix64_mix(
+            ((state ^ (seed & MASK64)) + SPLITMIX64_GAMMA) & MASK64)
+        seed >>= 64
+    for z in splitmix64_outputs(state):
+        yield (z >> 11) / 2.0 ** 53
 
 
 class GrassmannOps:

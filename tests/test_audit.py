@@ -2,14 +2,16 @@
 
 import json
 import re
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _reference import eval_one
-from gentile.audit import (RANDOM_DIM, TOL, audit_crosscheck, eval_expr,
-                           run_full_audit)
+from _reference import (eval_one, splitmix64_mix, splitmix64_outputs,
+                        splitmix64_uniforms)
+from gentile.audit import (RANDOM_DIM, TOL, SplitMix64, audit_crosscheck,
+                           eval_expr, run_full_audit)
 from gentile.catalog import (FREE, FORMAL_Q, Q_AT_N, Q_EQ_1, Q_EQ_MINUS_1,
                              QUOTIENT, IdentityEntry, build_catalog)
 from gentile.errors import GateFailed
@@ -193,8 +195,13 @@ def test_phase_trees_match_matrix_builders(identity_id):
 
 
 def _sequential_residuals(n_values, trials, seed):
-    """Worst residual of every formal-q FREE entry, one draw at a time."""
-    rng = np.random.default_rng(seed)
+    """Worst residual of every formal-q FREE entry, one draw at a time,
+    from the reference stream."""
+    draws = splitmix64_uniforms(seed)
+
+    def block():
+        return np.array(list(islice(draws, 25))).reshape(5, 5)
+
     worst = {}
     for entry in build_catalog():
         if entry.strategy != FREE or entry.specialization != FORMAL_Q:
@@ -206,8 +213,8 @@ def _sequential_residuals(n_values, trials, seed):
             for _ in range(trials):
                 assign = {}
                 for name in names:
-                    r = np.sqrt(rng.uniform(0.0, 1.0, (5, 5)))
-                    phi = rng.uniform(0.0, 2.0 * np.pi, (5, 5))
+                    r = np.sqrt(block())
+                    phi = 2.0 * np.pi * block()
                     assign[name] = r * np.exp(1j * phi)
                 worst[entry.id] = max(worst[entry.id], max_abs_diff(
                     eval_one(entry.lhs, assign, roots, 5),
@@ -238,6 +245,62 @@ def test_eval_expr_stacked_matches_row_by_row():
     for i, roots in enumerate(tables):
         row = eval_one(expr, {k: v[i] for k, v in gens.items()}, roots, 4)
         assert stacked[i].tobytes() == row.tobytes()
+
+
+def test_eval_expr_shared_tables_match_one_table_per_row():
+    # rows that name one table read each scalar's value from it
+    expr = parse("[u^2, 1/3 q^2 v]_n + q^-1 u v - {q^3 w, u}")
+    n_values = (1, 12, 20)
+    tables = [build_rep(n).roots for n in n_values]
+    rows = np.array([0, 0, 1, 2, 1, 2, 0])
+    rng = np.random.default_rng(5)
+    gens = {name: rng.standard_normal((len(rows), 4, 4))
+            + 1j * rng.standard_normal((len(rows), 4, 4))
+            for name in "uvw"}
+    shared = eval_expr(expr, gens, tables, 4, rows)
+    per_row = eval_expr(expr, gens, [tables[i] for i in rows], 4)
+    assert shared.tobytes() == per_row.tobytes()
+
+
+# -- the spot checks' SplitMix64 stream ----------------------------------------
+
+
+def test_reference_splitmix64_gives_the_published_outputs():
+    # known-answer outputs of SplitMix64 from state 1234567 and from
+    # state 0, the audit's state for seed 0
+    assert list(islice(splitmix64_outputs(1234567), 5)) == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821]
+    assert list(islice(splitmix64_outputs(0), 3)) == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert splitmix64_mix(0) == 0
+
+
+SEEDS = [0, 7, 2 ** 64 - 1, 2 ** 64, 10 ** 99 + 12345]
+
+
+@pytest.mark.parametrize("seed", SEEDS,
+                         ids=["0", "7", "2^64-1", "2^64", "100-digit"])
+def test_stream_matches_reference(seed):
+    got = SplitMix64(seed).random((3, 2, 50))
+    assert got.shape == (3, 2, 50)
+    want = np.array(list(islice(splitmix64_uniforms(seed), 300)))
+    assert got.ravel().tobytes() == want.tobytes()
+    assert ((0.0 <= got) & (got < 1.0)).all()
+
+
+def test_seeds_give_distinct_streams():
+    firsts = {SplitMix64(seed).random((4,)).tobytes()
+              for seed in [*SEEDS, 1, 2 ** 128]}
+    assert len(firsts) == len(SEEDS) + 2
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (25, 50), (7, 0)])
+def test_one_draw_equals_two_consecutive_draws(a, b):
+    whole = SplitMix64(53).random((a + b,))
+    split = SplitMix64(53)
+    parts = np.concatenate([split.random((a,)), split.random((b,))])
+    assert whole.tobytes() == parts.tobytes()
 
 
 # -- mutation tests: a corrupted identity must never slip through -------------

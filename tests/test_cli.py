@@ -361,17 +361,18 @@ def test_models_output_pinned(argv, code, stream, digest, capsys):
 
 
 # the audit report bytes, pinned so that a change to the catalog, the seeded
-# draws, the verdicts or the crosscheck shows here; at n = 1 the crosscheck
-# rejects a FAIL residual that vanishes at q = -1 and prints its diagnostic
+# SplitMix64 draws, the verdicts or the crosscheck shows here; at n = 1 the
+# crosscheck rejects a FAIL residual that vanishes at q = -1 and prints its
+# diagnostic
 PINNED_AUDIT = [
     (["audit", "--n", "1..24"], 0, "out",
-     "ebcd5481f8a7ef5df70ece5435ac660681ed6b60a58d967a8ccbfb7393314994"),
+     "3c95b0ac051a9917d4622acb0af2051ad64504458dc720fa5c9dbc51b526dc5b"),
     (["audit", "--n", "1..24", "--seed", "7"], 0, "out",
-     "a24fbe9331600be34e738d912ce0bd1e23ac61a795feec82bae298a1f36ce419"),
+     "fc7e01990e2fca69e11436a38b2222de7992af38eccb8edfa67d93722d9e7c37"),
     (["audit", "--n", "2..8", "--format", "table"], 0, "out",
-     "8f4e1d4a6adfe669a6f6c4adc265bdbbcf7990e56617a25674c7e06c738e751f"),
+     "74d19c2c45932401d25477611d6814b8c141a333c2828c0834e41c6cc3e6c3f4"),
     (["audit", "--n", "1"], 2, "err",
-     "b3c23f9a3c6aaa2b01d946ebf8237756008cb97ce7dff75c4bd9fa5150456f31"),
+     "6b33f7de4dc151ad351afac467a0646109eba150a1f75c50dcd0543f16943e92"),
 ]
 
 
@@ -447,6 +448,18 @@ def test_eval_large_q_exponent_residual_is_zero(capsys):
     assert lines[1:] == [f"n={n:3d}  residual 0.000e+00" for n in (1, 2, 3)]
 
 
+def test_eval_scalar_power_residual_is_zero(capsys):
+    # a power of a scalar is folded when parsed, so the direct pipeline
+    # reads the same table entry q^(K mod (n+1)) as the normal form rather
+    # than raising a scalar matrix to the power in floating point
+    argv = ["eval", "(((((q^10000000000)^64)^64)^64)^64)^64 b", "--n",
+            "1..3", "--format", "table"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["normal form: (q^10737418240000000000)*b",
+                     *(f"n={n:3d}  residual 0.000e+00" for n in (1, 2, 3))]
+
+
 @pytest.mark.parametrize("expression", [
     "q^100000000000000000000 b",
     "q^-100000000000000000001 b",
@@ -479,15 +492,21 @@ def test_eval_long_word_below_cap(capsys):
         == 64 ** 3
 
 
-@pytest.mark.parametrize("expression", [f"{BEYOND_FLOAT} b"],
-                         ids=["coefficient"])
+@pytest.mark.parametrize("expression", [
+    f"{BEYOND_FLOAT} b",
+    "(((2^64)^64)^64) b",
+], ids=["coefficient", "scalar-power"])
 def test_eval_beyond_float_range_exit_one(expression, capsys):
-    assert main(["eval", expression, "--n", "1..2"]) == 1
+    # a power of a scalar is folded when parsed, so 2^262144 is one exact
+    # coefficient, refused before any float product overflows
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval", expression, "--n", "1..2"]) == 1
+    assert caught == []
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: a coefficient is beyond float "
-                                   "range")
-    assert "Traceback" not in captured.err
+    assert captured.err == ("error: a coefficient is beyond float range, "
+                            "so it cannot be evaluated\n")
 
 
 def test_eval_tiny_coefficient_exit_zero(capsys):
@@ -599,6 +618,26 @@ def test_import_loads_neither_dataclasses_nor_csv():
     result = subprocess.run(
         [sys.executable, "-c", "import sys, gentile.cli; "
          "print(sorted({'dataclasses', 'csv'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, check=False)
+    assert (result.returncode, result.stdout, result.stderr) \
+        == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
+def test_subcommand_leaves_numpy_random_unloaded(subcommand, tmp_path):
+    # the audit draws from its own SplitMix64 stream, so no subcommand
+    # pays for importing numpy.random and its hashing and OpenSSL modules
+    argv = [subcommand, *(["adag b"] if subcommand == "eval" else []),
+            "--n", "1..3", "--out", str(tmp_path / "report")]
+    src = str(Path(gentile.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys\nfrom gentile.cli import main\n"
+         "code = main(sys.argv[1:])\n"
+         "print(sorted({'numpy.random'} & set(sys.modules)))\n"
+         "sys.exit(code)", *argv],
         capture_output=True, text=True, env=env, check=False)
     assert (result.returncode, result.stdout, result.stderr) \
         == (0, "[]\n", "")

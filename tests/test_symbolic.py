@@ -48,6 +48,18 @@ def test_parse_power_and_juxtaposition():
     assert (lhs - rhs).is_zero
 
 
+def test_parse_folds_scalar_powers():
+    # a power of a scalar is the exact scalar; other powers stay nodes
+    assert parse("(q^-2)^3") == Scal(LaurentScalar.q_power(-6))
+    assert parse("((q^10)^64)^64") == Scal(LaurentScalar.q_power(40960))
+    assert parse("(1/2)^3 u") == Mul(
+        Scal(LaurentScalar.from_rational(Fraction(1, 8))), Gen("u"))
+    assert parse("q^0") == parse("7^0") == Scal(ONE)
+    assert parse("(2 q)^2") == Pow(Mul(Scal(LaurentScalar.from_rational(2)),
+                                       Scal(Q)), 2)
+    assert parse("u^2") == Pow(Gen("u"), 2)
+
+
 def test_parse_unknown_identifier():
     with pytest.raises(ParseError) as exc_info:
         parse("[b, xyz]_n")
