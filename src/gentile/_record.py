@@ -1,10 +1,11 @@
 """Value classes written out by hand, with no code generated at import.
 
 A subclass names its fields, in constructor order, in ``_fields`` and
-gives any trailing optional ones their values in ``_defaults``.  It
-declares the same names in ``__slots__`` unless it needs an instance
-``__dict__`` (for ``functools.cached_property``).  Hot classes may define
-their own ``__init__``; it must set every field with ``object.__setattr__``.
+declares the same names in ``__slots__``, so no instance has a
+``__dict__``.  A record is built from every one of its fields, all by
+position or all by keyword; no field has a default.  Hot classes may
+define their own ``__init__`` over the same fields, with no defaults; it
+must set every field with ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ _setattr = object.__setattr__
 
 
 class Record:
-    """Construction by position or keyword, ``==`` by exact type and
-    field values, and a ``Name(field=value, ...)`` repr.  Unhashable."""
+    """Construction from every field, ``==`` by exact type and field
+    values, the hash of the field-value tuple and a
+    ``Name(field=value, ...)`` repr.  Fields cannot be assigned or
+    deleted."""
 
     __slots__ = ()
     _fields: tuple = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -35,61 +37,20 @@ class Record:
                                    else lambda self: ())
 
     def __init__(self, *args, **kwargs):
-        cls = type(self)
-        if kwargs or len(args) != len(cls._fields):
-            args = cls._arguments(args, kwargs)
-        for name, value in zip(cls._fields, args):
+        fields = self._fields
+        if kwargs and not args and kwargs.keys() == set(fields):
+            args = map(kwargs.__getitem__, fields)
+        elif kwargs or len(args) != len(fields):
+            raise TypeError(
+                f"{type(self).__name__}() takes its fields "
+                f"({', '.join(fields)}), all by position or all by keyword")
+        for name, value in zip(fields, args):
             _setattr(self, name, value)
-
-    @classmethod
-    def _arguments(cls, args, kwargs) -> list:
-        """The field values that ``cls(*args, **kwargs)`` gives, in field
-        order; the TypeError of a call that does not fit the fields."""
-        fields, name = cls._fields, cls.__name__
-        if not args and len(kwargs) == len(fields) \
-                and kwargs.keys() == set(fields):
-            return list(map(kwargs.__getitem__, fields))
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but "
-                            f"{len(args)} were given")
-        values = {**cls._defaults, **dict(zip(fields, args))}
-        for field, value in kwargs.items():
-            if field not in fields:
-                raise TypeError(f"{name}() got an unexpected keyword "
-                                f"argument {field!r}")
-            if field in fields[:len(args)]:
-                raise TypeError(f"{name}() got multiple values for "
-                                f"argument {field!r}")
-            values[field] = value
-        missing = [repr(field) for field in fields if field not in values]
-        if missing:
-            raise TypeError(f"{name}() missing arguments: "
-                            + ", ".join(missing))
-        return list(map(values.__getitem__, fields))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._values == other._values
         return NotImplemented
-
-    __hash__ = None
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor
-        return type(self), self._values
-
-    def __repr__(self):
-        return (type(self).__qualname__ + "("
-                + ", ".join([f"{name}={value!r}" for name, value
-                             in zip(self._fields, self._values)])
-                + ")")
-
-
-class FrozenRecord(Record):
-    """A :class:`Record` whose fields cannot be assigned or deleted; its
-    hash is the hash of the field-value tuple."""
-
-    __slots__ = ()
 
     def __hash__(self):
         return hash(self._values)
@@ -101,3 +62,13 @@ class FrozenRecord(Record):
     def __delattr__(self, name):
         raise AttributeError(
             f"cannot delete {type(self).__name__}.{name}: frozen")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor
+        return type(self), self._values
+
+    def __repr__(self):
+        return (type(self).__qualname__ + "("
+                + ", ".join([f"{name}={value!r}" for name, value
+                             in zip(self._fields, self._values)])
+                + ")")

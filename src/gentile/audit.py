@@ -122,23 +122,26 @@ class IdentityResult(Record):
         }
 
 
-class AuditReport(Record):
-    __slots__ = _fields = ("results", "seed")
+def audit_table(results) -> str:
+    """A fixed-width table of results, one row each under a header."""
+    lines = [f"{'identity':36} {'strategy':9} {'spec':12} "
+             f"{'verdict':7}  residual"]
+    for r in results:
+        resid = (r.residual_digest if r.numeric_residual is None
+                 else f"{r.numeric_residual:.3e}")
+        lines.append(f"{r.identity_id:36} {r.strategy:9} "
+                     f"{r.specialization:12} {r.verdict:7}  {resid}")
+    return "\n".join(lines)
 
-    def __init__(self, results: list, seed: int):
-        ids = [r.identity_id for r in results]
-        assert len(ids) == len(set(ids)), "duplicate result ids"
-        super().__init__(results, seed)
 
-    def table(self) -> str:
-        lines = [f"{'identity':36} {'strategy':9} {'spec':12} "
-                 f"{'verdict':7}  residual"]
-        for r in self.results:
-            resid = (r.residual_digest if r.numeric_residual is None
-                     else f"{r.numeric_residual:.3e}")
-            lines.append(f"{r.identity_id:36} {r.strategy:9} "
-                         f"{r.specialization:12} {r.verdict:7}  {resid}")
-        return "\n".join(lines)
+def ladder_matrices(rep) -> dict:
+    """The dense a^dag, b and N of ``rep`` as read-only batches of one
+    ``(1, dim, dim)``, keyed by generator name for :func:`eval_expr`."""
+    mats = {"adag": np.diag(rep.amp, -1), "b": np.diag(rep.amp, 1),
+            "N": np.diag(np.arange(rep.dim, dtype=complex))}
+    for m in mats.values():
+        m.flags.writeable = False
+    return {name: m[None] for name, m in mats.items()}
 
 
 def _digest(poly, limit: int = 120) -> str:
@@ -154,15 +157,15 @@ def _random_draws(names, rng, batch: int) -> dict:
     return {name: mats[:, i] for i, name in enumerate(sorted(names))}
 
 
-def audit_crosscheck(matrix_report: AuditReport) -> bool:
-    """True when symbolic verdicts agree with all numeric spot-checks;
-    otherwise raises ``GateFailed("audit_crosscheck")`` at the first
-    disagreement.
+def audit_crosscheck(matrix) -> bool:
+    """True when the symbolic verdicts of the matrix results agree with
+    all numeric spot-checks; otherwise raises
+    ``GateFailed("audit_crosscheck")`` at the first disagreement.
 
     PASS requires every residual <= TOL; FAIL requires some residual
-    > 10*TOL.  Vacuously true for an empty report.
+    > 10*TOL.  Vacuously true for an empty list.
     """
-    for r in matrix_report.results:
+    for r in matrix:
         if r.numeric_residual is None:
             continue
         if r.verdict == "PASS" and r.numeric_residual > TOL:
@@ -179,14 +182,15 @@ def audit_crosscheck(matrix_report: AuditReport) -> bool:
 
 def run_full_audit(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS, seed=0,
                    entries=None):
-    """Audit every catalog entry; returns (free, limit, matrix) reports.
+    """Audit every catalog entry; returns the (free, limit, matrix) lists
+    of :class:`IdentityResult`.
 
     One pass over the catalog (or ``entries``).  A FREE entry is expanded
     to a free polynomial over formal q, or specialized to q = 1 or -1 for
-    the limit forms, and reported in the free or limit report.  Formal-q
-    FREE entries are also spot-checked with random complex matrices, and
+    the limit forms, and filed in the free or limit list.  Formal-q FREE
+    entries are also spot-checked with random complex matrices, and
     QUOTIENT entries get a normal-form verdict and are evaluated in the
-    Gentile representation at every n; both go to the matrix report.
+    Gentile representation at every n; both go to the matrix list.
 
     Draw order, which keeps a seed's output stable: one
     ``SplitMix64(seed)`` stream serves the FREE formal-q entries in catalog
@@ -205,7 +209,7 @@ def run_full_audit(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS, seed=0,
     tables = [reps[n].roots for n in n_values]
     # the batch's rows are (n, trial) in order, each with its n's table
     rows = np.repeat(np.arange(len(n_values)), trials)
-    free, limit, matrix = [], [], []
+    free, limit, matrix, ladders = [], [], [], {}
     for entry in build_catalog() if entries is None else entries:
         spec = entry.specialization
         if entry.strategy == FREE:
@@ -233,11 +237,13 @@ def run_full_audit(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS, seed=0,
         else:
             residual_poly = normal_order(entry.lhs) - normal_order(entry.rhs)
             verdict = "PASS" if residual_poly.is_zero else "FAIL"
+            # built at the first QUOTIENT entry: built before the FREE spot
+            # checks, they raised the default audit's peak RSS by 0.2 MB
+            if not ladders:
+                ladders = {n: ladder_matrices(reps[n]) for n in n_values}
             worst = 0.0
             for n in n_values:
-                rep = reps[n]
-                assign = {"adag": rep.a_dag[None], "b": rep.b[None],
-                          "N": rep.num[None]}
+                rep, assign = reps[n], ladders[n]
                 lhs = eval_expr(entry.lhs, assign, [rep.roots], rep.dim)[0]
                 rhs = eval_expr(entry.rhs, assign, [rep.roots], rep.dim)[0]
                 worst = max(worst, max_abs_diff(lhs, rhs))
@@ -246,6 +252,4 @@ def run_full_audit(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS, seed=0,
             specialization=spec, residual_digest=None,
             numeric_residual=worst, n_tested=tuple(n_values),
             verdict=verdict))
-    return (AuditReport(results=free, seed=0),
-            AuditReport(results=limit, seed=0),
-            AuditReport(results=matrix, seed=seed))
+    return free, limit, matrix

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 
-from ._record import FrozenRecord
+from ._record import Record
 from .laurent import ONE, Q, QINV
 from .symbolic import (Add, AntiCommutator, Commutator, Gen, Mul, NBracket,
                        Pow, perm_sum, cyc_sum, product)
@@ -29,9 +29,8 @@ Q_EQ_1 = "Q_EQ_1"
 Q_EQ_MINUS_1 = "Q_EQ_MINUS_1"
 
 
-class IdentityEntry(FrozenRecord):
+class IdentityEntry(Record):
     __slots__ = _fields = ("id", "lhs", "rhs", "specialization")
-    _defaults = {"specialization": FORMAL_Q}
 
     @property
     def strategy(self) -> str:

@@ -21,7 +21,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .audit import audit_crosscheck, eval_expr, run_full_audit
+from .audit import (audit_crosscheck, audit_table, eval_expr,
+                    ladder_matrices, run_full_audit)
 from .coherent import (EIGENSTATE_TOL, LambdaChoice, build_coherent,
                        compare_closed_form, eigenstate_residual,
                        normalization_poly)
@@ -150,13 +151,14 @@ def cmd_audit(args) -> str:
     free, limit, matrix = run_full_audit(n_values=tuple(n_values), seed=seed)
     audit_crosscheck(matrix)  # GateFailed -> exit 2 via main()
     if args.format == "table":
-        return "\n".join(["# free suite", free.table(),
-                          "# limit suite", limit.table(),
-                          "# matrix suite", matrix.table(), ""])
+        return "\n".join(["# free suite", audit_table(free),
+                          "# limit suite", audit_table(limit),
+                          "# matrix suite", audit_table(matrix), ""])
+    # the symbolic-only free and limit records draw nothing: seed 0
     return _dump_json({
-        "free": [r.to_record(free.seed) for r in free.results],
-        "limit": [r.to_record(limit.seed) for r in limit.results],
-        "matrix": [r.to_record(matrix.seed) for r in matrix.results],
+        "free": [r.to_record(0) for r in free],
+        "limit": [r.to_record(0) for r in limit],
+        "matrix": [r.to_record(seed) for r in matrix],
         "crosscheck": "PASS",
         "n_values": n_values,
     })
@@ -261,9 +263,8 @@ def cmd_eval(args) -> str:
     records = []
     for n in n_values:
         rep = build_rep(n)
-        assignment = {"adag": rep.a_dag[None], "b": rep.b[None],
-                      "N": rep.num[None]}
-        direct = eval_expr(expr, assignment, [rep.roots], rep.dim)[0]
+        direct = eval_expr(expr, ladder_matrices(rep), [rep.roots],
+                           rep.dim)[0]
         ordered = poly.eval_rep(rep)
         records.append({"n": n,
                         "matrix_residual": max_abs_diff(direct, ordered)})

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._record import FrozenRecord
+from ._record import Record
 from .errors import OutOfRange
 from .rep import build_rep
 
@@ -43,7 +43,7 @@ def lambda_value(choice, v: int, roots) -> complex:
     raise OutOfRange(f"unknown lambda choice {choice!r}")
 
 
-class CoherentState(FrozenRecord):
+class CoherentState(Record):
     """The coherent state on the module with basis |nu> psi^k, 0 <= nu,
     k <= n; b acts with the amplitudes ``rep.amp``, psi with ``lam``."""
 

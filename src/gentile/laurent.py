@@ -218,6 +218,14 @@ class LaurentScalar(Terms):
             e >>= 1
         return result
 
+    def _power_bits(self) -> int:
+        """max(ceil(log2 sum |numerators|), ceil(log2 den)): each factor of
+        a power of self adds at most this many bits to its numerators and
+        to its denominator."""
+        total = sum(map(abs, self._terms.values()))
+        return max(max(total - 1, 0).bit_length(),
+                   (self._den - 1).bit_length())
+
     def eval_at(self, roots) -> complex:
         """Numeric value at the root of unity whose powers q^0 .. q^n are
         ``roots`` (``GentileRep.roots``).

@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from ._record import FrozenRecord
+from ._record import Record
 from .errors import GateFailed, OutOfRange
 from .rep import build_rep
 
@@ -84,7 +84,7 @@ def _prose_multiplicity(cls: str, index: int, level_count: int) -> int:
     return 2  # 4t+3: all two-fold
 
 
-class SpectrumReport(FrozenRecord):
+class SpectrumReport(Record):
     __slots__ = _fields = (
         "n",
         "case_class",

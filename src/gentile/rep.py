@@ -15,33 +15,26 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
-from ._record import FrozenRecord
+from ._record import Record
 from .errors import GateFailed, OutOfRange
 
 ARCSIN_TOL = 1e-12  # Hermiticity and arcsin domain margin of the sine matrix
 MATCH_TOL = 1e-9  # a value agrees with nu; two sine eigenvalues collide
 
 
-def _readonly(m: np.ndarray) -> np.ndarray:
-    m.flags.writeable = False
-    return m
-
-
-class GentileRep(FrozenRecord):
+class GentileRep(Record):
     """One Gentile mode on the (n+1)-dimensional Fock space.
 
-    The ladder amplitudes are the data; the dense matrices are built
-    from them on first use and are read-only.  a_dag and b carry the
-    principal square roots of the bracket numbers, a and b_dag conj(amp).
+    The table of q and the ladder amplitudes are the data: a_dag and b
+    carry amp on their sub- and superdiagonal, a and b_dag conj(amp).
+    ``audit.ladder_matrices`` builds the dense matrices.
     """
 
-    # no __slots__: cached_property needs an instance __dict__
-    _fields = (
+    __slots__ = _fields = (
         "n",
         "roots",  # q^0 .. q^n, a tuple of Python complex
         "bracket_numbers",  # <0>_n ... <n+1>_n
@@ -55,19 +48,6 @@ class GentileRep(FrozenRecord):
     @property
     def q(self) -> complex:
         return self.roots[1]
-
-    @cached_property
-    def a_dag(self) -> np.ndarray:
-        return _readonly(np.diag(self.amp, -1))
-
-    @cached_property
-    def b(self) -> np.ndarray:
-        return _readonly(np.diag(self.amp, 1))
-
-    @cached_property
-    def num(self) -> np.ndarray:
-        return _readonly(
-            np.diag(np.arange(self.dim, dtype=float)).astype(complex))
 
     def quadratic_diagonals(self):
         """Diagonals of a^dag b, b^dag a, a b^dag and b a^dag, in that order.
@@ -96,8 +76,8 @@ def build_rep(n: int) -> GentileRep:
     brackets = tuple(accumulate(roots, initial=0))
     amp = np.array([cmath.sqrt(br) for br in brackets[1:n + 1]],
                    dtype=complex)
-    return GentileRep(n=n, roots=roots, bracket_numbers=brackets,
-                      amp=_readonly(amp))
+    amp.flags.writeable = False
+    return GentileRep(n=n, roots=roots, bracket_numbers=brackets, amp=amp)
 
 
 def _close_pairs(values, tol: float):
@@ -120,7 +100,7 @@ def _close_pairs(values, tol: float):
     return sorted(pairs)
 
 
-class ArcsinAudit(FrozenRecord):
+class ArcsinAudit(Record):
     """Outcome of the arcsin-based number-operator reconstruction."""
 
     __slots__ = _fields = (

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._record import FrozenRecord
+from ._record import Record
 from .errors import DegenerateNodes, OutOfRange
 from .linalg import max_abs_diff
 from .rep import GentileRep, _close_pairs, build_rep
@@ -125,7 +125,7 @@ def newton_coefficients(nodes, divided):
     return coeffs
 
 
-class Su2Rep(FrozenRecord):
+class Su2Rep(Record):
     __slots__ = _fields = (
         "n",
         "j",

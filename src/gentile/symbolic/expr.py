@@ -16,7 +16,7 @@ from functools import reduce
 from itertools import permutations
 from operator import add
 
-from .._record import FrozenRecord, _setattr
+from .._record import Record, _setattr
 from ..laurent import ONE, LaurentScalar
 
 DEFAULT_ALPHABET = frozenset(
@@ -24,7 +24,7 @@ DEFAULT_ALPHABET = frozenset(
                                        "adag", "a", "b", "bdag", "N"})
 
 
-class Expr(FrozenRecord):
+class Expr(Record):
     __slots__ = ()
 
     def __add__(self, other):
@@ -32,18 +32,6 @@ class Expr(FrozenRecord):
 
     def __sub__(self, other):
         return Sub(self, _coerce(other))
-
-    def __mul__(self, other):
-        return Mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return Mul(_coerce(other), self)
-
-    def __pow__(self, k: int):
-        return Pow(self, k)
-
-    def __neg__(self):
-        return Sub(Scal(LaurentScalar()), self)
 
 
 def _coerce(x) -> Expr:
@@ -194,7 +182,7 @@ def cyc_sum(body: Expr, symbols) -> Expr:
     return _sum_over(body, symbols, _rotations)
 
 
-class Algebra(FrozenRecord):
+class Algebra(Record):
     """Where :func:`fold` sends a tree; its values must support + and -.
 
     ``gen`` maps a generator name to a value, ``scalar`` a LaurentScalar,
@@ -202,13 +190,6 @@ class Algebra(FrozenRecord):
     x^k, or None for repeated ``mul``.
     """
     __slots__ = _fields = ("gen", "scalar", "mul", "qscale", "power")
-
-    def __init__(self, gen, scalar, mul, qscale, power=None):
-        _setattr(self, "gen", gen)
-        _setattr(self, "scalar", scalar)
-        _setattr(self, "mul", mul)
-        _setattr(self, "qscale", qscale)
-        _setattr(self, "power", power)
 
 
 def fold(e: Expr, alg: Algebra):

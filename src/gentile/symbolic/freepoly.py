@@ -50,7 +50,7 @@ class FreePoly(Terms):
 
 
 _FREE = Algebra(gen=FreePoly.generator, scalar=FreePoly.scalar, mul=mul,
-                qscale=lambda p: p.scale(Q))
+                qscale=lambda p: p.scale(Q), power=None)
 
 
 def expand_free(e: Expr) -> FreePoly:

@@ -16,7 +16,8 @@ typos in identity entry).  Input nested or built
 deeper than :data:`MAX_DEPTH` levels, an operator exponent above
 :data:`MAX_POWER`, and a ``sumperm`` of more than :data:`MAX_PERM_OPERANDS`
 operands are parse errors too.  A power of a scalar is folded into one
-exact scalar.
+exact scalar, unless a coefficient of the power may have more than
+``_MAX_DIGITS`` digits, which is a parse error at its ``^``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-# Python's default limit on the digits int() converts from a string.
+# Python's default limit on the digits int() converts from a string, and
+# the bits of 10^_MAX_DIGITS.
 _MAX_DIGITS = 4300
+_MAX_BITS = (10 ** _MAX_DIGITS).bit_length()
 
 
 class _Token:
@@ -152,7 +155,11 @@ class _Parser:
                 raise ParseError(f"exponent above {MAX_POWER}", k_tok.pos)
             if type(base) is Scal:
                 # so that the matrix pipeline reads one q table entry
-                # rather than raising a scalar matrix to the power
+                # rather than raising a scalar matrix to the power; eval
+                # could not print a longer coefficient anyway
+                if k * base.value._power_bits() > _MAX_BITS:
+                    raise ParseError("a power of a scalar may exceed "
+                                     f"{_MAX_DIGITS} digits", tok.pos)
                 return Scal(base.value ** k), depth
             return Pow(base, k), self.deeper(tok, depth)
         return base, depth

@@ -183,7 +183,7 @@ _GEN_Q = {
 }
 _QUOTIENT = Algebra(gen=_GEN_Q.__getitem__,
                     scalar=lambda s: QuotientPoly({(0, 0, 0): s}), mul=mul,
-                    qscale=lambda p: p.scale(Q))
+                    qscale=lambda p: p.scale(Q), power=None)
 
 
 def normal_order(e: Expr) -> QuotientPoly:

@@ -1,7 +1,8 @@
 """Paper relations and references that only the tests evaluate.
 
 Each paper relation restates an equation of the paper directly on the
-``build_rep`` matrices, so a test can hold the library to it.  The scan
+dense ladder matrices of :func:`dense_ladder`, built from the
+``build_rep`` amplitudes, so a test can hold the library to it.  The scan
 references are the all-pairs loops that the library's sorted sweeps
 replaced; the sweeps must give exactly their results.  The dense
 references are the matrix routes that the library's band routes
@@ -41,6 +42,13 @@ def bracket_number(n: int, v: int) -> complex:
     """
     theta = 2.0 * math.pi / (n + 1)
     return sum(cmath.exp(1j * theta * j) for j in range(v))
+
+
+def dense_ladder(rep):
+    """The dense a^dag, b and N of one mode: a^dag and b carry the
+    amplitudes ``rep.amp`` on their sub- and superdiagonal."""
+    return (np.diag(rep.amp, -1), np.diag(rep.amp, 1),
+            np.diag(np.arange(rep.dim, dtype=float)).astype(complex))
 
 
 def eval_one(e, assignment: dict, roots, dim: int) -> np.ndarray:
@@ -119,16 +127,17 @@ def ladder_commutation_check(n: int, tol: float = 1e-12):
     the overall pass flag.
     """
     rep = build_rep(n)
+    a_dag, b, _ = dense_ladder(rep)
     h = np.diag(build_hamiltonian(n))
     cos_n = np.diag([math.cos(2 * math.pi * v / (n + 1))
                      for v in range(rep.dim)])
     cos_nm1 = np.diag([math.cos(2 * math.pi * (v - 1) / (n + 1))
                        for v in range(rep.dim)])
     cases = {
-        "adag": (rep.a_dag, +1),
-        "a": (rep.a_dag.conj().T, -1),
-        "bdag": (rep.b.conj().T, +1),
-        "b": (rep.b, -1),
+        "adag": (a_dag, +1),
+        "a": (a_dag.conj().T, -1),
+        "bdag": (b.conj().T, +1),
+        "b": (b, -1),
     }
     residuals = {}
     for name, (x, sign) in cases.items():
@@ -150,16 +159,16 @@ def move_relation_check(n: int, choice, power: int):
     Relations checked (as module transformations, on every basis element):
     psi bdag^p, psi adag^p, b^p psi, a^p psi, each against
     (lambda(p)/lambda(0)) times the reordered side.  A ladder operator
-    acts on the state index of a module element as ``rep.X @ e``.
+    acts on the state index of a module element as ``X @ e``.
     """
     ops = GrassmannOps(n, choice)
-    rep = ops.rep
+    a_dag, b, _ = dense_ladder(ops.rep)
     ratio = ops.lam[power] / ops.lam[0]
     residuals = {}
-    for name, x, psi_left in (("psi_bdag", rep.b.conj().T, True),
-                              ("psi_adag", rep.a_dag, True),
-                              ("b_psi", rep.b, False),
-                              ("a_psi", rep.a_dag.conj().T, False)):
+    for name, x, psi_left in (("psi_bdag", b.conj().T, True),
+                              ("psi_adag", a_dag, True),
+                              ("b_psi", b, False),
+                              ("a_psi", a_dag.conj().T, False)):
         x_power = np.linalg.matrix_power(x, power)
         worst = 0.0
         for k in range(n + 1):
@@ -380,9 +389,9 @@ def matrix_function(m: np.ndarray, f, tol: float = JACOBI_TOL,
 
 def dense_sine_matrix(rep):
     """M = (i/2)(a^dag b - b^dag a + a b^dag - b a^dag), by BLAS products."""
-    a, b_dag = rep.a_dag.conj().T, rep.b.conj().T
-    return 0.5j * (rep.a_dag @ rep.b - b_dag @ a
-                   + a @ b_dag - rep.b @ rep.a_dag)
+    a_dag, b, _ = dense_ladder(rep)
+    a, b_dag = a_dag.conj().T, b.conj().T
+    return 0.5j * (a_dag @ b - b_dag @ a + a @ b_dag - b @ a_dag)
 
 
 def dense_arcsin_values(rep):
@@ -411,13 +420,14 @@ SU2_BITWISE_N = (*range(1, 129), 256)
 def diagonal_operator(rep, choice):
     """The dense matrix A of one diagonal choice, by a BLAS product of
     the ladder matrices."""
+    a_dag, b, num = dense_ladder(rep)
     if choice is DiagonalChoice.NUM:
-        return rep.num
-    a, b_dag = rep.a_dag.conj().T, rep.b.conj().T
-    left, right = {DiagonalChoice.ADAG_B: (rep.a_dag, rep.b),
+        return num
+    a, b_dag = a_dag.conj().T, b.conj().T
+    left, right = {DiagonalChoice.ADAG_B: (a_dag, b),
                    DiagonalChoice.BDAG_A: (b_dag, a),
-                   DiagonalChoice.ADAG_A: (rep.a_dag, a),
-                   DiagonalChoice.A_ADAG: (a, rep.a_dag)}[choice]
+                   DiagonalChoice.ADAG_A: (a_dag, a),
+                   DiagonalChoice.A_ADAG: (a, a_dag)}[choice]
     return left @ right
 
 

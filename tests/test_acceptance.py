@@ -7,8 +7,8 @@ import time
 import numpy as np
 
 from _acceptance_log import record
-from _reference import (bose_limit_check, eval_one, hermitian_eigen,
-                        move_relation_check)
+from _reference import (bose_limit_check, dense_ladder, eval_one,
+                        hermitian_eigen, move_relation_check)
 from gentile.audit import audit_crosscheck, run_full_audit
 from gentile.catalog import build_catalog
 from gentile.cli import main as cli_main
@@ -29,9 +29,9 @@ def test_criterion_1_defining_relation():
     start = time.perf_counter()
     worst = 0.0
     for n in range(1, 25):
-        rep = build_rep(n)
+        a_dag, b, _ = dense_ladder(build_rep(n))
         q = cmath.exp(2j * math.pi / (n + 1))
-        bracket = rep.b @ rep.a_dag - q * (rep.a_dag @ rep.b)
+        bracket = b @ a_dag - q * (a_dag @ b)
         worst = max(worst, max_abs_diff(bracket, np.eye(n + 1)))
     elapsed = time.perf_counter() - start
     record(1, "defining relation [b,adag]_n = 1 for n in 1..24",
@@ -113,8 +113,8 @@ def test_criterion_6_symbolic_suite():
     start = time.perf_counter()
     free, limit, _ = run_full_audit(n_values=(1,), trials=1)
     elapsed = time.perf_counter() - start
-    free = {r.identity_id: r.verdict for r in free.results}
-    limit = {r.identity_id: r.verdict for r in limit.results}
+    free = {r.identity_id: r.verdict for r in free}
+    limit = {r.identity_id: r.verdict for r in limit}
     # every entry reduces to the exact zero polynomial except the
     # documented misprinted double-bracket relation (corrected entry passes)
     ok = ({i for i, v in free.items() if v == "FAIL"} == DOCUMENTED_FREE_FAILS
@@ -128,7 +128,7 @@ def test_criterion_6_symbolic_suite():
 def test_criterion_7_appendix_b_oracle():
     _, _, report = run_full_audit(n_values=(2, 3, 5, 8), trials=2, seed=0)
     ok = audit_crosscheck(report)
-    verdicts = {r.identity_id: r.verdict for r in report.results}
+    verdicts = {r.identity_id: r.verdict for r in report}
     for k in (1, 2, 3):
         ok = ok and verdicts[f"appB_adagkb_adag_k{k}"] == "PASS"
         ok = ok and verdicts[f"appB_b_adagbk_k{k}"] == "PASS"
@@ -137,12 +137,13 @@ def test_criterion_7_appendix_b_oracle():
     worst = 0.0
     for n in (2, 3, 5):
         rep = build_rep(n)
-        assignment = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
+        a_dag, b, num = dense_ladder(rep)
+        assignment = {"adag": a_dag, "b": b, "N": num}
         residual = (eval_one(entry.lhs, assignment, rep.roots, rep.dim)
                     - eval_one(entry.rhs, assignment, rep.roots, rep.dim))
         predicted = (rep.q ** 2 - rep.q) \
-            * np.linalg.matrix_power(rep.a_dag, 2) \
-            @ np.linalg.matrix_power(rep.b, 2)
+            * np.linalg.matrix_power(a_dag, 2) \
+            @ np.linalg.matrix_power(b, 2)
         worst = max(worst, max_abs_diff(residual, predicted))
     record(7, "Appendix B audit with dense-matrix oracle agreement",
            ok and worst <= 1e-10, f"residual-match dev {worst:.2e}")
@@ -221,8 +222,8 @@ def test_criterion_10_arcsin_audit():
 def test_criterion_11_determinism(tmp_path):
     report_a = run_full_audit(n_values=(1, 2, 3, 5), trials=2, seed=0)[2]
     report_b = run_full_audit(n_values=(1, 2, 3, 5), trials=2, seed=0)[2]
-    ok = [r.to_record(0) for r in report_a.results] \
-        == [r.to_record(0) for r in report_b.results]
+    ok = [r.to_record(0) for r in report_a] \
+        == [r.to_record(0) for r in report_b]
     paths = [tmp_path / "run_a.json", tmp_path / "run_b.json"]
     for path in paths:
         code = cli_main(["audit", "--n", "1..4", "--seed", "3",

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _reference import (eval_one, splitmix64_mix, splitmix64_outputs,
-                        splitmix64_uniforms)
-from gentile.audit import (RANDOM_DIM, TOL, SplitMix64, audit_crosscheck,
-                           eval_expr, run_full_audit)
+from _reference import (dense_ladder, eval_one, splitmix64_mix,
+                        splitmix64_outputs, splitmix64_uniforms)
+from gentile.audit import (RANDOM_DIM, TOL, IdentityResult, SplitMix64,
+                           audit_crosscheck, audit_table, eval_expr,
+                           run_full_audit)
 from gentile.catalog import (FREE, FORMAL_Q, Q_AT_N, Q_EQ_1, Q_EQ_MINUS_1,
                              QUOTIENT, IdentityEntry, build_catalog)
 from gentile.errors import GateFailed
@@ -69,8 +70,8 @@ def test_readme_catalog_counts():
         len(specs), specs.count(FORMAL_Q), limit, specs.count(Q_AT_N))
 
 
-def _failing_ids(report):
-    return {r.identity_id for r in report.results if r.verdict == "FAIL"}
+def _failing_ids(results):
+    return {r.identity_id for r in results if r.verdict == "FAIL"}
 
 
 @pytest.fixture(scope="module")
@@ -81,14 +82,14 @@ def audit():
 def test_free_suite_expected_verdicts(audit):
     free, _, _ = audit
     assert _failing_ids(free) == EXPECTED_FREE_FAILS
-    assert len(free.results) > 40
+    assert len(free) > 40
 
 
 def test_limit_suite_all_pass(audit):
     _, limit, _ = audit
     assert _failing_ids(limit) == set()
     # both unit specializations are exercised
-    specs = {r.specialization for r in limit.results}
+    specs = {r.specialization for r in limit}
     assert specs == {"Q_EQ_1", "Q_EQ_MINUS_1"}
 
 
@@ -99,7 +100,7 @@ def test_matrix_suite_and_crosscheck(audit):
 
 
 def test_corrected_uvwo_passes_printed_fails(audit):
-    verdicts = {r.identity_id: r.verdict for r in audit[0].results}
+    verdicts = {r.identity_id: r.verdict for r in audit[0]}
     assert verdicts["appA_uvwo_brackets"] == "PASS"
     assert verdicts["appA_uvwo_brackets_printed"] == "FAIL"
 
@@ -112,8 +113,7 @@ def test_full_audit_consistency():
 
 
 def test_empty_entry_list_gives_empty_report():
-    reports = run_full_audit(n_values=(2,), trials=1, entries=[])
-    assert [report.results for report in reports] == [[], [], []]
+    assert run_full_audit(n_values=(2,), trials=1, entries=[]) == ([], [], [])
 
 
 # -- the q^(N-1) phase of [Nb, adag b] ----------------------------------------
@@ -127,18 +127,19 @@ def _phase_entries():
 
 
 def _rep_assignment(rep):
-    return {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
+    return dict(zip(("adag", "b", "N"), dense_ladder(rep)))
 
 
 # reference: the two entries written directly as matrices of the Gentile
 # representation, with the phase a function of the number operator
 def _nb(rep):
-    return rep.num @ rep.b
+    _, b, num = dense_ladder(rep)
+    return num @ b
 
 
 def _lhs_phase(rep):
-    nb = _nb(rep)
-    ab = rep.a_dag @ rep.b
+    a_dag, b, _ = dense_ladder(rep)
+    nb, ab = _nb(rep), a_dag @ b
     return nb @ ab - ab @ nb
 
 
@@ -226,7 +227,7 @@ def _sequential_residuals(n_values, trials, seed):
 def test_matrix_suite_residuals_match_sequential_draws(seed):
     n_values = (1, 12, 20)
     _, _, matrix = run_full_audit(n_values=n_values, trials=2, seed=seed)
-    stacked = {r.identity_id: r.numeric_residual for r in matrix.results
+    stacked = {r.identity_id: r.numeric_residual for r in matrix
                if r.strategy == FREE}
     assert stacked == _sequential_residuals(n_values, 2, seed)
 
@@ -318,8 +319,8 @@ def _mutated_entry():
 def test_mutated_identity_fails_both_pipelines():
     free, _, matrix = run_full_audit(n_values=(2, 3), trials=2,
                                      entries=[_mutated_entry()])
-    assert [r.verdict for r in free.results] == ["FAIL"]
-    (result,) = matrix.results
+    assert [r.verdict for r in free] == ["FAIL"]
+    (result,) = matrix
     assert result.identity_id == "mutation_sign_flip"
     assert result.verdict == "FAIL"
     assert result.numeric_residual > TOL * 10
@@ -328,13 +329,14 @@ def test_mutated_identity_fails_both_pipelines():
 
 
 def test_crosscheck_detects_pipeline_disagreement():
-    # forge a report whose symbolic verdict contradicts its numeric residual
+    # forge a result whose symbolic verdict contradicts its numeric residual
     _, _, matrix = run_full_audit(n_values=(2,), trials=1,
                                   entries=[_mutated_entry()])
-    (result,) = matrix.results
-    result.verdict = "PASS"
+    (result,) = matrix
+    assert result._fields[-1] == "verdict"
+    forged = IdentityResult(*result._values[:-1], "PASS")
     with pytest.raises(GateFailed) as failed:
-        audit_crosscheck(matrix)
+        audit_crosscheck([forged])
     contract, detail = failed.value.args
     assert contract == "audit_crosscheck"
     assert detail == ("inconsistent verdicts for 'mutation_sign_flip': "
@@ -349,7 +351,7 @@ def test_report_json_shape_and_determinism():
     report_a = run_full_audit(n_values=(2, 3), trials=2, seed=5)[2]
     report_b = run_full_audit(n_values=(2, 3), trials=2, seed=5)[2]
     text_a, text_b = (
-        json.dumps([r.to_record(5) for r in report.results], indent=2)
+        json.dumps([r.to_record(5) for r in report], indent=2)
         for report in (report_a, report_b))
     assert text_a == text_b
     records = json.loads(text_a)
@@ -360,5 +362,5 @@ def test_report_json_shape_and_determinism():
 
 
 def test_report_table_renders(audit):
-    text = audit[0].table()
+    text = audit_table(audit[0])
     assert "appA_uvwo_brackets_printed" in text

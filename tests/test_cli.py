@@ -13,6 +13,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gentile
-from gentile.audit import AuditReport, IdentityResult
+from gentile.audit import IdentityResult
 from gentile.cli import (COMMON_OPTIONS, MAX_N, MAX_WORD, OPTION_FLAGS,
                          SUBCOMMANDS, _dump_json, build_parser, main,
                          parse_n_values)
@@ -492,21 +493,46 @@ def test_eval_long_word_below_cap(capsys):
         == 64 ** 3
 
 
-@pytest.mark.parametrize("expression", [
-    f"{BEYOND_FLOAT} b",
-    "(((2^64)^64)^64) b",
+@pytest.mark.parametrize("expression,message", [
+    (f"{BEYOND_FLOAT} b",
+     "a coefficient is beyond float range, so it cannot be evaluated"),
+    # 2^262144 would have 78,914 digits: refused at its last '^', before
+    # it is built
+    ("(((2^64)^64)^64) b",
+     "a power of a scalar may exceed 4300 digits at offset 12"),
 ], ids=["coefficient", "scalar-power"])
-def test_eval_beyond_float_range_exit_one(expression, capsys):
-    # a power of a scalar is folded when parsed, so 2^262144 is one exact
-    # coefficient, refused before any float product overflows
+def test_eval_beyond_float_range_exit_one(expression, message, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["eval", expression, "--n", "1..2"]) == 1
     assert caught == []
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: a coefficient is beyond float range, "
-                            "so it cannot be evaluated\n")
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("expression,offset", [
+    ("(((((2^64)^64)^64)^64)^64) b", 14),
+    ("(((1/2)^64)^64)^64 b", 15),
+], ids=["numerator", "denominator"])
+def test_eval_scalar_power_above_digit_limit_exit_one(expression, offset,
+                                                      capsys):
+    # k * max(ceil(log2 sum |numerators|), ceil(log2 den)) bits above those
+    # of 4,300 digits are refused before s^k is computed, so a 2^30-bit
+    # integer is never built
+    start = time.perf_counter()
+    assert main(["eval", expression, "--n", "1..2"]) == 1
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr() == (
+        "", "error: a power of a scalar may exceed 4300 digits at offset "
+        f"{offset}\n")
+
+
+def test_eval_scalar_power_below_digit_limit_exit_zero(capsys):
+    # 2^4096 has 1,234 digits, so (1/2)^4096 is folded and printed
+    assert main(["eval", "((1/2)^64)^64 b", "--n", "1..2"]) == 0
+    normal_form = json.loads(capsys.readouterr().out)["normal_form"]
+    assert normal_form == f"(1/{2 ** 4096})*b"
 
 
 def test_eval_tiny_coefficient_exit_zero(capsys):
@@ -722,13 +748,13 @@ def test_readme_contracts_are_the_gate_failed_contracts():
 
 
 def _inconsistent_audit(n_values, seed):
-    # free, limit and matrix reports with one symbolic PASS whose numeric
+    # free, limit and matrix results with one symbolic PASS whose numeric
     # residual is far above audit.TOL
     result = IdentityResult(
         identity_id="appX", strategy="QUOTIENT", specialization="Q_AT_N",
         residual_digest=None, numeric_residual=1.0, n_tested=n_values,
         verdict="PASS")
-    return AuditReport([], 0), AuditReport([], 0), AuditReport([result], seed)
+    return [], [], [result]
 
 
 @pytest.mark.parametrize("argv,target,replacement,diagnostic", [

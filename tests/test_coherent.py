@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from _reference import (BITWISE_N, GrassmannOps, bracket_number,
-                        dense_eigenstate_residual, move_relation_check)
+                        dense_eigenstate_residual, dense_ladder,
+                        move_relation_check)
 from gentile.coherent import (LambdaChoice, build_coherent,
                               closed_form_deltas, compare_closed_form,
                               eigenstate_residual, lambda_value,
@@ -144,5 +145,6 @@ def test_ladder_actions_match_rep_matrices(n, choice):
     rng = np.random.default_rng(n)
     shape = (3, n + 1, n + 1)
     c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    assert np.max(np.abs(ops.apply_b(c) - ops.rep.b @ c)) <= 1e-13
-    assert np.max(np.abs(ops.apply_b(c[0]) - ops.rep.b @ c[0])) <= 1e-13
+    _, b, _ = dense_ladder(ops.rep)
+    assert np.max(np.abs(ops.apply_b(c) - b @ c)) <= 1e-13
+    assert np.max(np.abs(ops.apply_b(c[0]) - b @ c[0])) <= 1e-13

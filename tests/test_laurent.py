@@ -54,6 +54,21 @@ def test_pow_square_and_multiply():
     assert s ** 0 == ONE
 
 
+@pytest.mark.parametrize("s,bits", [
+    (ZERO, 0), (ONE, 0), (QINV, 0), (LaurentScalar({0: 2}), 1),
+    (LaurentScalar({3: Fraction(-3, 8)}), 3), (q_integer(5), 3),
+    (LaurentScalar({-2: Fraction(-5, 3), 1: Fraction(7, 2)}), 5),
+])
+def test_power_bits_bound_every_power(s, bits):
+    # sum |numerators| and the denominator of s^k are at most
+    # 2^(k * _power_bits), so the parser can refuse a power before it is built
+    assert s._power_bits() == bits
+    for k in range(9):
+        power = s ** k
+        assert sum(map(abs, power._terms.values())) <= 2 ** (k * bits)
+        assert power._den <= 2 ** (k * bits)
+
+
 def test_negative_power_monomial_only():
     assert Q ** -3 == LaurentScalar.q_power(-3)
     with pytest.raises(OutOfRange):

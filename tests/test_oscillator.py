@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from _reference import (BITWISE_N, bose_limit_check, hermitian_eigen,
-                        ladder_commutation_check, spectrum_clustering)
+from _reference import (BITWISE_N, bose_limit_check, dense_ladder,
+                        hermitian_eigen, ladder_commutation_check,
+                        spectrum_clustering)
 from gentile.errors import GateFailed
 from gentile.linalg import max_abs_diff
 from gentile.oscillator import (SPECTRUM_TOL, build_hamiltonian,
@@ -49,10 +50,10 @@ def test_hamiltonian_diagonal():
 
 def _dense_hamiltonian(n):
     """Reference: the Hamiltonian as four dense ladder-matrix products."""
-    rep = build_rep(n)
-    a, b_dag = rep.a_dag.conj().T, rep.b.conj().T
+    a_dag, b, _ = dense_ladder(build_rep(n))
+    a, b_dag = a_dag.conj().T, b.conj().T
     alpha, beta = 1 + 0j, cmath.exp(-2j * math.pi / (n + 1))
-    return (alpha * (rep.a_dag @ rep.b) + beta * (rep.b @ rep.a_dag)
+    return (alpha * (a_dag @ b) + beta * (b @ a_dag)
             + np.conj(alpha) * (b_dag @ a)
             + np.conj(beta) * (a @ b_dag)) / 4.0
 

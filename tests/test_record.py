@@ -1,14 +1,21 @@
 """Value behaviour of the record classes: expression nodes and reports."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
-from gentile.audit import AuditReport, IdentityResult
+import gentile
+from gentile._record import Record
+from gentile.audit import IdentityResult, run_full_audit
 from gentile.catalog import FORMAL_Q, Q_AT_N, IdentityEntry
+from gentile.coherent import LambdaChoice, build_coherent
 from gentile.laurent import ONE, LaurentScalar
-from gentile.rep import ArcsinAudit
+from gentile.oscillator import spectrum_crosscheck
+from gentile.rep import ArcsinAudit, build_rep, number_from_arcsin
+from gentile.su2 import DiagonalChoice, solve_representation
 from gentile.symbolic import (Add, Algebra, Gen, Mul, NBracket, Pow, Scal,
                               SumCyc, SumPerm, parse, substitute)
 
@@ -88,40 +95,104 @@ def test_keyword_construction_and_substitution_keep_types():
         == NBracket(Pow(Y, 2), SumPerm((Y, X)))
 
 
-def test_identity_entry_defaults_to_formal_q():
-    entry = IdentityEntry("e1", X, Y)
-    assert entry.specialization == FORMAL_Q
-    assert IdentityEntry(id="e1", lhs=X, rhs=Y) == entry
-    assert IdentityEntry("e1", X, Y, Q_AT_N).specialization == Q_AT_N
-    assert entry != IdentityEntry("e1", X, Y, Q_AT_N)
+def test_identity_entry_needs_its_specialization():
+    with pytest.raises(TypeError, match=r"^IdentityEntry\(\) takes its "
+                       r"fields \(id, lhs, rhs, specialization\), all by "
+                       r"position or all by keyword$"):
+        IdentityEntry("e1", X, Y)
+    entry = IdentityEntry("e1", X, Y, Q_AT_N)
+    assert IdentityEntry(id="e1", lhs=X, rhs=Y, specialization=Q_AT_N) \
+        == entry
+    assert entry != IdentityEntry("e1", X, Y, FORMAL_Q)
 
 
-@pytest.mark.parametrize("args,kwargs,message", [
-    (("e1",), {}, "missing arguments: 'lhs', 'rhs'"),
-    (("e1", X, Y, FORMAL_Q, 0), {}, "takes 4 arguments but 5 were given"),
-    (("e1", X, Y), {"rhs": X}, "multiple values for argument 'rhs'"),
-    (("e1", X, Y), {"sides": 2}, "unexpected keyword argument 'sides'"),
-])
-def test_bad_construction_raises_type_error(args, kwargs, message):
-    with pytest.raises(TypeError, match=message):
+@pytest.mark.parametrize("args,kwargs", [
+    (("e1",), {}),
+    (("e1", X, Y, FORMAL_Q, 0), {}),
+    (("e1", X, Y), {"specialization": FORMAL_Q}),
+    (("e1", X, Y), {"rhs": X}),
+    ((), {"id": "e1", "lhs": X, "rhs": Y}),
+    ((), {"id": "e1", "lhs": X, "rhs": Y, "specialization": FORMAL_Q,
+          "sides": 2}),
+], ids=["missing", "extra", "mixed", "repeated", "missing-keyword",
+        "unexpected-keyword"])
+def test_bad_construction_raises_type_error(args, kwargs):
+    # one message for every call that does not give each field once, all
+    # by position or all by keyword
+    with pytest.raises(TypeError) as raised:
         IdentityEntry(*args, **kwargs)
+    assert str(raised.value) == (
+        "IdentityEntry() takes its fields (id, lhs, rhs, specialization), "
+        "all by position or all by keyword")
 
 
-def test_results_are_mutable_and_unhashable():
+def test_results_are_frozen_and_hashable():
     result = _result(verdict="FAIL")
-    result.verdict = "PASS"
-    assert result == _result()
-    with pytest.raises(TypeError):
-        hash(result)
+    with pytest.raises(AttributeError, match="frozen"):
+        result.verdict = "PASS"
+    assert result != _result() and result == _result(verdict="FAIL")
+    assert hash(result) == hash(_result(verdict="FAIL"))
 
 
-def test_audit_report_rejects_duplicate_ids():
-    AuditReport([_result("e1"), _result("e2")], seed=0)
-    with pytest.raises(AssertionError, match="duplicate result ids"):
-        AuditReport([_result("e1"), _result("e1")], seed=0)
-
-
-def test_algebra_power_defaults_to_none():
-    alg = Algebra(gen=str, scalar=LaurentScalar, mul=max, qscale=abs)
+def test_algebra_needs_its_power():
+    with pytest.raises(TypeError, match=r"^Algebra\(\) takes its fields"):
+        Algebra(gen=str, scalar=LaurentScalar, mul=max, qscale=abs)
+    alg = Algebra(gen=str, scalar=LaurentScalar, mul=max, qscale=abs,
+                  power=None)
     assert alg.power is None
     assert alg == Algebra(str, LaurentScalar, max, abs, None)
+
+
+def _concrete_record_classes() -> set:
+    """The names of the package's Record classes that have no subclass."""
+    for info in pkgutil.walk_packages(gentile.__path__, "gentile."):
+        importlib.import_module(info.name)
+    names, stack = set(), [Record]
+    while stack:
+        subclasses = stack.pop().__subclasses__()
+        stack.extend(subclasses)
+        names.update(cls.__qualname__ for cls in subclasses
+                     if not cls.__subclasses__())
+    return names
+
+
+def _instances():
+    """One instance of each concrete record class, built by the library."""
+    nodes = ["b", "2", "b + N", "b - N", "b N", "b^2", "[b, N]_n",
+             "[b, N]", "{b, N}", "sumperm(b, N)", "sumcyc(b, N)"]
+    return [*map(parse, nodes), Algebra(str, str, max, abs, None),
+            IdentityEntry("e1", X, Y, FORMAL_Q), _result(), build_rep(3),
+            number_from_arcsin(build_rep(3)),
+            build_coherent(3, LambdaChoice("plus")),
+            spectrum_crosscheck(3)[2],
+            solve_representation(3, DiagonalChoice.NUM)]
+
+
+def _mutable_ways(x) -> list:
+    """The ways in which ``x`` is not a frozen, slotted record."""
+    ways = ["__dict__"] if hasattr(x, "__dict__") else []
+    field = x._fields[0]
+    for way, attempt in (("assign", lambda: setattr(x, field, None)),
+                         ("delete", lambda: delattr(x, field)),
+                         ("new attribute", lambda: setattr(x, "extra", 1))):
+        try:
+            attempt()
+            ways.append(way)
+        except AttributeError:
+            pass
+    return ways
+
+
+def test_every_record_is_slotted_and_frozen():
+    instances = _instances()
+    assert {type(x).__qualname__: ways for x in instances
+            if (ways := _mutable_ways(x))} == {}
+    built = {type(x).__qualname__ for x in instances}
+    assert _concrete_record_classes() - built == set()
+
+
+def test_audit_results_are_lists_of_frozen_results():
+    lists = run_full_audit(n_values=(2,), trials=1, entries=[
+        IdentityEntry("e1", parse("u v"), parse("u v"), FORMAL_Q)])
+    assert [[type(r) for r in results] for results in lists] \
+        == [[IdentityResult], [], [IdentityResult]]

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from _reference import (BITWISE_N, arcsin_collisions, bracket_number,
-                        dense_arcsin_values, dense_sine_matrix)
+                        dense_arcsin_values, dense_ladder, dense_sine_matrix)
+from gentile import audit
+from gentile.audit import ladder_matrices
+from gentile.catalog import FREE, QUOTIENT, build_catalog
 from gentile.errors import GateFailed, OutOfRange
 from gentile.linalg import max_abs_diff
 from gentile.rep import _sine_diagonal, build_rep, number_from_arcsin
@@ -67,66 +70,92 @@ def test_bracket_number_recursion():
 
 def test_defining_relation():
     for n in range(1, 25):
-        rep = build_rep(n)
+        a_dag, b, _ = dense_ladder(build_rep(n))
         q = cmath.exp(2j * math.pi / (n + 1))
-        assert max_abs_diff(rep.b @ rep.a_dag - q * (rep.a_dag @ rep.b),
+        assert max_abs_diff(b @ a_dag - q * (a_dag @ b),
                             np.eye(n + 1)) <= 1e-12
 
 
 def test_rep_structure():
     rep = build_rep(4)
     assert rep.dim == 5
+    a_dag, b, _ = dense_ladder(rep)
     # a_dag strictly raises with amplitude sqrt(<v+1>)
     for v in range(4):
-        amp = rep.a_dag[v + 1, v]
+        amp = a_dag[v + 1, v]
         assert abs(amp ** 2 - bracket_number(4, v + 1)) <= 1e-13
     # diagonality of the quadratic combinations
-    assert max_abs_diff(rep.a_dag @ rep.b,
+    assert max_abs_diff(a_dag @ b,
                         np.diag([bracket_number(4, v) for v in range(5)])
                         ) <= 1e-12
-    assert max_abs_diff(rep.b @ rep.a_dag,
+    assert max_abs_diff(b @ a_dag,
                         np.diag([bracket_number(4, v + 1) for v in range(5)])
                         ) <= 1e-12
 
 
 def test_conjugation_consistency():
     for n in (1, 2, 5, 8):
-        rep = build_rep(n)
-        a, b_dag = rep.a_dag.conj().T, rep.b.conj().T
-        assert max_abs_diff(rep.a_dag @ a, b_dag @ rep.b) <= 1e-12
-        assert max_abs_diff(a @ rep.a_dag, rep.b @ b_dag) <= 1e-12
+        a_dag, b, _ = dense_ladder(build_rep(n))
+        a, b_dag = a_dag.conj().T, b.conj().T
+        assert max_abs_diff(a_dag @ a, b_dag @ b) <= 1e-12
+        assert max_abs_diff(a @ a_dag, b @ b_dag) <= 1e-12
 
 
 def test_number_commutators_exact():
-    rep = build_rep(6)
-    assert max_abs_diff(rep.num @ rep.a_dag - rep.a_dag @ rep.num,
-                        rep.a_dag) <= 1e-13
-    assert max_abs_diff(rep.num @ rep.b - rep.b @ rep.num, -rep.b) <= 1e-13
+    a_dag, b, num = dense_ladder(build_rep(6))
+    assert max_abs_diff(num @ a_dag - a_dag @ num, a_dag) <= 1e-13
+    assert max_abs_diff(num @ b - b @ num, -b) <= 1e-13
 
 
 def test_fermi_limit_matrices():
-    rep = build_rep(1)
+    a_dag, b, _ = dense_ladder(build_rep(1))
     # the bracket degenerates to the anticommutator and a coincides with b
-    assert max_abs_diff(rep.b @ rep.a_dag + rep.a_dag @ rep.b,
-                        np.eye(2)) <= 1e-14
-    assert max_abs_diff(rep.a_dag.conj().T, rep.b) <= 1e-14
+    assert max_abs_diff(b @ a_dag + a_dag @ b, np.eye(2)) <= 1e-14
+    assert max_abs_diff(a_dag.conj().T, b) <= 1e-14
 
 
 def test_matrices_readonly():
     rep = build_rep(2)
-    for name in ("amp", "a_dag", "b", "num"):
+    with pytest.raises(ValueError):
+        rep.amp[0] = 1.0
+    for m in ladder_matrices(rep).values():
         with pytest.raises(ValueError):
-            getattr(rep, name)[0, ...] = 1.0
+            m[0, ...] = 1.0
 
 
-def test_matrices_built_once_from_amp():
+def test_ladder_matrices_are_the_dense_ladder():
+    # a batch of one of each dense reference matrix, bit for bit
+    for n in range(1, 129):
+        rep = build_rep(n)
+        mats = ladder_matrices(rep)
+        assert list(mats) == ["adag", "b", "N"]
+        for m, want in zip(mats.values(), dense_ladder(rep)):
+            assert m.shape == (1, n + 1, n + 1) and m.dtype == complex
+            assert m[0].tobytes() == want.tobytes(), n
+
+
+def test_matrices_built_once_from_amp(monkeypatch):
     rep = build_rep(5)
     assert rep.amp.dtype == complex and rep.amp.shape == (5,)
-    assert "a_dag" not in vars(rep)  # nothing dense until first use
-    assert rep.a_dag is rep.a_dag
-    assert rep.amp.tobytes() == rep.a_dag.diagonal(-1).tobytes() \
-        == rep.b.diagonal(1).tobytes()
-    assert np.count_nonzero(rep.a_dag) == np.count_nonzero(rep.amp)
+    mats = ladder_matrices(rep)
+    assert rep.amp.tobytes() == mats["adag"][0].diagonal(-1).tobytes() \
+        == mats["b"][0].diagonal(1).tobytes()
+    assert np.count_nonzero(mats["adag"]) == np.count_nonzero(rep.amp)
+    # the audit builds them once per n, and only for a QUOTIENT entry
+    built = []
+
+    def counted(rep):
+        built.append(rep.n)
+        return ladder_matrices(rep)
+
+    monkeypatch.setattr(audit, "ladder_matrices", counted)
+    free = [e for e in build_catalog() if e.strategy == FREE]
+    audit.run_full_audit(n_values=(2, 5), trials=1, entries=free[:2])
+    assert built == []
+    quotient = [e for e in build_catalog() if e.strategy == QUOTIENT]
+    audit.run_full_audit(n_values=(2, 5), trials=1,
+                         entries=free[:1] + quotient[:3])
+    assert built == [2, 5]
 
 
 def test_build_rep_range():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _reference import eval_one
+from _reference import dense_ladder, eval_one
 from gentile.errors import OutOfRange, ParseError
 from gentile.laurent import ONE, Q, QINV, ZERO, LaurentScalar, q_integer
 from gentile.linalg import max_abs_diff
@@ -345,7 +345,7 @@ def test_normal_order_matches_representation(word, n):
     """Normal ordering is the identity map modulo the defining relations."""
     expr = product([Gen(name) for name in word])
     rep = build_rep(n)
-    assignment = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
+    assignment = dict(zip(("adag", "b", "N"), dense_ladder(rep)))
     direct = eval_one(expr, assignment, rep.roots, rep.dim)
     ordered = normal_order(expr).eval_rep(rep)
     scale = max(1.0, float(np.max(np.abs(direct))))
@@ -358,15 +358,16 @@ def test_normal_order_matches_representation(word, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 32])
 def test_eval_rep_matches_dense_powers(n):
     rep = build_rep(n)
+    a_dag, b, num = dense_ladder(rep)
     coef = LaurentScalar({-1: Fraction(1, 3), 2: Fraction(2)})
     eps = np.finfo(float).eps
     for j in sorted({0, 1, 2, 3, 6, n, n + 1}):
         for k in sorted({0, 1, 2, 3, 6, n, n + 1}):
             for m in range(5):
                 got = QuotientPoly({(j, k, m): coef}).eval_rep(rep)
-                dense = (np.linalg.matrix_power(rep.a_dag, j)
-                         @ np.linalg.matrix_power(rep.b, k)
-                         @ np.linalg.matrix_power(rep.num, m))
+                dense = (np.linalg.matrix_power(a_dag, j)
+                         @ np.linalg.matrix_power(b, k)
+                         @ np.linalg.matrix_power(num, m))
                 want = coef.eval_at(rep.roots) * dense
                 if j > n or k > n:
                     assert not got.any() and not dense.any()
@@ -440,7 +441,7 @@ def test_normal_order_matches_eval_expr_every_node(expr):
     poly = normal_order(expr)
     for n in (1, 2, 3, 5):
         rep = build_rep(n)
-        assignment = {"adag": rep.a_dag, "b": rep.b, "N": rep.num}
+        assignment = dict(zip(("adag", "b", "N"), dense_ladder(rep)))
         norms = {name: float(np.linalg.norm(mat, 2))
                  for name, mat in assignment.items()}
         direct = eval_one(expr, assignment, rep.roots, rep.dim)
