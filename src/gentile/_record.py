@@ -63,10 +63,6 @@ class Record:
         raise AttributeError(
             f"cannot delete {type(self).__name__}.{name}: frozen")
 
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor
-        return type(self), self._values
-
     def __repr__(self):
         return (type(self).__qualname__ + "("
                 + ", ".join([f"{name}={value!r}" for name, value

@@ -137,7 +137,8 @@ def audit_table(results) -> str:
 def ladder_matrices(rep) -> dict:
     """The dense a^dag, b and N of ``rep`` as read-only batches of one
     ``(1, dim, dim)``, keyed by generator name for :func:`eval_expr`."""
-    mats = {"adag": np.diag(rep.amp, -1), "b": np.diag(rep.amp, 1),
+    amp = np.asarray(rep.amp)
+    mats = {"adag": np.diag(amp, -1), "b": np.diag(amp, 1),
             "N": np.diag(np.arange(rep.dim, dtype=complex))}
     for m in mats.values():
         m.flags.writeable = False
@@ -166,8 +167,6 @@ def audit_crosscheck(matrix) -> bool:
     > 10*TOL.  Vacuously true for an empty list.
     """
     for r in matrix:
-        if r.numeric_residual is None:
-            continue
         if r.verdict == "PASS" and r.numeric_residual > TOL:
             raise GateFailed("audit_crosscheck", (
                 f"inconsistent verdicts for {r.identity_id!r}: symbolic "

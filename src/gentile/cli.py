@@ -31,8 +31,8 @@ from .errors import (DegenerateNodes, GateFailed, GentileError, OutOfRange,
 from .linalg import max_abs_diff
 from .oscillator import spectrum_crosscheck
 from .rep import build_rep, number_from_arcsin
-from .su2 import (DiagonalChoice, newton_coefficients, solve_representation,
-                  verify_representation)
+from .su2 import (N_LIMIT, DiagonalChoice, newton_coefficients,
+                  solve_representation, verify_representation)
 from .symbolic import normal_order, parse
 
 DEFAULT_SWEEP = "1..24"
@@ -225,6 +225,10 @@ def cmd_coherent(args) -> str:
 def cmd_su2(args) -> str:
     n_values = parse_n_values(args.n)
     choice = DiagonalChoice(args.diag)
+    if n_values[-1] > N_LIMIT[choice]:
+        raise OutOfRange(f"n = {n_values[-1]} is above {N_LIMIT[choice]}, "
+                         f"the largest n up to which --A {choice.value} "
+                         "passes verify_representation")
     records, failures, solved = [], [], []
     for n in n_values:
         try:

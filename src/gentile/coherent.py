@@ -16,7 +16,6 @@ from enum import Enum
 import numpy as np
 
 from ._record import Record
-from .errors import OutOfRange
 from .rep import build_rep
 
 EIGENSTATE_TOL = 1e-12  # bound on eigenstate_residual
@@ -31,16 +30,11 @@ class LambdaChoice(Enum):
 def lambda_value(choice, v: int, roots) -> complex:
     """The twist phase lambda(nu, n), from the table ``roots`` of
     q^0 .. q^n (``GentileRep.roots``)."""
-    m = len(roots)
-    if not 0 <= v < m:
-        raise OutOfRange(f"v must lie in [0, {m - 1}], got {v}")
     if choice is LambdaChoice.ROOT_OF_UNITY_PLUS:
         return roots[v]
     if choice is LambdaChoice.ROOT_OF_UNITY_MINUS:
-        return roots[-v % m]
-    if choice is LambdaChoice.ALTERNATING:
-        return complex((-1) ** v)
-    raise OutOfRange(f"unknown lambda choice {choice!r}")
+        return roots[-v % len(roots)]
+    return complex((-1) ** v)  # ALTERNATING
 
 
 class CoherentState(Record):
@@ -63,9 +57,8 @@ def build_coherent(n: int, choice) -> CoherentState:
     amp = rep.amp  # sqrt(<1>) .. sqrt(<n>)
     delta = [1 + 0j]
     for v in range(n):
-        # a Python complex divisor: numpy's complex division rounds
-        # differently
-        delta.append(delta[v] * lam[v] / complex(amp[v]))
+        # Python complex division: numpy's rounds differently
+        delta.append(delta[v] * lam[v] / amp[v])
     return CoherentState(n=n, choice=choice, delta=tuple(delta), rep=rep,
                          lam=lam)
 
@@ -79,7 +72,7 @@ def eigenstate_residual(state: CoherentState) -> float:
     """
     delta = np.array(state.delta)
     lam = np.array(state.lam[:-1])
-    return float(np.max(np.abs(state.rep.amp * delta[1:]
+    return float(np.max(np.abs(np.asarray(state.rep.amp) * delta[1:]
                                - lam * delta[:-1])))
 
 
@@ -92,8 +85,6 @@ def closed_form_deltas(roots, sign: int) -> list:
     principal roots need not distribute over the product, so a value can
     differ from the recursion by a sign.
     """
-    if sign not in (1, -1, 0):
-        raise OutOfRange(f"sign must be +1, -1, or 0, got {sign}")
     m = len(roots)
     deltas = [1 + 0j]
     denominator = 1 + 0j

@@ -5,10 +5,6 @@ class GentileError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DimensionMismatch(GentileError):
-    pass
-
-
 class OutOfRange(GentileError):
     pass
 

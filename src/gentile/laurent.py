@@ -70,9 +70,6 @@ class Terms:
         return self.collect(chain(self._terms.items(),
                                   ((k, -c) for k, c in other._terms.items())))
 
-    def __neg__(self):
-        return type(self)({k: -c for k, c in self._terms.items()})
-
     def __mul__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -186,36 +183,24 @@ class LaurentScalar(Terms):
                 out[k] = out.get(k, 0) + c1 * c2
         return self._reduced(out, self._den * other._den)
 
-    def scale(self, s):
-        """Every coefficient multiplied by the rational ``s``."""
-        if not s:
-            return ZERO
-        if type(s) is int:
-            # gcd(_den, numerators) is 1, so only s can share a factor
-            g = gcd(self._den, s)
-            m = s // g
-            return self._raw({k: c * m for k, c in self._terms.items()},
-                             self._den // g)
-        s = Fraction(s)
-        return self._reduced(
-            {k: c * s.numerator for k, c in self._terms.items()},
-            self._den * s.denominator)
+    def scale(self, s: int):
+        """Every coefficient multiplied by the nonzero ``int`` ``s``; the
+        one caller, the quotient product, passes the factors of ``_shift``."""
+        # gcd(_den, numerators) is 1, so only s can share a factor
+        g = gcd(self._den, s)
+        m = s // g
+        return self._raw({k: c * m for k, c in self._terms.items()},
+                         self._den // g)
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            if len(self._terms) == 1:
-                ((k, c),) = self._terms.items()
-                return LaurentScalar(
-                    {k * exponent: Fraction(c, self._den) ** exponent})
-            raise OutOfRange("negative powers only defined for monomials")
+        """``self ** exponent`` for an ``int`` exponent >= 0."""
         result = ONE
         base = self
-        e = exponent
-        while e:
-            if e & 1:
+        while exponent:
+            if exponent & 1:
                 result = result * base
             base = base * base
-            e >>= 1
+            exponent >>= 1
         return result
 
     def _power_bits(self) -> int:
@@ -247,8 +232,6 @@ class LaurentScalar(Terms):
 
     def subs_unit(self, sign: int) -> Fraction:
         """Exact value at q = +1 or q = -1."""
-        if sign not in (1, -1):
-            raise OutOfRange("sign must be +1 or -1")
         total = sum(c if (sign == 1 or k % 2 == 0) else -c
                     for k, c in self._terms.items())
         return Fraction(total, self._den)

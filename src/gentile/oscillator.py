@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from ._record import Record
-from .errors import GateFailed, OutOfRange
+from .errors import GateFailed
 from .rep import build_rep
 
 CLUSTER_TOL = 1e-9
@@ -40,10 +40,6 @@ def build_hamiltonian(n: int) -> np.ndarray:
 
 def per_state_energy(n: int, v: int) -> float:
     """Closed-form diagonal energy E(nu) of the Hamiltonian."""
-    if n < 1:
-        raise OutOfRange(f"n must be >= 1, got {n}")
-    if not 0 <= v <= n:
-        raise OutOfRange(f"v must lie in [0, {n}], got {v}")
     t = math.pi / (n + 1)
     return 0.5 / math.sin(t) * (math.sin((2 * v - 1) * t)
                                 + math.sin(2 * t) * math.cos(t))

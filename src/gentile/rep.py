@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from ._record import Record
-from .errors import GateFailed, OutOfRange
+from .errors import GateFailed
 
 ARCSIN_TOL = 1e-12  # Hermiticity and arcsin domain margin of the sine matrix
 MATCH_TOL = 1e-9  # a value agrees with nu; two sine eigenvalues collide
@@ -38,7 +38,7 @@ class GentileRep(Record):
         "n",
         "roots",  # q^0 .. q^n, a tuple of Python complex
         "bracket_numbers",  # <0>_n ... <n+1>_n
-        "amp",  # sqrt(<1>_n) .. sqrt(<n>_n), read-only complex128
+        "amp",  # sqrt(<1>_n) .. sqrt(<n>_n), a tuple of Python complex
     )
 
     @property
@@ -57,9 +57,10 @@ class GentileRep(Record):
         v >= 1 and (lower raise)[v, v] = lower[v, v+1] raise[v+1, v] for
         v < n.  The bands are amp (a^dag, b) and conj(amp) (a, b^dag).
         """
+        amp = np.asarray(self.amp)
         zero = np.zeros(1, dtype=complex)
-        up_down = self.amp * self.amp
-        up_down_bar = np.conj(self.amp) * np.conj(self.amp)
+        up_down = amp * amp
+        up_down_bar = np.conj(amp) * np.conj(amp)
         return (np.concatenate((zero, up_down)),
                 np.concatenate((zero, up_down_bar)),
                 np.concatenate((up_down_bar, zero)),
@@ -68,15 +69,11 @@ class GentileRep(Record):
 
 def build_rep(n: int) -> GentileRep:
     """The bracket numbers and ladder amplitudes of one mode."""
-    if n < 1:
-        raise OutOfRange(f"n must be >= 1, got {n}")
     theta = 2.0 * math.pi / (n + 1)
     roots = tuple(cmath.exp(1j * theta * j) for j in range(n + 1))
     # <0>_n .. <n+1>_n as running sums of q^j, j = 0..n, from the int 0
     brackets = tuple(accumulate(roots, initial=0))
-    amp = np.array([cmath.sqrt(br) for br in brackets[1:n + 1]],
-                   dtype=complex)
-    amp.flags.writeable = False
+    amp = tuple(map(cmath.sqrt, brackets[1:n + 1]))
     return GentileRep(n=n, roots=roots, bracket_numbers=brackets, amp=amp)
 
 

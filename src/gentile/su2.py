@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from ._record import Record
-from .errors import DegenerateNodes, OutOfRange
+from .errors import DegenerateNodes
 from .linalg import max_abs_diff
 from .rep import GentileRep, _close_pairs, build_rep
 
@@ -34,10 +34,21 @@ class DiagonalChoice(Enum):
     A_ADAG = "aadag"
 
 
+# Largest n up to which every n passes verify_representation or has
+# degenerate nodes, from a sweep of n = 1..1024 (the CLI's maximum); the
+# CLI refuses a larger n.  num first fails at 785, adagb at 100 and bdaga
+# at 131; adaga has degenerate nodes at every n >= 2, aadag at every n >= 4.
+N_LIMIT = {
+    DiagonalChoice.NUM: 784,
+    DiagonalChoice.ADAG_B: 99,
+    DiagonalChoice.BDAG_A: 130,
+    DiagonalChoice.ADAG_A: 1024,
+    DiagonalChoice.A_ADAG: 1024,
+}
+
+
 def ladder_targets(n: int):
     """Standard real raising matrix elements c_+(0)..c_+(n)."""
-    if n < 1:
-        raise OutOfRange(f"n must be >= 1, got {n}")
     return [math.sqrt((n - v) * (v + 1)) for v in range(n + 1)]
 
 
@@ -49,7 +60,8 @@ def operator_diagonal(rep: GentileRep, choice: DiagonalChoice) -> np.ndarray:
     if choice in (DiagonalChoice.ADAG_B, DiagonalChoice.BDAG_A):
         adag_b, bdag_a, _, _ = rep.quadratic_diagonals()
         return adag_b if choice is DiagonalChoice.ADAG_B else bdag_a
-    modulus = rep.amp.real ** 2 + rep.amp.imag ** 2
+    amp = np.asarray(rep.amp)
+    modulus = amp.real ** 2 + amp.imag ** 2
     pair = (0.0, modulus) if choice is DiagonalChoice.ADAG_A else (modulus, 0.0)
     return np.hstack(pair).astype(complex)
 
@@ -130,8 +142,8 @@ class Su2Rep(Record):
         "n",
         "j",
         "choice",
-        "j_plus",  # <nu+1|J_+|nu>, nu = 0..n-1; J_- is its adjoint
-        "j_z",  # <nu|J_z|nu> = nu - n/2, nu = 0..n
+        "j_plus",  # tuple <nu+1|J_+|nu>, nu = 0..n-1; J_- is its adjoint
+        "j_z",  # tuple <nu|J_z|nu> = nu - n/2, nu = 0..n
         # Newton-basis data of p(z) = sum_l conj(lambda_l) z^l, nodes in
         # Leja order, kept for stable residual checks (the monomial
         # lambdas are report-friendly but ill-conditioned to evaluate
@@ -154,16 +166,18 @@ def solve_representation(n: int, choice: DiagonalChoice) -> Su2Rep:
     1990).
     """
     rep = build_rep(n)
+    amp = np.asarray(rep.amp)
     nodes = operator_diagonal(rep, choice)[1:].tolist()
     _check_nodes(nodes)
-    targets = (np.array(ladder_targets(n)[:n]) / rep.amp).tolist()
+    targets = (np.array(ladder_targets(n)[:n]) / amp).tolist()
     order = leja_order(nodes)
     leja = [nodes[k] for k in order]
     divided = divided_differences(leja, [targets[k] for k in order])
     p = np.array([newton_eval(leja, divided, x) for x in nodes])
-    return Su2Rep(n=n, j=n / 2.0, choice=choice, j_plus=p * rep.amp,
-                  j_z=np.arange(n + 1) - n / 2.0, nodes=tuple(leja),
-                  divided=tuple(divided),
+    return Su2Rep(n=n, j=n / 2.0, choice=choice,
+                  j_plus=tuple((p * amp).tolist()),
+                  j_z=tuple((np.arange(n + 1) - n / 2.0).tolist()),
+                  nodes=tuple(leja), divided=tuple(divided),
                   bracket_numbers=rep.bracket_numbers)
 
 
@@ -177,7 +191,7 @@ def verify_representation(rep: Su2Rep):
     is inf or nan, which fails the gate, so numpy's overflow warnings are
     not printed as well.
     """
-    jp, z = rep.j_plus, rep.j_z
+    jp, z = np.asarray(rep.j_plus), np.asarray(rep.j_z)
     jm = jp.conj()
     with np.errstate(over="ignore", invalid="ignore"):
         norm = jp.real ** 2 + jp.imag ** 2

@@ -79,12 +79,6 @@ class Mul(_Binary):
 class Pow(Expr):
     __slots__ = _fields = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: int):
-        if exponent < 0:
-            raise ValueError("operator powers must be non-negative")
-        _setattr(self, "base", base)
-        _setattr(self, "exponent", exponent)
-
 
 class NBracket(_Binary):
     """Deformed bracket [x, y]_n = x y - q y x with q formal."""
@@ -135,9 +129,7 @@ def _map_children(e: Expr, f) -> Expr:
 def substitute(e: Expr, mapping: dict) -> Expr:
     """Replace generators by name; values are Expr or generator names."""
     if isinstance(e, Gen):
-        repl = mapping.get(e.name)
-        if repl is None:
-            return e
+        repl = mapping.get(e.name, e)
         return Gen(repl) if isinstance(repl, str) else repl
     return _map_children(e, lambda x: substitute(x, mapping))
 

@@ -53,9 +53,6 @@ class _Token:
         self.text = text
         self.pos = pos
 
-    def __repr__(self):
-        return f"_Token({self.kind}, {self.text!r}, {self.pos})"
-
 
 def _tokenize(text: str):
     tokens = []

@@ -151,7 +151,8 @@ class QuotientPoly(Terms):
         # q^e from the rep's table, e reduced mod n+1 as an int
         coefs = values @ np.array([roots[e % dim] for e in exps],
                                   dtype=complex)
-        amp = rep.amp  # b|nu> = amp[nu-1]|nu-1>, adag|mu> = amp[mu]|mu+1>
+        # b|nu> = amp[nu-1]|nu-1>, adag|mu> = amp[mu]|mu+1>
+        amp = np.asarray(rep.amp)
         max_j = max((j for j, _, _, _ in groups if j <= n), default=0)
         max_k = max((k for _, k, _, _ in groups if k <= n), default=0)
         # lowered[k, nu]: amplitude of b^k on |nu>, for nu >= k

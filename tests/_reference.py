@@ -24,7 +24,7 @@ import numpy as np
 
 from gentile.audit import eval_expr
 from gentile.coherent import lambda_value
-from gentile.errors import DimensionMismatch, GentileError
+from gentile.errors import GentileError
 from gentile.linalg import max_abs_diff
 from gentile.oscillator import (CLUSTER_TOL, _case_levels,
                                 _prose_multiplicity, build_hamiltonian,
@@ -109,7 +109,7 @@ class GrassmannOps:
     def apply_b(self, e: np.ndarray) -> np.ndarray:
         """Move every row nu of e to nu - 1 with amplitude sqrt(<nu>)."""
         out = np.zeros(e.shape, dtype=complex)
-        out[..., :-1, :] += self.rep.amp[:, None] * e[..., 1:, :]
+        out[..., :-1, :] += np.asarray(self.rep.amp)[:, None] * e[..., 1:, :]
         return out
 
     def apply_psi(self, e: np.ndarray) -> np.ndarray:
@@ -275,6 +275,10 @@ class NoConvergence(GentileError):
     pass
 
 
+class NotSquare(GentileError):
+    pass
+
+
 class NotHermitian(GentileError):
     pass
 
@@ -286,7 +290,7 @@ class DomainError(GentileError):
 def _check_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got {m.shape}")
+        raise NotSquare(f"expected square matrix, got {m.shape}")
     dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if not dev <= tol:  # a NaN or infinite entry makes dev NaN
         raise NotHermitian(f"max |m - m^H| = {dev:.3e} exceeds tol {tol:.3e}")
@@ -472,8 +476,8 @@ def scalar_solve(n: int, choice):
     the nodes in state order, on numpy complex128 scalars."""
     rep = build_rep(n)
     nodes = list(operator_diagonal(rep, choice)[1:])
-    c_plus = ladder_targets(n)
-    targets = [c_plus[v] / rep.amp[v] for v in range(n)]
+    c_plus, amp = ladder_targets(n), np.asarray(rep.amp)
+    targets = [c_plus[v] / amp[v] for v in range(n)]
     order = leja_order(nodes)
     leja = [nodes[k] for k in order]
     divided = scalar_divided_differences(leja, [targets[k] for k in order])

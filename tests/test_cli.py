@@ -28,6 +28,7 @@ from gentile.cli import (COMMON_OPTIONS, MAX_N, MAX_WORD, OPTION_FLAGS,
                          SUBCOMMANDS, _dump_json, build_parser, main,
                          parse_n_values)
 from gentile.errors import OutOfRange
+from gentile.su2 import N_LIMIT, DiagonalChoice
 from gentile.symbolic.parser import MAX_PERM_OPERANDS, MAX_POWER
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -131,9 +132,11 @@ def test_su2_degenerate_diagnostic(capsys):
                                   ["su2", "--n", "256", "--A", "bdaga"],
                                   ["su2", "--n", "852", "--A", "adagb"]],
                          ids=["adagb-256", "bdaga-256", "adagb-852"])
-def test_su2_failing_sweep_warns_nothing(argv, capsys):
+def test_su2_failing_sweep_warns_nothing(argv, capsys, monkeypatch):
     # these n fail verification by 1e5 or more, so no lambda is solved;
-    # stderr holds only the diagnostic
+    # stderr holds only the diagnostic.  The CLI refuses them up front, so
+    # the refusal is lifted here to reach the gate
+    monkeypatch.setitem(N_LIMIT, DiagonalChoice(argv[-1]), MAX_N)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == 2
@@ -141,6 +144,35 @@ def test_su2_failing_sweep_warns_nothing(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["contract"] == "verify_representation"
+
+
+class _Solved(Exception):
+    """Raised by a stub solve: the refusal let the n through."""
+
+
+@pytest.mark.parametrize("choice", list(DiagonalChoice),
+                         ids=lambda c: c.value)
+def test_su2_refuses_n_above_its_limit(choice, monkeypatch, capsys):
+    # every n up to the limit passes the gate or has degenerate nodes (a
+    # sweep of n = 1..MAX_N); the next n is refused before anything is
+    # solved.  adaga and aadag hold to MAX_N, where parse_n_values refuses
+    def solve(n, choice):
+        raise _Solved(n)
+
+    monkeypatch.setattr("gentile.cli.solve_representation", solve)
+    limit = N_LIMIT[choice]
+    assert limit == {"num": 784, "adagb": 99, "bdaga": 130, "adaga": MAX_N,
+                     "aadag": MAX_N}[choice.value]
+    with pytest.raises(_Solved):
+        main(["su2", "--n", f"1..{limit}", "--A", choice.value])
+    assert main(["su2", "--n", f"1..{limit + 1}", "--A", choice.value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: n = {limit + 1} is above {limit}, the largest n up to "
+        f"which --A {choice.value} passes verify_representation\n"
+        if limit < MAX_N else
+        f"error: n = {limit + 1} is above the maximum {MAX_N}\n")
 
 
 def _reject_constant(name):
@@ -817,6 +849,51 @@ def _reach_argvs():
                 yield base + [flag, choice]
 
 
+def _edge_argvs(tmp_path):
+    """(argv, exit code): one argv for each error message the CLI writes,
+    and the few inputs that reach a branch no sweep above reaches."""
+    big = "1" + "0" * 200
+    return [
+        (["-h"], 0),
+        (["x"], 1),
+        (["--n", "3", "audit"], 1),
+        (["audit", "--n", "0"], 1),
+        (["audit", "--n", str(MAX_N + 1)], 1),
+        (["audit", "--n", "1", "--seed", "x"], 1),
+        # more digits than int() converts
+        (["audit", "--n", "1", "--seed", "9" * 5000], 1),
+        (["su2", "--n", str(N_LIMIT[DiagonalChoice.ADAG_B] + 1), "--A",
+          "adagb"], 1),
+        (["spectrum", "--n", "1", "--out",
+          str(tmp_path / "missing" / "x.json")], 1),
+        # a report written to a file
+        (["spectrum", "--n", "1", "--out", str(tmp_path / "x.json")], 0),
+        (["eval", "u v", "--n", "1"], 1),
+        (["eval", "(((b^64)^64)^64)^4", "--n", "1"], 1),
+        (["eval", f"{BEYOND_FLOAT} b", "--n", "1"], 1),
+        # finite scalars whose product in the normal form is not
+        (["eval", f"{big} b {big}", "--n", "1"], 1),
+        (["eval", "(((2^64)^64)^64) b", "--n", "1"], 1),
+        (["eval", "b #", "--n", "1"], 1),
+        (["eval", "1" * 4301, "--n", "1"], 1),
+        (["eval", "[b,", "--n", "1"], 1),
+        # a '^' after q that no exponent follows is handed back
+        (["eval", "q^b", "--n", "1"], 1),
+        (["eval", "b + )", "--n", "1"], 1),
+        (["eval", "b)", "--n", "1"], 1),
+        (["eval", "1/0", "--n", "1"], 1),
+        (["eval", "x", "--n", "1"], 1),
+        (["eval", "(" * 101 + "b" + ")" * 101, "--n", "1"], 1),
+        (["eval", f"b^{MAX_POWER + 1}", "--n", "1"], 1),
+        (["eval", "sumperm(b, b, b, b, b, b, b)", "--n", "1"], 1),
+        # the zero normal form and its zero scalar
+        (["eval", "0", "--n", "1"], 0),
+        (["eval", "[b, N]", "--n", "1"], 0),
+        # a nonzero seed, which the stream mixes into its state
+        (["audit", "--n", "2", "--seed", "7"], 0),
+    ]
+
+
 def _modules():
     return [importlib.import_module(info.name) for info
             in pkgutil.walk_packages(gentile.__path__, "gentile.")]
@@ -849,29 +926,215 @@ def _public_functions():
     return found
 
 
-def test_every_public_function_is_reached(capsys):
-    # a library function, method or property that only tests call belongs
-    # in the tests
+def _statements():
+    """(file, line) -> (function, source text) of each statement in a
+    function body of the package, the first line of each, docstrings
+    left out."""
+    found = {}
+
+    def visit(node, path, lines, scope, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if function:  # a nested def or class is a statement
+                    found[path, child.lineno] = (
+                        function, lines[child.lineno - 1].strip())
+                inner = f"{scope}.{child.name}"
+                visit(child, path, lines, inner,
+                      inner if isinstance(child, ast.FunctionDef)
+                      else None)
+            elif isinstance(child, ast.stmt):
+                docstring = (isinstance(child, ast.Expr)
+                             and isinstance(child.value, ast.Constant)
+                             and isinstance(child.value.value, str))
+                if function and not docstring:
+                    found[path, child.lineno] = (
+                        function, lines[child.lineno - 1].strip())
+                visit(child, path, lines, scope, function)
+            elif isinstance(child, ast.excepthandler):
+                visit(child, path, lines, scope, function)
+
     for module in _modules():
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):  # calls earlier tests cached
-                value.cache_clear()
-    called = set()
+        source = Path(module.__file__).read_text()
+        visit(ast.parse(source), module.__file__, source.splitlines(),
+              module.__name__, None)
+    return found
 
-    def profile(frame, event, arg):
-        if event == "call":
-            called.add(frame.f_code)
 
-    sys.setprofile(profile)
-    try:
-        codes = [main(argv) for argv in _reach_argvs()]
-    finally:
-        sys.setprofile(None)
-    capsys.readouterr()
-    assert set(codes) == {0}
+# statements no CLI input executes, as (function, first source line) ->
+# why each stays
+_GATE = "a gate's failure path, which the inputs above pass"
+_EXIT_2 = "main's exit 2, taken only when a gate fails"
+_VALUE = "value protocol: records and sums compare, hash and print as values"
+_FROZEN = "value protocol: a record's fields cannot be assigned or deleted"
+_OPERAND = "an operator's NotImplemented for an operand of another type"
+_JSON = ("the JSON writer's general branches, held to json.dumps by its "
+         "hypothesis test")
+UNREACHED = {
+    ("gentile._record.Record.__delattr__", "raise AttributeError("): _FROZEN,
+    ("gentile._record.Record.__setattr__", "raise AttributeError("): _FROZEN,
+    ("gentile._record.Record.__eq__",
+     "if other.__class__ is self.__class__:"): _VALUE,
+    ("gentile._record.Record.__eq__", "return NotImplemented"): _VALUE,
+    ("gentile._record.Record.__eq__",
+     "return self._values == other._values"): _VALUE,
+    ("gentile._record.Record.__hash__", "return hash(self._values)"): _VALUE,
+    ("gentile._record.Record.__init__", "raise TypeError("):
+        "value protocol: a record is built from all of its fields",
+    ("gentile._record.Record.__repr__",
+     'return (type(self).__qualname__ + "("'): _VALUE,
+    ("gentile.laurent.LaurentScalar.__eq__",
+     "if type(other) is not type(self):"): _VALUE,
+    ("gentile.laurent.LaurentScalar.__eq__", "return NotImplemented"): _VALUE,
+    ("gentile.laurent.LaurentScalar.__eq__",
+     "return self._den == other._den and self._terms == other._terms"):
+        _VALUE,
+    ("gentile.laurent.LaurentScalar.__hash__",
+     "items = self._terms if self._den == 1 else self.coeffs"): _VALUE,
+    ("gentile.laurent.LaurentScalar.__hash__",
+     "return hash(frozenset(items.items()))"): _VALUE,
+    ("gentile.laurent.LaurentScalar.__repr__", 'return "0"'):
+        _VALUE + "; every printed coefficient is nonzero",
+    ("gentile.laurent.Terms.__eq__", "if type(other) is not type(self):"):
+        _VALUE,
+    ("gentile.laurent.Terms.__eq__", "return NotImplemented"): _VALUE,
+    ("gentile.laurent.Terms.__eq__", "return self._terms == other._terms"):
+        _VALUE,
+    ("gentile.laurent.Terms.__hash__",
+     "return hash(frozenset(self._terms.items()))"): _VALUE,
+    ("gentile.symbolic.freepoly.FreePoly.__repr__", 'return "0"'):
+        _VALUE + "; the audit prints a zero residual as 0 itself",
+    ("gentile.laurent.LaurentScalar.__add__", "return NotImplemented"):
+        _OPERAND,
+    ("gentile.laurent.LaurentScalar.__sub__", "return NotImplemented"):
+        _OPERAND,
+    ("gentile.laurent.LaurentScalar.__mul__", "return NotImplemented"):
+        _OPERAND,
+    ("gentile.laurent.Terms.__add__", "return NotImplemented"): _OPERAND,
+    ("gentile.laurent.Terms.__sub__", "return NotImplemented"): _OPERAND,
+    ("gentile.laurent.Terms.__mul__", "return NotImplemented"): _OPERAND,
+    ("gentile.symbolic.quotient.QuotientPoly.__mul__",
+     "return NotImplemented"): _OPERAND,
+    ("gentile.laurent.Terms.terms", "return dict(self._terms)"):
+        "BENCH_READS: the benchmark's tracer counts the terms of a result",
+    ("gentile.audit.audit_crosscheck",
+     'raise GateFailed("audit_crosscheck", ('): _GATE,
+    ("gentile.cli.cmd_coherent",
+     'failures.append({"n": n, "residual": residual})'): _GATE,
+    ("gentile.cli.cmd_coherent",
+     'raise GateFailed("eigenstate_residual", failures)'): _GATE,
+    ("gentile.cli.cmd_spectrum",
+     'failures.append({"n": n, "deviation": deviation})'): _GATE,
+    ("gentile.cli.cmd_spectrum",
+     'raise GateFailed("spectrum_crosscheck", failures)'): _GATE,
+    ("gentile.cli.cmd_su2",
+     'failures.append({"n": n, "residuals": residuals})'): _GATE,
+    ("gentile.cli.cmd_su2",
+     'raise GateFailed("verify_representation", failures)'): _GATE,
+    ("gentile.oscillator.spectrum_crosscheck",
+     'raise GateFailed("NotHermitian", f"max |m - m^H| = {dev:.3e} "'): _GATE,
+    ("gentile.oscillator.spectrum_crosscheck",
+     "return False, math.inf, report"): _GATE,
+    ("gentile.rep.number_from_arcsin",
+     'raise GateFailed("DomainError", "eigenvalue outside domain "'): _GATE,
+    ("gentile.rep.number_from_arcsin",
+     'raise GateFailed("NotHermitian", f"max |m - m^H| = {dev:.3e} "'): _GATE,
+    ("gentile.cli.main", "contract, detail = exc.args"): _EXIT_2,
+    ("gentile.cli.main", "contract, detail = type(exc).__name__, str(exc)"):
+        _EXIT_2 + ", or when a library error no handler names is raised",
+    ("gentile.cli.main",
+     'sys.stderr.write(_dump_json({"contract": contract, "detail": detail}))'):
+        _EXIT_2,
+    ("gentile.cli.main", "return 2"): _EXIT_2,
+    ("gentile.su2._abs_squared", "return math.inf"):
+        "overflow handler: every n su2 accepts stays in float range",
+    ("gentile.symbolic.expr.fold",
+     'raise TypeError(f"unknown node {type(e).__name__}")'):
+        "fold's refusal of a node type it does not define",
+    ("gentile.symbolic.freepoly.FreePoly.specialize_unit", "out[w] = val"):
+        "every limit identity holds; the mutated-entry test reaches it",
+    ("gentile.cli._json_text", "if isinstance(obj, complex):"): _JSON,
+    ("gentile.cli._json_text", "if isinstance(obj, np.generic):"): _JSON,
+    ("gentile.cli._json_text",
+     'raise TypeError(f"{type(obj).__name__} is not JSON serializable")'):
+        _JSON,
+    ("gentile.cli._json_text", 'return "null"'): _JSON,
+    ("gentile.cli._json_text", 'return "{}"'): _JSON,
+    ("gentile.cli._json_text",
+     "return ('\"NaN\"' if obj != obj else '\"Infinity\"' if obj > 0"):
+        _JSON,
+    ("gentile.cli._json_text", "return _json_text([obj.real, obj.imag], pad)"):
+        _JSON,
+    ("gentile.cli._json_text", "return _json_text(obj.item(), pad)"): _JSON,
+}
+
+
+# the replay, in a fresh interpreter so that what runs at import counts:
+# argv[1] is the trace file; stdin holds the argvs
+_REPLAY = """
+import importlib.util, json, os, sys, warnings
+runs, trace = json.load(sys.stdin), sys.argv[1]
+root = os.path.dirname(importlib.util.find_spec("gentile").origin)
+called, executed = set(), set()
+
+def line(frame, event, arg):
+    if event == "line":
+        executed.add((frame.f_code.co_filename, frame.f_lineno))
+    return line
+
+def call(frame, event, arg):
+    code = frame.f_code
+    if code.co_filename.startswith(root):
+        called.add((code.co_filename, code.co_firstlineno))
+        return line
+
+warnings.simplefilter("ignore")
+sys.settrace(call)
+from gentile.cli import main
+codes = [main(argv) for argv in runs]
+sys.argv = ["gentile", "spectrum", "--n", "1"]  # the console entry point
+codes.append(main())
+sys.settrace(None)
+with open(trace, "w") as out:
+    json.dump([codes, sorted(called), sorted(executed)], out)
+"""
+
+
+def _replay(tmp_path):
+    """Exit codes, and the (file, first line) of each function called and
+    the (file, line) of each line executed, over the reach and edge argvs;
+    paths are real paths."""
+    runs = [(argv, 0) for argv in _reach_argvs()] + _edge_argvs(tmp_path)
+    src = Path(gentile.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    trace = tmp_path / "trace.json"
+    subprocess.run([sys.executable, "-c", _REPLAY, str(trace)],
+                   input=json.dumps([argv for argv, _ in runs]),
+                   capture_output=True, text=True, env=env, check=True)
+    codes, called, executed = json.loads(trace.read_text())
+    assert codes == [code for _, code in runs] + [0]
+    return ({(os.path.realpath(path), line) for path, line in called},
+            {(os.path.realpath(path), line) for path, line in executed})
+
+
+def _unexecuted(executed) -> set:
+    return {key for (path, line), key in _statements().items()
+            if (os.path.realpath(path), line) not in executed}
+
+
+def test_every_public_function_is_reached(tmp_path):
+    # a library function, method or property that only tests call belongs
+    # in the tests, and so does a statement that no CLI input executes
+    called, executed = _replay(tmp_path)
     unreached = {name for name, code in _public_functions().items()
-                 if code not in called}
+                 if (os.path.realpath(code.co_filename),
+                     code.co_firstlineno) not in called}
     assert unreached == BENCH_READS
+    unexecuted = _unexecuted(executed)
+    assert {"not allowed": sorted(unexecuted - UNREACHED.keys()),
+            "now executed": sorted(UNREACHED.keys() - unexecuted)} \
+        == {"not allowed": [], "now executed": []}
 
 
 # -- JSON encoding, against the per-value walk it replaced --------------------

@@ -13,7 +13,6 @@ from gentile.coherent import (LambdaChoice, build_coherent,
                               closed_form_deltas, compare_closed_form,
                               eigenstate_residual, lambda_value,
                               normalization_poly)
-from gentile.errors import OutOfRange
 from gentile.rep import build_rep
 
 PRINTED_CHOICES = (LambdaChoice.ROOT_OF_UNITY_PLUS,
@@ -27,8 +26,6 @@ def test_lambda_values():
         == pytest.approx(cmath.exp(2j * math.pi / 4))
     assert lambda_value(LambdaChoice.ALTERNATING, 2, roots) == 1.0
     assert lambda_value(LambdaChoice.ALTERNATING, 3, roots) == -1.0
-    with pytest.raises(OutOfRange):
-        lambda_value(LambdaChoice.ALTERNATING, 4, roots)
 
 
 @pytest.mark.parametrize("n", (1, 2, 7, 64, 1024))

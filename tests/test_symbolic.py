@@ -139,7 +139,9 @@ def test_sparse_terms_contract(cls):
     a, b = _sparse_pair(cls)
     assert a.terms == {k1: c1}
     assert a and (a - a).is_zero and not (a - a)
-    assert -(-a) == a and (a + b) - b == a
+    assert (a + b) - b == a and (a - b) + b == a
+    if cls is LaurentScalar:  # the one sparse type that negates
+        assert -(-a) == a
     assert hash(cls({k1: c1})) == hash(a)
     for other in _SPARSE:
         if other is not cls:
