@@ -117,7 +117,7 @@ class IdentityResult(Record):
             "verdict": self.verdict,
             "residual": (self.residual_digest if self.numeric_residual is None
                          else format(self.numeric_residual, ".17g")),
-            "n_tested": list(self.n_tested),
+            "n_tested": self.n_tested,
             "seed": seed,
         }
 

@@ -112,7 +112,7 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-# Largest n accepted: every n builds dense (n+1) x (n+1) matrices.
+# Largest n accepted: audit and eval build (n+1) x (n+1) matrices per n.
 MAX_N = 1024
 
 # Longest normal-form word eval prints.  Nested powers grow a word
@@ -209,8 +209,8 @@ def cmd_coherent(args) -> str:
         records.append({
             "n": n,
             "lambda_variant": args.lam,
-            "delta": list(state.delta),
-            "normalization_poly": list(normalization_poly(state)),
+            "delta": state.delta,
+            "normalization_poly": normalization_poly(state),
             "eigenstate_residual": residual,
             "closed_form_modulus_gap": max(
                 row[4] for row in compare_closed_form(state)),
@@ -236,7 +236,7 @@ def cmd_su2(args) -> str:
         except DegenerateNodes as exc:
             records.append({
                 "n": n, "choice": choice.value,
-                "degenerate_nodes": {"pair": list(exc.pair),
+                "degenerate_nodes": {"pair": exc.pair,
                                      "separation": exc.separation},
             })
             continue
@@ -267,8 +267,14 @@ def cmd_eval(args) -> str:
     records = []
     for n in n_values:
         rep = build_rep(n)
-        direct = eval_expr(expr, ladder_matrices(rep), [rep.roots],
-                           rep.dim)[0]
+        # direct side first: eval_at refuses a scalar beyond float range
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                direct = eval_expr(expr, ladder_matrices(rep), [rep.roots],
+                                   rep.dim)[0]
+        except FloatingPointError:
+            raise OutOfRange(f"a matrix product at n = {n} is beyond float "
+                             "range, so it cannot be evaluated") from None
         ordered = poly.eval_rep(rep)
         records.append({"n": n,
                         "matrix_residual": max_abs_diff(direct, ordered)})
@@ -291,8 +297,8 @@ def cmd_arcsin_audit(args) -> str:
         audit = number_from_arcsin(build_rep(n))
         records.append({
             "n": n,
-            "table": [list(row) for row in audit.table],
-            "collisions": [list(pair) for pair in audit.collisions],
+            "table": audit.table,
+            "collisions": audit.collisions,
             "collision_flag": audit.collision_flag,
             "max_reconstruction_error": max(
                 abs(value - v) for v, value, _ in audit.table),

@@ -16,8 +16,7 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from ._record import Record
-from .errors import GateFailed
-from .rep import build_rep
+from .rep import build_rep, require_hermitian
 
 CLUSTER_TOL = 1e-9
 SPECTRUM_TOL = 1e-10  # levels vs eigenvalues; also H's Hermiticity
@@ -102,10 +101,9 @@ class SpectrumReport(Record):
                        for e, m in self.levels],
             "ground": self.ground,
             "highest": self.highest,
-            "per_state_energies": list(self.per_state_energies),
+            "per_state_energies": self.per_state_energies,
             "prose_level_count": self.prose_level_count,
-            "degeneracy_discrepancies": [
-                list(row) for row in self.degeneracy_discrepancies],
+            "degeneracy_discrepancies": self.degeneracy_discrepancies,
         }
 
 
@@ -150,14 +148,9 @@ def spectrum_crosscheck(n: int):
     """
     report = closed_form_spectrum(n)
     h = build_hamiltonian(n)
-    dev = float(np.max(np.abs(h - h.conj())))
-    if not dev <= SPECTRUM_TOL:  # a NaN entry makes dev NaN
-        raise GateFailed("NotHermitian", f"max |m - m^H| = {dev:.3e} "
-                         f"exceeds tol {SPECTRUM_TOL:.3e}")
+    require_hermitian(h, SPECTRUM_TOL)
     eigvals = np.sort(h.real)
-    expanded = []
-    for e, m in report.levels:
-        expanded.extend([e] * m)
+    expanded = [e for e, m in report.levels for _ in range(m)]
     if len(expanded) != n + 1:
         return False, math.inf, report
     deviation = max(abs(a - b) for a, b in zip(sorted(expanded), eigvals))

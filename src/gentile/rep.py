@@ -120,6 +120,15 @@ def _sine_diagonal(rep: GentileRep) -> np.ndarray:
     return 0.5j * (adag_b - bdag_a + a_bdag - b_adag)
 
 
+def require_hermitian(diagonal: np.ndarray, tol: float):
+    """``GateFailed("NotHermitian")`` unless m = diag(diagonal) is
+    Hermitian: max |m - m^H| <= tol."""
+    dev = float(np.max(np.abs(diagonal - diagonal.conj())))
+    if not dev <= tol:  # a NaN entry makes dev NaN
+        raise GateFailed("NotHermitian", f"max |m - m^H| = {dev:.3e} "
+                         f"exceeds tol {tol:.3e}")
+
+
 def number_from_arcsin(rep: GentileRep) -> ArcsinAudit:
     """Reconstruct the number operator from the sine combination.
 
@@ -130,10 +139,7 @@ def number_from_arcsin(rep: GentileRep) -> ArcsinAudit:
     nu values are flagged.
     """
     m = _sine_diagonal(rep)
-    dev = float(np.max(np.abs(m - m.conj())))
-    if not dev <= ARCSIN_TOL:  # a NaN entry makes dev NaN
-        raise GateFailed("NotHermitian", f"max |m - m^H| = {dev:.3e} "
-                         f"exceeds tol {ARCSIN_TOL:.3e}")
+    require_hermitian(m, ARCSIN_TOL)
     diag_m = m.real
     if not (np.all(diag_m >= -1.0 - ARCSIN_TOL)
             and np.all(diag_m <= 1.0 + ARCSIN_TOL)):

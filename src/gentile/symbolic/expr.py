@@ -4,10 +4,10 @@ Nodes are immutable records (:mod:`gentile._record`) compared and hashed
 by exact type and fields.  Products are binary; long products are
 built by left folds.  Permutation/cyclic sum nodes carry a tuple of
 operand expressions and denote the sum of products over all (cyclic)
-orderings; sums over permuted *arguments of an arbitrary body* are built
-with :func:`perm_sum` / :func:`cyc_sum`, which substitute explicitly.
-:func:`fold` maps a tree into any :class:`Algebra` (free polynomials,
-quotient normal forms, matrices).
+orderings.  A :class:`RenameSum`, built by :func:`perm_sum` /
+:func:`cyc_sum`, denotes the sum of an arbitrary body over renamings of
+its generators; the body is stored once.  :func:`fold` maps a tree into
+any :class:`Algebra` (free polynomials, quotient normal forms, matrices).
 """
 
 from __future__ import annotations
@@ -110,28 +110,15 @@ class SumCyc(_Operands):
     __slots__ = ()
 
 
+class RenameSum(Expr):
+    """Sum of ``body`` over the permutations (or, if ``cyclic``, the
+    rotations) of its generator names ``symbols``."""
+    __slots__ = _fields = ("body", "symbols", "cyclic")
+
+
 def product(factors) -> Expr:
     factors = list(factors)
     return reduce(Mul, factors) if factors else Scal(ONE)
-
-
-def _map_children(e: Expr, f) -> Expr:
-    """A node of ``e``'s type with ``f`` applied to each child expression.
-
-    A node's field values, in its class's field order, are also its
-    constructor arguments.
-    """
-    return type(e)(*[f(v) if isinstance(v, Expr)
-                     else tuple(map(f, v)) if isinstance(v, tuple) else v
-                     for v in e._values])
-
-
-def substitute(e: Expr, mapping: dict) -> Expr:
-    """Replace generators by name; values are Expr or generator names."""
-    if isinstance(e, Gen):
-        repl = mapping.get(e.name, e)
-        return Gen(repl) if isinstance(repl, str) else repl
-    return _map_children(e, lambda x: substitute(x, mapping))
 
 
 def _children(e: Expr):
@@ -140,7 +127,7 @@ def _children(e: Expr):
         if isinstance(v, Expr):
             yield v
         elif isinstance(v, tuple):
-            yield from v
+            yield from (x for x in v if isinstance(x, Expr))
 
 
 def generators_of(e: Expr) -> set:
@@ -158,20 +145,14 @@ def _rotations(items: list) -> list:
     return [items[k:] + items[:k] for k in range(len(items))]
 
 
-def _sum_over(body: Expr, symbols, orders) -> Expr:
-    symbols = list(symbols)
-    return reduce(Add, [substitute(body, dict(zip(symbols, order)))
-                        for order in orders(symbols)])
-
-
 def perm_sum(body: Expr, symbols) -> Expr:
     """Sum of ``body`` over all permutations of the named generators."""
-    return _sum_over(body, symbols, permutations)
+    return RenameSum(body, tuple(symbols), False)
 
 
 def cyc_sum(body: Expr, symbols) -> Expr:
     """Sum of ``body`` over all cyclic rotations of the named generators."""
-    return _sum_over(body, symbols, _rotations)
+    return RenameSum(body, tuple(symbols), True)
 
 
 class Algebra(Record):
@@ -184,12 +165,20 @@ class Algebra(Record):
     __slots__ = _fields = ("gen", "scalar", "mul", "qscale", "power")
 
 
+def _renamed(alg: Algebra, pairs) -> Algebra:
+    """``alg`` with each generator name first renamed by (old, new) pairs."""
+    to, gen = dict(pairs), alg.gen
+    return Algebra(lambda name: gen(to.get(name, name)), alg.scalar, alg.mul,
+                   alg.qscale, alg.power)
+
+
 def fold(e: Expr, alg: Algebra):
     """Value of ``e`` in ``alg``; every derived node is defined here.
 
     ``[x,y]_n`` is ``x y - q (y x)``.  A permutation or cyclic sum folds
     each operand once, multiplies each ordering left to right and adds the
-    products left to right, starting from the first.
+    products left to right, starting from the first.  A renaming sum adds
+    its body's values under each renaming of ``gen`` the same way.
     """
     if isinstance(e, Gen):
         return alg.gen(e.name)
@@ -217,4 +206,9 @@ def fold(e: Expr, alg: Algebra):
         orders = (permutations(values) if isinstance(e, SumPerm)
                   else _rotations(values))
         return reduce(add, (reduce(alg.mul, order) for order in orders))
+    if isinstance(e, RenameSum):
+        symbols = list(e.symbols)
+        orders = (_rotations if e.cyclic else permutations)(symbols)
+        return reduce(add, (fold(e.body, _renamed(alg, zip(symbols, order)))
+                            for order in orders))
     raise TypeError(f"unknown node {type(e).__name__}")

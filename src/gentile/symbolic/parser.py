@@ -75,9 +75,9 @@ def _tokenize(text: str):
 _TERM_START = {"int", "ident", "(", "[", "{"}
 
 # Deepest bracket nesting and deepest syntax tree accepted.  The parser
-# takes four frames per nesting level, and fold and substitute one to four
-# per tree level, so every walk stays well inside Python's default
-# recursion limit of 1000.
+# takes four frames per nesting level, and fold one to four per tree
+# level, so every walk stays well inside Python's default recursion limit
+# of 1000.
 MAX_DEPTH = 100
 
 # Largest operator exponent accepted.  u^K costs K products in every

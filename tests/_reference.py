@@ -11,14 +11,18 @@ their bits.  The su(2) references solve on numpy scalars, one entry at a
 time, and verify by nine dense products of J_+ expanded from its band;
 the library must give exactly their bits.  The SplitMix64 stream is
 restated on Python ints from its published constants; the audit's numpy
-stream must give exactly its draws.  Only the eigensolver and the
-Bose-limit check check their input: the others are called only with
-valid arguments.
+stream must give exactly its draws.  The tree substitution is the copy
+walk that renaming sums replaced: ``fold`` of a ``RenameSum`` must give
+exactly the values of its fully substituted tree.  Only the eigensolver
+and the Bose-limit check check their input: the others are called only
+with valid arguments.
 """
 
 import cmath
 import math
 import sys
+from functools import reduce
+from itertools import permutations
 
 import numpy as np
 
@@ -32,6 +36,7 @@ from gentile.oscillator import (CLUSTER_TOL, _case_levels,
 from gentile.rep import build_rep
 from gentile.su2 import (NODE_SEPARATION, TOL, DiagonalChoice,
                          ladder_targets, leja_order, operator_diagonal)
+from gentile.symbolic import Add, Expr, Gen, RenameSum
 
 
 def bracket_number(n: int, v: int) -> complex:
@@ -502,3 +507,36 @@ def dense_verify_representation(rep):
     if rep.choice is DiagonalChoice.ADAG_B:
         residuals["e010"] = float(e010_residual_by_pairs(rep))
     return residuals, all(r <= TOL for r in residuals.values())
+
+
+def _map_children(e: Expr, f) -> Expr:
+    """A node of ``e``'s type with ``f`` applied to each child expression.
+
+    A node's field values, in its class's field order, are also its
+    constructor arguments.
+    """
+    return type(e)(*[f(v) if isinstance(v, Expr)
+                     else tuple(map(f, v)) if isinstance(v, tuple) else v
+                     for v in e._values])
+
+
+def substitute(e: Expr, mapping: dict) -> Expr:
+    """Replace generators by name; values are Expr or generator names.
+    ``e`` holds no ``RenameSum``."""
+    if isinstance(e, Gen):
+        repl = mapping.get(e.name, e)
+        return Gen(repl) if isinstance(repl, str) else repl
+    return _map_children(e, lambda x: substitute(x, mapping))
+
+
+def expand_renames(e: Expr) -> Expr:
+    """``e`` with each ``RenameSum`` written out as the left-folded sum of
+    substituted copies of its body, one per permutation or rotation of its
+    symbols in ``itertools.permutations`` or rotation order."""
+    if not isinstance(e, RenameSum):
+        return _map_children(e, expand_renames)
+    body, symbols = expand_renames(e.body), list(e.symbols)
+    orders = ([symbols[k:] + symbols[:k] for k in range(len(symbols))]
+              if e.cyclic else permutations(symbols))
+    return reduce(Add, [substitute(body, dict(zip(symbols, order)))
+                        for order in orders])

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _reference import (dense_ladder, eval_one, splitmix64_mix,
-                        splitmix64_outputs, splitmix64_uniforms)
+from _reference import (dense_ladder, eval_one, expand_renames,
+                        splitmix64_mix, splitmix64_outputs,
+                        splitmix64_uniforms)
 from gentile.audit import (RANDOM_DIM, TOL, IdentityResult, SplitMix64,
                            audit_crosscheck, audit_table, eval_expr,
                            run_full_audit)
@@ -19,6 +20,7 @@ from gentile.errors import GateFailed
 from gentile.linalg import max_abs_diff
 from gentile.rep import build_rep
 from gentile.symbolic import expand_free, generators_of, normal_order, parse
+from gentile.symbolic.expr import _children
 from gentile.symbolic.quotient import QUOTIENT_ALPHABET
 
 # documented printed-relation failures; everything else must PASS
@@ -261,6 +263,45 @@ def test_eval_expr_shared_tables_match_one_table_per_row():
     shared = eval_expr(expr, gens, tables, 4, rows)
     per_row = eval_expr(expr, gens, [tables[i] for i in rows], 4)
     assert shared.tobytes() == per_row.tobytes()
+
+
+def _node_count(e) -> int:
+    return 1 + sum(map(_node_count, _children(e)))
+
+
+def test_renaming_sums_match_their_substituted_copies():
+    # fold sums a renaming sum's body under each renaming of gen: every
+    # value is the one of the tree of substituted copies, bit for bit
+    tables = [build_rep(n).roots for n in (1, 2, 5)]
+    rows = np.array([0, 2, 1, 0])
+    rng = np.random.default_rng(11)
+    renamed = 0
+    for entry in build_catalog():
+        names = sorted(generators_of(entry.lhs) | generators_of(entry.rhs))
+        gens = {name: rng.standard_normal((len(rows), 3, 3))
+                + 1j * rng.standard_normal((len(rows), 3, 3))
+                for name in names}
+        for side in (entry.lhs, entry.rhs):
+            copies = expand_renames(side)
+            renamed += copies != side
+            assert generators_of(side) == generators_of(copies), entry.id
+            free, free_copies = expand_free(side), expand_free(copies)
+            assert list(free.terms.items()) \
+                == list(free_copies.terms.items()), entry.id
+            assert eval_expr(side, gens, tables, 3, rows).tobytes() \
+                == eval_expr(copies, gens, tables, 3, rows).tobytes(), \
+                entry.id
+    assert renamed == 67  # sides that hold a renaming sum
+
+
+def test_catalog_holds_no_renamed_copies():
+    # each renaming sum stores its body once: the parent's trees of
+    # substituted copies had 6,859 nodes
+    catalog = build_catalog()
+    assert sum(_node_count(e.lhs) + _node_count(e.rhs)
+               for e in catalog) == 2594
+    assert sum(_node_count(expand_renames(e.lhs))
+               + _node_count(expand_renames(e.rhs)) for e in catalog) == 6859
 
 
 # -- the spot checks' SplitMix64 stream ----------------------------------------

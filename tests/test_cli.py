@@ -525,18 +525,33 @@ def test_eval_long_word_below_cap(capsys):
         == 64 ** 3
 
 
-@pytest.mark.parametrize("expression,message", [
-    (f"{BEYOND_FLOAT} b",
+# 1 followed by 200 zeros: finite, but its square is not
+_E200 = "1" + "0" * 200
+_DIRECT_BEYOND = ("a matrix product at n = {} is beyond float range, so it "
+                  "cannot be evaluated")
+
+
+@pytest.mark.parametrize("expression,n,message", [
+    (f"{BEYOND_FLOAT} b", "1..2",
      "a coefficient is beyond float range, so it cannot be evaluated"),
     # 2^262144 would have 78,914 digits: refused at its last '^', before
     # it is built
-    ("(((2^64)^64)^64) b",
+    ("(((2^64)^64)^64) b", "1..2",
      "a power of a scalar may exceed 4300 digits at offset 12"),
-], ids=["coefficient", "scalar-power"])
-def test_eval_beyond_float_range_exit_one(expression, message, capsys):
+    # the direct side is evaluated first, and its overflow is refused
+    (f"{_E200} b {_E200}", "1", _DIRECT_BEYOND.format(1)),
+    # the normal form is 0; the direct side was inf - inf, a NaN residual
+    (f"{_E200} b b {_E200} - {_E200} b {_E200} b", "2",
+     _DIRECT_BEYOND.format(2)),
+    # b^5 is 0 at n = 1, so only the normal form's 10^400 b^5 overflows
+    (f"{_E200} b^5 {_E200}", "1", "a coefficient of the normal form is "
+     "beyond float range, so it cannot be evaluated"),
+], ids=["coefficient", "scalar-power", "direct-overflow",
+        "direct-overflow-then-invalid", "normal-form-overflow"])
+def test_eval_beyond_float_range_exit_one(expression, n, message, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["eval", expression, "--n", "1..2"]) == 1
+        assert main(["eval", expression, "--n", n]) == 1
     assert caught == []
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -852,7 +867,6 @@ def _reach_argvs():
 def _edge_argvs(tmp_path):
     """(argv, exit code): one argv for each error message the CLI writes,
     and the few inputs that reach a branch no sweep above reaches."""
-    big = "1" + "0" * 200
     return [
         (["-h"], 0),
         (["x"], 1),
@@ -871,8 +885,10 @@ def _edge_argvs(tmp_path):
         (["eval", "u v", "--n", "1"], 1),
         (["eval", "(((b^64)^64)^64)^4", "--n", "1"], 1),
         (["eval", f"{BEYOND_FLOAT} b", "--n", "1"], 1),
-        # finite scalars whose product in the normal form is not
-        (["eval", f"{big} b {big}", "--n", "1"], 1),
+        # finite scalars whose product overflows in the direct product
+        (["eval", f"{_E200} b {_E200}", "--n", "1"], 1),
+        # and in the normal form only: b^5 is 0 at n = 1
+        (["eval", f"{_E200} b^5 {_E200}", "--n", "1"], 1),
         (["eval", "(((2^64)^64)^64) b", "--n", "1"], 1),
         (["eval", "b #", "--n", "1"], 1),
         (["eval", "1" * 4301, "--n", "1"], 1),
@@ -1031,12 +1047,10 @@ UNREACHED = {
     ("gentile.cli.cmd_su2",
      'raise GateFailed("verify_representation", failures)'): _GATE,
     ("gentile.oscillator.spectrum_crosscheck",
-     'raise GateFailed("NotHermitian", f"max |m - m^H| = {dev:.3e} "'): _GATE,
-    ("gentile.oscillator.spectrum_crosscheck",
      "return False, math.inf, report"): _GATE,
     ("gentile.rep.number_from_arcsin",
      'raise GateFailed("DomainError", "eigenvalue outside domain "'): _GATE,
-    ("gentile.rep.number_from_arcsin",
+    ("gentile.rep.require_hermitian",
      'raise GateFailed("NotHermitian", f"max |m - m^H| = {dev:.3e} "'): _GATE,
     ("gentile.cli.main", "contract, detail = exc.args"): _EXIT_2,
     ("gentile.cli.main", "contract, detail = type(exc).__name__, str(exc)"):

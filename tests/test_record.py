@@ -6,6 +6,7 @@ import pkgutil
 import pytest
 
 import gentile
+from _reference import substitute
 from gentile._record import Record
 from gentile.audit import IdentityResult, run_full_audit
 from gentile.catalog import FORMAL_Q, Q_AT_N, IdentityEntry
@@ -15,7 +16,7 @@ from gentile.oscillator import spectrum_crosscheck
 from gentile.rep import ArcsinAudit, build_rep, number_from_arcsin
 from gentile.su2 import DiagonalChoice, solve_representation
 from gentile.symbolic import (Add, Algebra, Gen, Mul, NBracket, Pow, Scal,
-                              SumCyc, SumPerm, parse, substitute)
+                              SumCyc, SumPerm, parse, perm_sum)
 
 X, Y = Gen("x"), Gen("y")
 
@@ -143,7 +144,8 @@ def _instances():
     """One instance of each concrete record class, built by the library."""
     nodes = ["b", "2", "b + N", "b - N", "b N", "b^2", "[b, N]_n",
              "[b, N]", "{b, N}", "sumperm(b, N)", "sumcyc(b, N)"]
-    return [*map(parse, nodes), Algebra(str, str, max, abs, None),
+    return [*map(parse, nodes), perm_sum(Mul(X, Y), ["x", "y"]),
+            Algebra(str, str, max, abs, None),
             IdentityEntry("e1", X, Y, FORMAL_Q), _result(), build_rep(3),
             number_from_arcsin(build_rep(3)),
             build_coherent(3, LambdaChoice("plus")),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _reference import dense_ladder, eval_one
+from _reference import dense_ladder, eval_one, substitute
 from gentile.errors import OutOfRange, ParseError
 from gentile.laurent import ONE, Q, QINV, ZERO, LaurentScalar, q_integer
 from gentile.linalg import max_abs_diff
@@ -16,8 +16,7 @@ from gentile.rep import build_rep
 from gentile.symbolic import (Add, AntiCommutator, Commutator, Expr,
                               FreePoly, Gen, Mul, NBracket, Pow, QuotientPoly,
                               Scal, Sub, SumCyc, SumPerm, expand_free,
-                              normal_order, parse, perm_sum, product,
-                              substitute)
+                              normal_order, parse, perm_sum, product)
 from gentile.symbolic.parser import MAX_DEPTH, MAX_PERM_OPERANDS
 
 # -- parser -------------------------------------------------------------------
