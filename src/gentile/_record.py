@@ -3,9 +3,8 @@
 A subclass names its fields, in constructor order, in ``_fields`` and
 declares the same names in ``__slots__``, so no instance has a
 ``__dict__``.  A record is built from every one of its fields, all by
-position or all by keyword; no field has a default.  Hot classes may
-define their own ``__init__`` over the same fields, with no defaults; it
-must set every field with ``object.__setattr__``.
+position or all by keyword; no field has a default.  Every record is
+built by :meth:`Record.__init__`: no subclass defines its own.
 """
 
 from __future__ import annotations

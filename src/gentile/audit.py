@@ -20,7 +20,6 @@ from .rep import build_rep
 from .symbolic import (Algebra, Expr, expand_free, fold, generators_of,
                        normal_order)
 
-DEFAULT_N_VALUES = tuple(range(1, 9))
 DEFAULT_TRIALS = 3
 TOL = 1e-9  # crosscheck: PASS needs residual <= TOL, FAIL > 10 * TOL
 RANDOM_DIM = 5
@@ -179,8 +178,7 @@ def audit_crosscheck(matrix) -> bool:
     return True
 
 
-def run_full_audit(n_values=DEFAULT_N_VALUES, trials=DEFAULT_TRIALS, seed=0,
-                   entries=None):
+def run_full_audit(n_values, seed, trials=DEFAULT_TRIALS, entries=None):
     """Audit every catalog entry; returns the (free, limit, matrix) lists
     of :class:`IdentityResult`.
 

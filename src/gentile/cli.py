@@ -24,7 +24,7 @@ import numpy as np
 from .audit import (audit_crosscheck, audit_table, eval_expr,
                     ladder_matrices, run_full_audit)
 from .coherent import (EIGENSTATE_TOL, LambdaChoice, build_coherent,
-                       compare_closed_form, eigenstate_residual,
+                       closed_form_modulus_gap, eigenstate_residual,
                        normalization_poly)
 from .errors import (DegenerateNodes, GateFailed, GentileError, OutOfRange,
                      ParseError)
@@ -212,8 +212,7 @@ def cmd_coherent(args) -> str:
             "delta": state.delta,
             "normalization_poly": normalization_poly(state),
             "eigenstate_residual": residual,
-            "closed_form_modulus_gap": max(
-                row[4] for row in compare_closed_form(state)),
+            "closed_form_modulus_gap": closed_form_modulus_gap(state),
         })
         if residual > EIGENSTATE_TOL:
             failures.append({"n": n, "residual": residual})

@@ -98,21 +98,14 @@ def closed_form_deltas(roots, sign: int) -> list:
     return deltas
 
 
-def compare_closed_form(state: CoherentState):
-    """Per-nu comparison of recursion delta with the printed closed form.
-
-    Returns rows (nu, recursion, closed form, sign in {+1,-1} relating
-    them, |difference of moduli|).
-    """
+def closed_form_modulus_gap(state: CoherentState) -> float:
+    """Largest ``||closed form| - |recursion||`` of delta over nu; the two
+    may differ by a per-nu sign, so only the moduli are compared."""
     sign = {LambdaChoice.ROOT_OF_UNITY_PLUS: 1,
             LambdaChoice.ROOT_OF_UNITY_MINUS: -1,
             LambdaChoice.ALTERNATING: 0}[state.choice]
-    rows = []
-    for v, (rec, closed) in enumerate(
-            zip(state.delta, closed_form_deltas(state.rep.roots, sign))):
-        rel = 1 if abs(closed - rec) <= abs(closed + rec) else -1
-        rows.append((v, rec, closed, rel, abs(abs(closed) - abs(rec))))
-    return rows
+    closed = closed_form_deltas(state.rep.roots, sign)
+    return max(abs(abs(c) - abs(rec)) for rec, c in zip(state.delta, closed))
 
 
 def normalization_poly(state: CoherentState):

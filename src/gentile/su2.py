@@ -187,34 +187,22 @@ def verify_representation(rep: Su2Rep):
 
     Each relation is zero off the bands it is taken on, all O(n): J_+J_-
     and J_-J_+ are |J_+|^2 = re^2 + im^2, real, shifted down and up, and
-    [J_z, J_+-] lie on the bands of J_+-.  Beyond float range a residual
-    is inf or nan, which fails the gate, so numpy's overflow warnings are
-    not printed as well.
+    [J_z, J_+-] lie on the bands of J_+-.
     """
     jp, z = np.asarray(rep.j_plus), np.asarray(rep.j_z)
     jm = jp.conj()
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = jp.real ** 2 + jp.imag ** 2
-        pm, mp = np.hstack((0.0, norm)), np.hstack((norm, 0.0))
-        residuals = {
-            "comm87": max_abs_diff(pm - mp, 2.0 * z),
-            "comm88p": max_abs_diff(z[1:] * jp - jp * z[:-1], jp),
-            "comm88m": max_abs_diff(z[:-1] * jm - jm * z[1:], -jm),
-            "casimir": max_abs_diff(z * z + (pm + mp) / 2.0,
-                                    np.full_like(z, rep.j * (rep.j + 1.0))),
-        }
+    norm = jp.real ** 2 + jp.imag ** 2
+    pm, mp = np.hstack((0.0, norm)), np.hstack((norm, 0.0))
+    residuals = {
+        "comm87": max_abs_diff(pm - mp, 2.0 * z),
+        "comm88p": max_abs_diff(z[1:] * jp - jp * z[:-1], jp),
+        "comm88m": max_abs_diff(z[:-1] * jm - jm * z[1:], -jm),
+        "casimir": max_abs_diff(z * z + (pm + mp) / 2.0,
+                                np.full_like(z, rep.j * (rep.j + 1.0))),
+    }
     if rep.choice is DiagonalChoice.ADAG_B:
         residuals["e010"] = e010_residual(rep)
     return residuals, all(r <= TOL for r in residuals.values())
-
-
-def _abs_squared(value: complex) -> float:
-    """|value| ** 2, and inf where it is beyond float range, as numpy
-    scalars give; Python's abs and ** raise OverflowError there."""
-    try:
-        return abs(value) ** 2
-    except OverflowError:
-        return math.inf
 
 
 def e010_residual(rep: Su2Rep) -> float:
@@ -227,7 +215,7 @@ def e010_residual(rep: Su2Rep) -> float:
     """
     n = rep.n
     # |<nu>| |p(<nu>)|^2 for nu = 0..n+1, each bracket evaluated once
-    terms = [abs(br) * _abs_squared(newton_eval(rep.nodes, rep.divided, br))
+    terms = [abs(br) * abs(newton_eval(rep.nodes, rep.divided, br)) ** 2
              for br in rep.bracket_numbers]
     worst = 0.0
     for v in range(n + 1):

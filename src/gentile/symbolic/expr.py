@@ -2,12 +2,14 @@
 
 Nodes are immutable records (:mod:`gentile._record`) compared and hashed
 by exact type and fields.  Products are binary; long products are
-built by left folds.  Permutation/cyclic sum nodes carry a tuple of
-operand expressions and denote the sum of products over all (cyclic)
-orderings.  A :class:`RenameSum`, built by :func:`perm_sum` /
-:func:`cyc_sum`, denotes the sum of an arbitrary body over renamings of
-its generators; the body is stored once.  :func:`fold` maps a tree into
-any :class:`Algebra` (free polynomials, quotient normal forms, matrices).
+built by left folds.  A :class:`ProductSum` carries a tuple of operand
+expressions and denotes the sum of their products over all orderings,
+or over the cyclic rotations if its ``cyclic`` flag is set.  A
+:class:`RenameSum`, built by :func:`perm_sum` / :func:`cyc_sum`,
+denotes the sum of an arbitrary body over the permutations or, by the
+same flag, the rotations of its generator names; the body is stored
+once.  :func:`fold` maps a tree into any :class:`Algebra` (free
+polynomials, quotient normal forms, matrices).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import reduce
 from itertools import permutations
 from operator import add
 
-from .._record import Record, _setattr
+from .._record import Record
 from ..laurent import ONE, LaurentScalar
 
 DEFAULT_ALPHABET = frozenset(
@@ -45,23 +47,13 @@ def _coerce(x) -> Expr:
 class Gen(Expr):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str):
-        _setattr(self, "name", name)
-
 
 class Scal(Expr):
     __slots__ = _fields = ("value",)
 
-    def __init__(self, value: LaurentScalar):
-        _setattr(self, "value", value)
-
 
 class _Binary(Expr):
     __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        _setattr(self, "left", left)
-        _setattr(self, "right", right)
 
 
 class Add(_Binary):
@@ -93,21 +85,10 @@ class AntiCommutator(_Binary):
     __slots__ = ()
 
 
-class _Operands(Expr):
-    __slots__ = _fields = ("operands",)
-
-    def __init__(self, operands: tuple):
-        _setattr(self, "operands", operands)
-
-
-class SumPerm(_Operands):
-    """Sum of the product of the operands over all orderings."""
-    __slots__ = ()
-
-
-class SumCyc(_Operands):
-    """Sum of the product of the operands over all cyclic rotations."""
-    __slots__ = ()
+class ProductSum(Expr):
+    """Sum of the product of ``operands`` over all their orderings (or, if
+    ``cyclic``, their rotations)."""
+    __slots__ = _fields = ("operands", "cyclic")
 
 
 class RenameSum(Expr):
@@ -175,10 +156,10 @@ def _renamed(alg: Algebra, pairs) -> Algebra:
 def fold(e: Expr, alg: Algebra):
     """Value of ``e`` in ``alg``; every derived node is defined here.
 
-    ``[x,y]_n`` is ``x y - q (y x)``.  A permutation or cyclic sum folds
-    each operand once, multiplies each ordering left to right and adds the
-    products left to right, starting from the first.  A renaming sum adds
-    its body's values under each renaming of ``gen`` the same way.
+    ``[x,y]_n`` is ``x y - q (y x)``.  A product sum folds each operand
+    once, multiplies each ordering left to right and adds the products
+    left to right, starting from the first.  A renaming sum adds its
+    body's values under each renaming of ``gen`` the same way.
     """
     if isinstance(e, Gen):
         return alg.gen(e.name)
@@ -201,10 +182,9 @@ def fold(e: Expr, alg: Algebra):
         if isinstance(e, NBracket):
             return xy - alg.qscale(yx)
         return xy - yx if isinstance(e, Commutator) else xy + yx
-    if isinstance(e, (SumPerm, SumCyc)):
+    if isinstance(e, ProductSum):
         values = [fold(x, alg) for x in e.operands]
-        orders = (permutations(values) if isinstance(e, SumPerm)
-                  else _rotations(values))
+        orders = (_rotations if e.cyclic else permutations)(values)
         return reduce(add, (reduce(alg.mul, order) for order in orders))
     if isinstance(e, RenameSum):
         symbols = list(e.symbols)

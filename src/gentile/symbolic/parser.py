@@ -25,10 +25,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .._record import Record
 from ..errors import ParseError
 from ..laurent import LaurentScalar
 from .expr import (DEFAULT_ALPHABET, AntiCommutator, Commutator, Expr, Gen,
-                   Mul, NBracket, Pow, Scal, Add, Sub, SumCyc, SumPerm)
+                   Mul, NBracket, Pow, ProductSum, Scal, Add, Sub)
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -45,13 +46,8 @@ _MAX_DIGITS = 4300
 _MAX_BITS = (10 ** _MAX_DIGITS).bit_length()
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
+class _Token(Record):
+    __slots__ = _fields = ("kind", "text", "pos")
 
 
 def _tokenize(text: str):
@@ -229,8 +225,8 @@ class _Parser:
             raise ParseError(
                 f"sumperm of more than {MAX_PERM_OPERANDS} operands", tok.pos)
         nodes, depths = zip(*operands)
-        cls = SumPerm if tok.text == "sumperm" else SumCyc
-        return cls(nodes), self.deeper(tok, *depths)
+        return (ProductSum(nodes, tok.text == "sumcyc"),
+                self.deeper(tok, *depths))
 
 
 def parse(text: str) -> Expr:

@@ -2,20 +2,22 @@
 
 Each paper relation restates an equation of the paper directly on the
 dense ladder matrices of :func:`dense_ladder`, built from the
-``build_rep`` amplitudes, so a test can hold the library to it.  The scan
-references are the all-pairs loops that the library's sorted sweeps
+``build_rep`` amplitudes, so a test can hold the library to it.  The
+scan references are the all-pairs loops that the library's sorted sweeps
 replaced; the sweeps must give exactly their results.  The dense
 references are the matrix routes that the library's band routes
 replaced, down to the Jacobi eigensolver; the bands must give exactly
-their bits.  The su(2) references solve on numpy scalars, one entry at a
-time, and verify by nine dense products of J_+ expanded from its band;
-the library must give exactly their bits.  The SplitMix64 stream is
-restated on Python ints from its published constants; the audit's numpy
-stream must give exactly its draws.  The tree substitution is the copy
-walk that renaming sums replaced: ``fold`` of a ``RenameSum`` must give
-exactly the values of its fully substituted tree.  Only the eigensolver
-and the Bose-limit check check their input: the others are called only
-with valid arguments.
+their bits.  The per-nu closed-form rows of the coherent state are the
+comparison of which the library keeps only the largest modulus gap; it
+must give exactly their largest.  The su(2) references solve on numpy
+scalars, one entry at a time, and verify by nine dense products of J_+
+expanded from its band; the library must give exactly their bits.  The
+SplitMix64 stream is restated on Python ints from its published
+constants; the audit's numpy stream must give exactly its draws.  The
+tree substitution is the copy walk that renaming sums replaced: ``fold``
+of a ``RenameSum`` must give exactly the values of its fully substituted
+tree.  Only the eigensolver and the Bose-limit check check their input:
+the others are called only with valid arguments.
 """
 
 import cmath
@@ -27,7 +29,7 @@ from itertools import permutations
 import numpy as np
 
 from gentile.audit import eval_expr
-from gentile.coherent import lambda_value
+from gentile.coherent import LambdaChoice, closed_form_deltas, lambda_value
 from gentile.errors import GentileError
 from gentile.linalg import max_abs_diff
 from gentile.oscillator import (CLUSTER_TOL, _case_levels,
@@ -418,6 +420,21 @@ def dense_eigenstate_residual(state):
     lhs = ops.apply_b(element)
     rhs = ops.apply_psi(element)
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def closed_form_rows(state):
+    """Per-nu comparison of the recursion's delta with the printed closed
+    form: rows (nu, recursion, closed form, sign in {+1, -1} relating
+    them, |difference of moduli|)."""
+    sign = {LambdaChoice.ROOT_OF_UNITY_PLUS: 1,
+            LambdaChoice.ROOT_OF_UNITY_MINUS: -1,
+            LambdaChoice.ALTERNATING: 0}[state.choice]
+    rows = []
+    for v, (rec, closed) in enumerate(
+            zip(state.delta, closed_form_deltas(state.rep.roots, sign))):
+        rel = 1 if abs(closed - rec) <= abs(closed + rec) else -1
+        rows.append((v, rec, closed, rel, abs(abs(closed) - abs(rec))))
+    return rows
 
 
 # -- the su(2) solve on numpy scalars and its nine-product check --------------

@@ -7,13 +7,13 @@ import time
 import numpy as np
 
 from _acceptance_log import record
-from _reference import (bose_limit_check, dense_ladder, eval_one,
-                        hermitian_eigen, move_relation_check)
+from _reference import (bose_limit_check, closed_form_rows, dense_ladder,
+                        eval_one, hermitian_eigen, move_relation_check)
 from gentile.audit import audit_crosscheck, run_full_audit
 from gentile.catalog import build_catalog
 from gentile.cli import main as cli_main
 from gentile.coherent import (LambdaChoice, build_coherent,
-                              compare_closed_form, eigenstate_residual)
+                              eigenstate_residual)
 from gentile.errors import DegenerateNodes
 from gentile.linalg import max_abs_diff
 from gentile.oscillator import (build_hamiltonian, closed_form_spectrum,
@@ -111,7 +111,7 @@ def test_criterion_5_bose_limit():
 
 def test_criterion_6_symbolic_suite():
     start = time.perf_counter()
-    free, limit, _ = run_full_audit(n_values=(1,), trials=1)
+    free, limit, _ = run_full_audit(n_values=(1,), trials=1, seed=0)
     elapsed = time.perf_counter() - start
     free = {r.identity_id: r.verdict for r in free}
     limit = {r.identity_id: r.verdict for r in limit}
@@ -158,7 +158,7 @@ def test_criterion_8_coherent_states():
             state = build_coherent(n, choice)
             worst = max(worst, eigenstate_residual(state))
             worst = max(worst, max(row[4]
-                                   for row in compare_closed_form(state)))
+                                   for row in closed_form_rows(state)))
             for power in range(min(n, 3) + 1):
                 residuals = move_relation_check(n, choice, power)
                 worst = max(worst, max(residuals.values()))

@@ -128,15 +128,16 @@ def test_su2_degenerate_diagnostic(capsys):
     assert payload[0]["degenerate_nodes"]["pair"] == [1, 2]
 
 
-@pytest.mark.parametrize("argv", [["su2", "--n", "256", "--A", "adagb"],
-                                  ["su2", "--n", "256", "--A", "bdaga"],
-                                  ["su2", "--n", "852", "--A", "adagb"]],
-                         ids=["adagb-256", "bdaga-256", "adagb-852"])
+@pytest.mark.parametrize("argv", [["su2", "--n", "1..784", "--A", "num"],
+                                  ["su2", "--n", "1..99", "--A", "adagb"],
+                                  ["su2", "--n", "1..130", "--A", "bdaga"]],
+                         ids=["num-1..784", "adagb-1..99", "bdaga-1..130"])
 def test_su2_failing_sweep_warns_nothing(argv, capsys, monkeypatch):
-    # these n fail verification by 1e5 or more, so no lambda is solved;
-    # stderr holds only the diagnostic.  The CLI refuses them up front, so
-    # the refusal is lifted here to reach the gate
-    monkeypatch.setitem(N_LIMIT, DiagonalChoice(argv[-1]), MAX_N)
+    # each sweep runs up to its choice's limit, the largest the CLI
+    # accepts, with su2.TOL = -1.0 so that every n fails the gate: every
+    # value stays in float range, no lambda is solved and stderr holds
+    # only the diagnostic
+    monkeypatch.setattr("gentile.su2.TOL", -1.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == 2
@@ -1059,8 +1060,6 @@ UNREACHED = {
      'sys.stderr.write(_dump_json({"contract": contract, "detail": detail}))'):
         _EXIT_2,
     ("gentile.cli.main", "return 2"): _EXIT_2,
-    ("gentile.su2._abs_squared", "return math.inf"):
-        "overflow handler: every n su2 accepts stays in float range",
     ("gentile.symbolic.expr.fold",
      'raise TypeError(f"unknown node {type(e).__name__}")'):
         "fold's refusal of a node type it does not define",

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from _reference import (BITWISE_N, GrassmannOps, bracket_number,
-                        dense_eigenstate_residual, dense_ladder,
-                        move_relation_check)
+                        closed_form_rows, dense_eigenstate_residual,
+                        dense_ladder, move_relation_check)
 from gentile.coherent import (LambdaChoice, build_coherent,
-                              closed_form_deltas, compare_closed_form,
+                              closed_form_deltas, closed_form_modulus_gap,
                               eigenstate_residual, lambda_value,
                               normalization_poly)
 from gentile.rep import build_rep
@@ -100,10 +100,21 @@ def test_eigenstate_residual_matches_dense_element_bitwise(choice):
 def test_closed_form_modulus(n, choice):
     # closed form and recursion agree up to a per-nu sign (branch artifact)
     state = build_coherent(n, choice)
-    for _, rec, closed, rel, modulus_gap in compare_closed_form(state):
+    for _, rec, closed, rel, modulus_gap in closed_form_rows(state):
         assert modulus_gap <= 1e-12
         assert rel in (1, -1)
         assert min(abs(closed - rec), abs(closed + rec)) <= 1e-12
+
+
+@pytest.mark.parametrize("choice", PRINTED_CHOICES)
+def test_closed_form_modulus_gap_is_the_rows_largest(choice):
+    # the library keeps only the largest gap of the reference rows, bit
+    # for bit
+    for n in range(1, 129):
+        state = build_coherent(n, choice)
+        gap = max(row[4] for row in closed_form_rows(state))
+        assert np.float64(closed_form_modulus_gap(state)).tobytes() \
+            == np.float64(gap).tobytes(), n
 
 
 @pytest.mark.parametrize("n", (1, 3, 6))

@@ -15,8 +15,9 @@ from gentile.laurent import ONE, LaurentScalar
 from gentile.oscillator import spectrum_crosscheck
 from gentile.rep import ArcsinAudit, build_rep, number_from_arcsin
 from gentile.su2 import DiagonalChoice, solve_representation
-from gentile.symbolic import (Add, Algebra, Gen, Mul, NBracket, Pow, Scal,
-                              SumCyc, SumPerm, parse, perm_sum)
+from gentile.symbolic import (Add, Algebra, Gen, Mul, NBracket, Pow,
+                              ProductSum, Scal, parse, perm_sum)
+from gentile.symbolic.parser import _tokenize
 
 X, Y = Gen("x"), Gen("y")
 
@@ -37,20 +38,20 @@ def test_equal_trees_are_equal_with_equal_hashes():
 def test_hash_is_the_hash_of_the_field_tuple():
     assert hash(Add(X, Y)) == hash((X, Y))
     assert hash(X) == hash(("x",))
-    assert hash(SumPerm((X, Y))) == hash(((X, Y),))
+    assert hash(ProductSum((X, Y), False)) == hash(((X, Y), False))
 
 
 def test_equality_needs_the_exact_type():
     assert Add(X, Y) != Mul(X, Y)
     assert Add(X, Y) != NBracket(X, Y)
-    assert SumPerm((X, Y)) != SumCyc((X, Y))
+    assert ProductSum((X, Y), False) != ProductSum((X, Y), True)
     assert Add(X, Y) != (X, Y)
     assert Add(X, Y) != Add(Y, X)
 
 
 @pytest.mark.parametrize("node,field", [
     (Add(X, Y), "left"), (X, "name"), (Scal(ONE), "value"),
-    (Pow(X, 2), "exponent"), (SumCyc((X,)), "operands"),
+    (Pow(X, 2), "exponent"), (ProductSum((X,), True), "operands"),
 ])
 def test_node_fields_cannot_be_assigned(node, field):
     with pytest.raises(AttributeError, match="frozen"):
@@ -67,16 +68,29 @@ def test_repr_has_the_dataclass_form():
     assert repr(Add(X, Pow(Y, 2))) == (
         "Add(left=Gen(name='x'), "
         "right=Pow(base=Gen(name='y'), exponent=2))")
-    assert repr(SumCyc((X,))) == "SumCyc(operands=(Gen(name='x'),))"
+    assert repr(ProductSum((X,), True)) \
+        == "ProductSum(operands=(Gen(name='x'),), cyclic=True)"
     assert repr(ArcsinAudit((), ((0, 1),))) == (
         "ArcsinAudit(table=(), collisions=((0, 1),))")
 
 
 def test_keyword_construction_and_substitution_keep_types():
     assert Add(right=Y, left=X) == Add(X, Y)
-    e = NBracket(Pow(X, 2), SumPerm((X, Y)))
+    e = NBracket(Pow(X, 2), ProductSum((X, Y), False))
     assert substitute(e, {"x": "y", "y": "x"}) \
-        == NBracket(Pow(Y, 2), SumPerm((Y, X)))
+        == NBracket(Pow(Y, 2), ProductSum((Y, X), False))
+
+
+@pytest.mark.parametrize("name,cyclic", [("sumperm", False),
+                                         ("sumcyc", True)])
+def test_operand_sums_parse_to_one_node_with_its_flag(name, cyclic):
+    assert parse(f"{name}(u, v)") == ProductSum((Gen("u"), Gen("v")), cyclic)
+
+
+def test_product_sum_flags_differ_in_value_and_hash():
+    perm, cyc = ProductSum((X, Y), False), ProductSum((X, Y), True)
+    assert perm != cyc and len({perm, cyc}) == 2
+    assert hash(perm) != hash(cyc)
 
 
 def test_identity_entry_needs_its_specialization():
@@ -127,17 +141,28 @@ def test_algebra_needs_its_power():
     assert alg == Algebra(str, LaurentScalar, max, abs, None)
 
 
-def _concrete_record_classes() -> set:
-    """The names of the package's Record classes that have no subclass."""
+def _record_classes() -> list:
+    """Every Record subclass of the package, abstract ones too."""
     for info in pkgutil.walk_packages(gentile.__path__, "gentile."):
         importlib.import_module(info.name)
-    names, stack = set(), [Record]
+    classes, stack = [], [Record]
     while stack:
         subclasses = stack.pop().__subclasses__()
         stack.extend(subclasses)
-        names.update(cls.__qualname__ for cls in subclasses
-                     if not cls.__subclasses__())
-    return names
+        classes.extend(subclasses)
+    return classes
+
+
+def _concrete_record_classes() -> set:
+    """The names of the package's Record classes that have no subclass."""
+    return {cls.__qualname__ for cls in _record_classes()
+            if not cls.__subclasses__()}
+
+
+def test_every_record_is_built_by_record_init():
+    # no class keeps a constructor of its own next to Record's
+    assert [cls.__qualname__ for cls in _record_classes()
+            if cls.__init__ is not Record.__init__] == []
 
 
 def _instances():
@@ -145,6 +170,7 @@ def _instances():
     nodes = ["b", "2", "b + N", "b - N", "b N", "b^2", "[b, N]_n",
              "[b, N]", "{b, N}", "sumperm(b, N)", "sumcyc(b, N)"]
     return [*map(parse, nodes), perm_sum(Mul(X, Y), ["x", "y"]),
+            _tokenize("b")[0],
             Algebra(str, str, max, abs, None),
             IdentityEntry("e1", X, Y, FORMAL_Q), _result(), build_rep(3),
             number_from_arcsin(build_rep(3)),
@@ -180,7 +206,7 @@ def test_every_record_is_slotted_and_frozen():
 
 
 def test_audit_results_are_lists_of_frozen_results():
-    lists = run_full_audit(n_values=(2,), trials=1, entries=[
+    lists = run_full_audit(n_values=(2,), trials=1, seed=0, entries=[
         IdentityEntry("e1", parse("u v"), parse("u v"), FORMAL_Q)])
     assert [[type(r) for r in results] for results in lists] \
         == [[IdentityResult], [], [IdentityResult]]

@@ -14,8 +14,8 @@ from gentile.laurent import ONE, Q, QINV, ZERO, LaurentScalar, q_integer
 from gentile.linalg import max_abs_diff
 from gentile.rep import build_rep
 from gentile.symbolic import (Add, AntiCommutator, Commutator, Expr,
-                              FreePoly, Gen, Mul, NBracket, Pow, QuotientPoly,
-                              Scal, Sub, SumCyc, SumPerm, expand_free,
+                              FreePoly, Gen, Mul, NBracket, Pow, ProductSum,
+                              QuotientPoly, Scal, Sub, expand_free,
                               normal_order, parse, perm_sum, product)
 from gentile.symbolic.parser import MAX_DEPTH, MAX_PERM_OPERANDS
 
@@ -99,7 +99,8 @@ def test_parse_sumperm_operand_cap():
         parse(f"v + sumperm({operands},w)")
     assert exc_info.value.offset == 4
     # the cap is on permutations: a cyclic sum of as many operands parses
-    assert isinstance(parse(f"sumcyc({operands},w)"), SumCyc)
+    node = parse(f"sumcyc({operands},w)")
+    assert type(node) is ProductSum and node.cyclic
 
 
 @settings(max_examples=300, deadline=None)
@@ -386,8 +387,9 @@ def test_eval_rep_coefficient_beyond_float_range():
 
 # -- fold: normal form against direct evaluation, every node kind -------------
 
-_NODES = (Add, Sub, Mul, NBracket, Commutator, AntiCommutator, Pow, SumPerm,
-          SumCyc)
+# the two product sums are drawn by name and built with their cyclic flag
+_NODES = (Add, Sub, Mul, NBracket, Commutator, AntiCommutator, Pow,
+          "sumperm", "sumcyc")
 _GENERATORS = st.sampled_from(["adag", "b", "N"]).map(Gen)
 _SCALARS = st.builds(
     lambda num, den, k: Scal(LaurentScalar({k: Fraction(num, den)})),
@@ -404,10 +406,10 @@ def _trees(draw, depth, degree):
     if cls is Pow:
         k = draw(st.integers(0, 3))
         return Pow(draw(_trees(depth - 1, degree // max(k, 1))), k)
-    if cls in (SumPerm, SumCyc):
+    if cls in ("sumperm", "sumcyc"):
         m = draw(st.integers(1, 3))
-        return cls(tuple(draw(_trees(depth - 1, degree // m))
-                         for _ in range(m)))
+        return ProductSum(tuple(draw(_trees(depth - 1, degree // m))
+                                for _ in range(m)), cls == "sumcyc")
     left = degree if cls in (Add, Sub) else degree // 2
     right = degree if cls in (Add, Sub) else degree - left
     return cls(draw(_trees(depth - 1, left)), draw(_trees(depth - 1, right)))
@@ -423,9 +425,9 @@ def _norm_bound(e, norms) -> float:
         return _norm_bound(e.left, norms) + _norm_bound(e.right, norms)
     if isinstance(e, Pow):
         return _norm_bound(e.base, norms) ** e.exponent
-    if isinstance(e, (SumPerm, SumCyc)):
+    if isinstance(e, ProductSum):
         m = len(e.operands)
-        orders = math.factorial(m) if isinstance(e, SumPerm) else m
+        orders = m if e.cyclic else math.factorial(m)
         return orders * math.prod(_norm_bound(x, norms) for x in e.operands)
     product_bound = _norm_bound(e.left, norms) * _norm_bound(e.right, norms)
     return product_bound if isinstance(e, Mul) else 2.0 * product_bound
