@@ -1,10 +1,15 @@
 """Value classes written out by hand, with no code generated at import.
 
 A subclass names its fields, in constructor order, in ``_fields`` and
-declares the same names in ``__slots__``, so no instance has a
-``__dict__``.  A record is built from every one of its fields, all by
+declares them in ``__slots__`` (its own or a base's), so no instance has
+a ``__dict__``.  A record is built from every one of its fields, all by
 position or all by keyword; no field has a default.  Every record is
 built by :meth:`Record.__init__`: no subclass defines its own.
+
+The algebra values (``LaurentScalar``, ``FreePoly``, ``QuotientPoly``)
+are records too.  ``LaurentScalar._raw``, which writes the slots of an
+arithmetic result, is the one other constructor: with no ``_raw``, the
+catalog's symbolic expansion took 41 ms rather than 34 ms.
 """
 
 from __future__ import annotations

@@ -39,10 +39,9 @@ def lambda_value(choice, v: int, roots) -> complex:
 
 class CoherentState(Record):
     """The coherent state on the module with basis |nu> psi^k, 0 <= nu,
-    k <= n; b acts with the amplitudes ``rep.amp``, psi with ``lam``."""
+    k <= rep.n; b acts with the amplitudes ``rep.amp``, psi with ``lam``."""
 
     __slots__ = _fields = (
-        "n",
         "choice",
         "delta",  # delta(0, n) .. delta(n, n), the coefficients of |nu> psi^nu
         "rep",
@@ -59,8 +58,7 @@ def build_coherent(n: int, choice) -> CoherentState:
     for v in range(n):
         # Python complex division: numpy's rounds differently
         delta.append(delta[v] * lam[v] / amp[v])
-    return CoherentState(n=n, choice=choice, delta=tuple(delta), rep=rep,
-                         lam=lam)
+    return CoherentState(choice=choice, delta=tuple(delta), rep=rep, lam=lam)
 
 
 def eigenstate_residual(state: CoherentState) -> float:

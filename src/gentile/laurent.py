@@ -14,22 +14,22 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
+from ._record import Record
 from .errors import OutOfRange
 
 
-class Terms:
-    """A finite sum of coefficient x key, zero coefficients dropped.
+class Terms(Record):
+    """A finite sum of coefficient x key: the record ``_terms``, a map
+    with no zero coefficient, which is a precondition of construction.
 
     Sums keep self's keys first, then the other operand's new keys, in
     their order; a product's keys combine by ``+`` (exponent addition for
     :class:`LaurentScalar`, word concatenation for words) with the outer
-    loop over self.  Numeric evaluation sums in this insertion order, so
-    the order fixes the floating-point bits.
+    loop over self.  Only :class:`LaurentScalar` is evaluated in this
+    order, so its key order fixes floating-point bits; ``QuotientPoly``
+    sorts its keys and exponents first.
     """
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        self._terms = {k: c for k, c in terms.items() if c} if terms else {}
+    __slots__ = _fields = ("_terms",)
 
     @classmethod
     def collect(cls, pairs):
@@ -38,23 +38,14 @@ class Terms:
         for k, c in pairs:
             prev = out.get(k)
             out[k] = c if prev is None else prev + c
-        return cls(out)
+        return cls({k: c for k, c in out.items() if c})
 
     @property
     def terms(self):
         return dict(self._terms)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self):
         return bool(self._terms)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
@@ -78,7 +69,7 @@ class Terms:
                             for k2, c2 in other._terms.items())
 
     def scale(self, s):
-        """Every coefficient multiplied by ``s`` on the left."""
+        """Every coefficient multiplied by the nonzero ``s`` on the left."""
         return type(self)({k: s * c for k, c in self._terms.items()})
 
 
@@ -92,24 +83,14 @@ class LaurentScalar(Terms):
     on :class:`Terms`.
     """
     __slots__ = ("_den",)
-
-    def __init__(self, terms=None):
-        """From a map exponent -> rational (``int`` or ``Fraction``)."""
-        rationals = ({k: Fraction(c) for k, c in terms.items() if c}
-                     if terms else {})
-        # each value is in lowest terms, so no prime divides both the lcm
-        # and every numerator brought over it
-        den = lcm(*(c.denominator for c in rationals.values()))
-        self._terms = {k: c.numerator * (den // c.denominator)
-                       for k, c in rationals.items()}
-        self._den = den
+    _fields = ("_terms", "_den")
 
     @classmethod
     def _raw(cls, nums: dict, den: int) -> "LaurentScalar":
         """Nonzero numerators over ``den`` already in canonical form."""
-        s = object.__new__(cls)
-        s._terms = nums
-        s._den = den
+        s = _new(cls)
+        _set_terms(s, nums)
+        _set_den(s, den)
         return s
 
     @classmethod
@@ -129,25 +110,18 @@ class LaurentScalar(Terms):
         den = self._den
         return {k: Fraction(c, den) for k, c in self._terms.items()}
 
-    coeffs = terms
-
     @classmethod
     def from_rational(cls, value) -> "LaurentScalar":
-        return cls({0: value})
+        f = Fraction(value)
+        return cls({0: f.numerator} if f else {}, f.denominator)
 
     @classmethod
     def q_power(cls, k: int) -> "LaurentScalar":
         return cls._raw({k: 1}, 1)
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._den == other._den and self._terms == other._terms
-
     def __hash__(self):
         # equal to the hash of the exponent -> Fraction map
-        items = self._terms if self._den == 1 else self.coeffs
-        return hash(frozenset(items.items()))
+        return hash(frozenset(self.terms.items()))
 
     def _combine(self, other, sign: int):
         """self + sign * other."""
@@ -239,7 +213,7 @@ class LaurentScalar(Terms):
     def __repr__(self):
         if not self._terms:
             return "0"
-        coeffs = self.coeffs
+        coeffs = self.terms
         parts = []
         for k in sorted(coeffs):
             v = coeffs[k]
@@ -252,12 +226,17 @@ class LaurentScalar(Terms):
         return " + ".join(parts)
 
 
-ZERO = LaurentScalar()
-ONE = LaurentScalar({0: 1})
-Q = LaurentScalar({1: 1})
-QINV = LaurentScalar({-1: 1})
+# _raw writes through the slots' own setters, bound once: Record refuses
+# assignment, and these cost less per result than object.__setattr__
+_new = object.__new__
+_set_terms, _set_den = Terms._terms.__set__, LaurentScalar._den.__set__
+
+ZERO = LaurentScalar({}, 1)
+ONE = LaurentScalar({0: 1}, 1)
+Q = LaurentScalar({1: 1}, 1)
+QINV = LaurentScalar({-1: 1}, 1)
 
 
 def q_integer(k: int) -> LaurentScalar:
     """The q-integer 1 + q + ... + q^(k-1)."""
-    return LaurentScalar({j: 1 for j in range(k)})
+    return LaurentScalar({j: 1 for j in range(k)}, 1)

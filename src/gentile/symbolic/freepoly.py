@@ -19,7 +19,7 @@ class FreePoly(Terms):
 
     @classmethod
     def scalar(cls, s: LaurentScalar) -> "FreePoly":
-        return cls({(): s})
+        return cls({(): s} if s else {})
 
     @classmethod
     def generator(cls, name: str) -> "FreePoly":

@@ -26,6 +26,7 @@ from operator import mul
 
 import numpy as np
 
+from .._record import _setattr
 from ..errors import OutOfRange
 from ..laurent import ONE, Q, LaurentScalar, Terms, q_integer
 from .expr import Algebra, Expr, fold, generators_of
@@ -65,7 +66,7 @@ def _shift(m: int, d: int) -> tuple:
 
 
 class QuotientPoly(Terms):
-    # the float tables of eval_rep, filled on first use
+    # the float tables of eval_rep, filled on first use; not a field
     __slots__ = ("_bands",)
 
     def __mul__(self, other):
@@ -135,7 +136,7 @@ class QuotientPoly(Terms):
             run = list(run)
             groups.append((j, k, slice(run[0][0], run[-1][0] + 1),
                            np.array([key[2] for _, key in run])))
-        self._bands = (exps, values, tuple(groups))
+        _setattr(self, "_bands", (exps, values, tuple(groups)))
         return self._bands
 
     def eval_rep(self, rep) -> np.ndarray:
@@ -182,9 +183,10 @@ _GEN_Q = {
     "b": QuotientPoly({(0, 1, 0): ONE}),
     "N": QuotientPoly({(0, 0, 1): ONE}),
 }
-_QUOTIENT = Algebra(gen=_GEN_Q.__getitem__,
-                    scalar=lambda s: QuotientPoly({(0, 0, 0): s}), mul=mul,
-                    qscale=lambda p: p.scale(Q), power=None)
+_QUOTIENT = Algebra(
+    gen=_GEN_Q.__getitem__,
+    scalar=lambda s: QuotientPoly({(0, 0, 0): s} if s else {}), mul=mul,
+    qscale=lambda p: p.scale(Q), power=None)
 
 
 def normal_order(e: Expr) -> QuotientPoly:

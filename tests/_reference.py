@@ -16,8 +16,11 @@ SplitMix64 stream is restated on Python ints from its published
 constants; the audit's numpy stream must give exactly its draws.  The
 tree substitution is the copy walk that renaming sums replaced: ``fold``
 of a ``RenameSum`` must give exactly the values of its fully substituted
-tree.  Only the eigensolver and the Bose-limit check check their input:
-the others are called only with valid arguments.
+tree.  A Laurent scalar given as a map exponent -> rational is summed
+from the library's monomials: the library builds Laurent scalars only
+from their fields, numerators over one denominator.  Only the eigensolver
+and the Bose-limit check check their input: the others are called only
+with valid arguments.
 """
 
 import cmath
@@ -31,6 +34,7 @@ import numpy as np
 from gentile.audit import eval_expr
 from gentile.coherent import LambdaChoice, closed_form_deltas, lambda_value
 from gentile.errors import GentileError
+from gentile.laurent import ZERO, LaurentScalar
 from gentile.linalg import max_abs_diff
 from gentile.oscillator import (CLUSTER_TOL, _case_levels,
                                 _prose_multiplicity, build_hamiltonian,
@@ -39,6 +43,16 @@ from gentile.rep import build_rep
 from gentile.su2 import (NODE_SEPARATION, TOL, DiagonalChoice,
                          ladder_targets, leja_order, operator_diagonal)
 from gentile.symbolic import Add, Expr, Gen, RenameSum
+
+
+def laurent_scalar(terms) -> LaurentScalar:
+    """The Laurent scalar of a map exponent -> rational, zeros allowed,
+    summed in key order from ``from_rational``, ``q_power`` and ``+``."""
+    total = ZERO
+    for k, c in terms.items():
+        total = (total
+                 + LaurentScalar.from_rational(c) * LaurentScalar.q_power(k))
+    return total
 
 
 def bracket_number(n: int, v: int) -> complex:
@@ -415,7 +429,7 @@ def dense_arcsin_values(rep):
 def dense_eigenstate_residual(state):
     """Max-abs coefficient of b|psi> - psi|psi> on the dense module element
     with delta on its diagonal."""
-    ops = GrassmannOps(state.n, state.choice)
+    ops = GrassmannOps(state.rep.n, state.choice)
     element = np.diag(state.delta)
     lhs = ops.apply_b(element)
     rhs = ops.apply_psi(element)

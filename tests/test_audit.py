@@ -177,8 +177,8 @@ def test_phase_tree_is_q_to_the_n_minus_1():
 
 def test_phase_normal_form_residuals():
     left, right = _phase_entries()
-    assert not (normal_order(left.lhs) - normal_order(left.rhs)).is_zero
-    assert (normal_order(right.lhs) - normal_order(right.rhs)).is_zero
+    assert normal_order(left.lhs) - normal_order(left.rhs)
+    assert not (normal_order(right.lhs) - normal_order(right.rhs))
 
 
 @pytest.mark.parametrize("identity_id", PHASE_IDS)

@@ -999,23 +999,10 @@ UNREACHED = {
         "value protocol: a record is built from all of its fields",
     ("gentile._record.Record.__repr__",
      'return (type(self).__qualname__ + "("'): _VALUE,
-    ("gentile.laurent.LaurentScalar.__eq__",
-     "if type(other) is not type(self):"): _VALUE,
-    ("gentile.laurent.LaurentScalar.__eq__", "return NotImplemented"): _VALUE,
-    ("gentile.laurent.LaurentScalar.__eq__",
-     "return self._den == other._den and self._terms == other._terms"):
-        _VALUE,
     ("gentile.laurent.LaurentScalar.__hash__",
-     "items = self._terms if self._den == 1 else self.coeffs"): _VALUE,
-    ("gentile.laurent.LaurentScalar.__hash__",
-     "return hash(frozenset(items.items()))"): _VALUE,
+     "return hash(frozenset(self.terms.items()))"): _VALUE,
     ("gentile.laurent.LaurentScalar.__repr__", 'return "0"'):
         _VALUE + "; every printed coefficient is nonzero",
-    ("gentile.laurent.Terms.__eq__", "if type(other) is not type(self):"):
-        _VALUE,
-    ("gentile.laurent.Terms.__eq__", "return NotImplemented"): _VALUE,
-    ("gentile.laurent.Terms.__eq__", "return self._terms == other._terms"):
-        _VALUE,
     ("gentile.laurent.Terms.__hash__",
      "return hash(frozenset(self._terms.items()))"): _VALUE,
     ("gentile.symbolic.freepoly.FreePoly.__repr__", 'return "0"'):

@@ -1,4 +1,5 @@
-"""Value behaviour of the record classes: expression nodes and reports."""
+"""Value behaviour of the record classes: expression nodes, algebra values
+and reports."""
 
 import importlib
 import pkgutil
@@ -11,12 +12,13 @@ from gentile._record import Record
 from gentile.audit import IdentityResult, run_full_audit
 from gentile.catalog import FORMAL_Q, Q_AT_N, IdentityEntry
 from gentile.coherent import LambdaChoice, build_coherent
-from gentile.laurent import ONE, LaurentScalar
+from gentile.laurent import ONE, LaurentScalar, q_integer
 from gentile.oscillator import spectrum_crosscheck
 from gentile.rep import ArcsinAudit, build_rep, number_from_arcsin
 from gentile.su2 import DiagonalChoice, solve_representation
 from gentile.symbolic import (Add, Algebra, Gen, Mul, NBracket, Pow,
-                              ProductSum, Scal, parse, perm_sum)
+                              ProductSum, Scal, expand_free, normal_order,
+                              parse, perm_sum)
 from gentile.symbolic.parser import _tokenize
 
 X, Y = Gen("x"), Gen("y")
@@ -172,6 +174,8 @@ def _instances():
     return [*map(parse, nodes), perm_sum(Mul(X, Y), ["x", "y"]),
             _tokenize("b")[0],
             Algebra(str, str, max, abs, None),
+            q_integer(3), expand_free(parse("u v")),
+            normal_order(parse("b adag")),
             IdentityEntry("e1", X, Y, FORMAL_Q), _result(), build_rep(3),
             number_from_arcsin(build_rep(3)),
             build_coherent(3, LambdaChoice("plus")),
@@ -203,6 +207,24 @@ def test_every_record_is_slotted_and_frozen():
     # each is a value: built twice, the two are equal with equal hashes
     for x, y in zip(instances, _instances()):
         assert x is not y and x == y and hash(x) == hash(y), type(x)
+
+
+def test_shared_scalar_constants_are_frozen():
+    # ONE is the unit of every fold: an assignment to it once went through
+    # and turned every later normal form into 0
+    with pytest.raises(AttributeError, match="frozen"):
+        ONE._terms = {}
+    with pytest.raises(AttributeError, match="frozen"):
+        ONE._den = 2
+    assert repr(normal_order(parse("b adag"))) == "(1)*1 + (q)*adag*b"
+
+
+def test_normal_form_eval_tables_are_not_fields():
+    # the cached float tables stay out of ==, hash and repr
+    filled, fresh = (normal_order(parse("b adag")) for _ in range(2))
+    filled.eval_rep(build_rep(2))
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh)
 
 
 def test_audit_results_are_lists_of_frozen_results():
