@@ -3,18 +3,22 @@
 Every verdict comes from exact expansion: a free polynomial over formal q
 for FREE entries, the quotient normal form for QUOTIENT entries.  Numeric
 spot-checks evaluate the same expression trees with random complex
-matrices (FREE) or in the Gentile matrix representation (QUOTIENT).  A
-FAIL verdict on a printed relation is a first-class outcome; only
-disagreement between the two pipelines is an error.
+matrices, in real block form (FREE), or in the Gentile matrix
+representation (QUOTIENT).  A FAIL verdict on a printed relation is a
+first-class outcome; only disagreement between the two pipelines is an
+error.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from ._record import Record
 from .catalog import FORMAL_Q, FREE, Q_EQ_1, build_catalog
 from .errors import GateFailed
+from .laurent import Q
 from .linalg import max_abs_diff
 from .rep import build_rep
 from .symbolic import (Algebra, Expr, expand_free, fold, generators_of,
@@ -23,6 +27,9 @@ from .symbolic import (Algebra, Expr, expand_free, fold, generators_of,
 DEFAULT_TRIALS = 3
 TOL = 1e-9  # crosscheck: PASS needs residual <= TOL, FAIL > 10 * TOL
 RANDOM_DIM = 5
+# the half-width of the spot checks' real and imaginary parts: E|z|^2 is
+# 1/2, as for an entry uniform on the complex unit disk
+_HALF_WIDTH = math.sqrt(3.0) / 2.0
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the state's increment and
 # the two multipliers of its output finalizer
@@ -76,6 +83,21 @@ class SplitMix64:
         return u.reshape(shape)
 
 
+def _complex_algebra(assignment: dict, roots, dim: int,
+                     rows=slice(None)) -> Algebra:
+    """The algebra of :func:`eval_expr`, built once to fold many trees
+    with one assignment and one set of tables."""
+    eye = np.eye(dim, dtype=complex)
+
+    def scalar(s):
+        return np.array([s.eval_at(r) for r in roots])[rows, None, None] * eye
+
+    q = np.array([r[1] for r in roots])[rows, None, None]
+    return Algebra(gen=assignment.__getitem__, scalar=scalar, mul=np.matmul,
+                   qscale=lambda x: q * x, power=np.linalg.matrix_power,
+                   relabel=None)
+
+
 def eval_expr(e: Expr, assignment: dict, roots, dim: int,
               rows=slice(None)) -> np.ndarray:
     """Numeric matrix values of an expression tree for a batch of B rows.
@@ -86,15 +108,54 @@ def eval_expr(e: Expr, assignment: dict, roots, dim: int,
     table i.  Each scalar is evaluated once per table.  Every slice of the
     result equals the evaluation of that row alone bit for bit.
     """
-    def at(s):
-        return np.array([s.eval_at(r) for r in roots])[rows, None, None]
+    return fold(e, _complex_algebra(assignment, roots, dim, rows))
 
-    q = np.array([r[1] for r in roots])[rows, None, None]
-    return fold(e, Algebra(
-        gen=assignment.__getitem__,
-        scalar=lambda s: at(s) * np.eye(dim, dtype=complex),
-        mul=np.matmul, qscale=lambda x: q * x,
-        power=np.linalg.matrix_power))
+
+def _to_block(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The real ``(..., 2d, 2d)`` block form ``[[re, -im], [im, re]]`` of
+    the complex ``(..., d, d)`` matrices ``re + i im``.
+
+    The map is an exact ring embedding, so a tree folds in block form to
+    the block form of its complex value, up to rounding.
+    """
+    d = re.shape[-1]
+    out = np.empty(re.shape[:-2] + (2 * d, 2 * d))
+    out[..., :d, :d] = out[..., d:, d:] = re
+    out[..., d:, :d] = im
+    np.negative(im, out=out[..., :d, d:])
+    return out
+
+
+def _block_algebras(roots, dim: int, rows):
+    """A map from generators in real block form (:func:`_to_block`),
+    stacked ``(B, 2 dim, 2 dim)`` float64 arrays, to :func:`eval_expr`'s
+    algebra in that form: a scalar s is the block of s I, and q x is the
+    block product of q I with x, q's block built once for all the maps.
+
+    Every slice of a folded value equals that row folded alone, bit for
+    bit.
+    """
+    eye = np.eye(dim)
+
+    def scalar(s):
+        v = np.array([s.eval_at(r) for r in roots])[rows, None, None]
+        return _to_block(v.real * eye, v.imag * eye)
+
+    q = scalar(Q)
+    return lambda assignment: Algebra(
+        gen=assignment.__getitem__, scalar=scalar, mul=np.matmul,
+        qscale=lambda x: q @ x, power=np.linalg.matrix_power, relabel=None)
+
+
+def _block_residual(lhs: np.ndarray, rhs: np.ndarray, dim: int) -> float:
+    """The largest entrywise modulus of the complex difference whose block
+    forms are ``lhs`` and ``rhs``, over the batch.
+
+    Only the left blocks are read: rounding lets the right ones drift
+    from their exact ``[[-im], [re]]`` by about 1e-15 relative.
+    """
+    diff = lhs - rhs
+    return float(np.hypot(diff[..., :dim, :dim], diff[..., dim:, :dim]).max())
 
 
 class IdentityResult(Record):
@@ -150,11 +211,16 @@ def _digest(poly, limit: int = 120) -> str:
 
 
 def _random_draws(names, rng, batch: int) -> dict:
-    """``batch`` random matrices per name, stacked as ``(batch, dim, dim)``."""
+    """``batch`` random matrices per name, in block form, stacked as
+    ``(batch, 2 dim, 2 dim)``."""
     u = rng.random((batch, len(names), 2, RANDOM_DIM, RANDOM_DIM))
-    # entries uniform on the complex unit disk; uniform(0, 2 pi) is 2 pi * u
-    mats = np.sqrt(u[:, :, 0]) * np.exp(1j * (2.0 * np.pi * u[:, :, 1]))
-    return {name: mats[:, i] for i, name in enumerate(sorted(names))}
+    # real and imaginary parts uniform on [-sqrt(3)/2, sqrt(3)/2); 2u - 1
+    # is exact
+    u *= 2.0
+    u -= 1.0
+    u *= _HALF_WIDTH
+    blocks = _to_block(u[:, :, 0], u[:, :, 1])
+    return {name: blocks[:, i] for i, name in enumerate(sorted(names))}
 
 
 def audit_crosscheck(matrix) -> bool:
@@ -185,9 +251,10 @@ def run_full_audit(n_values, seed, trials=DEFAULT_TRIALS, entries=None):
     One pass over the catalog (or ``entries``).  A FREE entry is expanded
     to a free polynomial over formal q, or specialized to q = 1 or -1 for
     the limit forms, and filed in the free or limit list.  Formal-q FREE
-    entries are also spot-checked with random complex matrices, and
-    QUOTIENT entries get a normal-form verdict and are evaluated in the
-    Gentile representation at every n; both go to the matrix list.
+    entries are also spot-checked with random complex matrices, in real
+    block form, and QUOTIENT entries get a normal-form verdict and are
+    evaluated in the Gentile representation at every n, with one complex
+    algebra per n; both go to the matrix list.
 
     Draw order, which keeps a seed's output stable: one
     ``SplitMix64(seed)`` stream serves the FREE formal-q entries in catalog
@@ -196,17 +263,18 @@ def run_full_audit(n_values, seed, trials=DEFAULT_TRIALS, entries=None):
     formal-q FREE entries before it.  In row t = n_index * trials + trial,
     name g gets the uniforms u_p[j, k] = draw
     ``b_e + (((t * G + g) * 2 + p) * 5 + j) * 5 + k`` for p = 0, 1 and sets
-    entry (j, k) to ``sqrt(u_0) * exp(2 pi i u_1)``.  All rows of an entry
-    are evaluated as one stacked batch, each with the table of powers of
-    q = exp(2 pi i/(n + 1)) of its n; the residual is the largest
-    entrywise |lhs - rhs| over the batch.
+    entry (j, k) to ``(2 u_0 - 1) sqrt(3)/2 + i (2 u_1 - 1) sqrt(3)/2``.
+    All rows of an entry are evaluated as one stacked batch, each with the
+    table of powers of q = exp(2 pi i/(n + 1)) of its n; the residual is
+    the largest entrywise |lhs - rhs| over the batch.
     """
     rng = SplitMix64(seed)
     reps = {n: build_rep(n) for n in n_values}
     tables = [reps[n].roots for n in n_values]
     # the batch's rows are (n, trial) in order, each with its n's table
     rows = np.repeat(np.arange(len(n_values)), trials)
-    free, limit, matrix, ladders = [], [], [], {}
+    block_algebra = _block_algebras(tables, RANDOM_DIM, rows)
+    free, limit, matrix, algebras = [], [], [], {}
     for entry in build_catalog() if entries is None else entries:
         spec = entry.specialization
         if entry.strategy == FREE:
@@ -223,25 +291,25 @@ def run_full_audit(n_values, seed, trials=DEFAULT_TRIALS, entries=None):
                 numeric_residual=None, n_tested=(), verdict=verdict))
             if spec != FORMAL_Q:
                 continue  # limit forms have no finite-n specialization
-            assign = _random_draws(
+            alg = block_algebra(_random_draws(
                 generators_of(entry.lhs) | generators_of(entry.rhs), rng,
-                len(rows))
-            worst = max_abs_diff(
-                eval_expr(entry.lhs, assign, tables, RANDOM_DIM, rows),
-                eval_expr(entry.rhs, assign, tables, RANDOM_DIM, rows))
+                len(rows)))
+            worst = _block_residual(fold(entry.lhs, alg),
+                                    fold(entry.rhs, alg), RANDOM_DIM)
         else:
             residual_poly = normal_order(entry.lhs) - normal_order(entry.rhs)
             verdict = "FAIL" if residual_poly else "PASS"
-            # built at the first QUOTIENT entry: built before the FREE spot
-            # checks, they raised the default audit's peak RSS by 0.2 MB
-            if not ladders:
-                ladders = {n: ladder_matrices(reps[n]) for n in n_values}
+            # built at the first QUOTIENT entry: their ladder matrices,
+            # built before the FREE spot checks, raised the default audit's
+            # peak RSS by 0.2 MB
+            if not algebras:
+                algebras = {n: _complex_algebra(
+                    ladder_matrices(reps[n]), [reps[n].roots], reps[n].dim)
+                    for n in n_values}
             worst = 0.0
-            for n in n_values:
-                rep, assign = reps[n], ladders[n]
-                lhs = eval_expr(entry.lhs, assign, [rep.roots], rep.dim)[0]
-                rhs = eval_expr(entry.rhs, assign, [rep.roots], rep.dim)[0]
-                worst = max(worst, max_abs_diff(lhs, rhs))
+            for alg in algebras.values():
+                worst = max(worst, max_abs_diff(fold(entry.lhs, alg),
+                                                fold(entry.rhs, alg)))
         matrix.append(IdentityResult(
             identity_id=entry.id, strategy=entry.strategy,
             specialization=spec, residual_digest=None,

@@ -19,15 +19,14 @@ from .errors import OutOfRange
 
 
 class Terms(Record):
-    """A finite sum of coefficient x key: the record ``_terms``, a map
-    with no zero coefficient, which is a precondition of construction.
+    """A finite sum of Laurent-scalar coefficient x key: the record
+    ``_terms``, a map with no zero coefficient, which is a precondition of
+    construction.
 
     Sums keep self's keys first, then the other operand's new keys, in
-    their order; a product's keys combine by ``+`` (exponent addition for
-    :class:`LaurentScalar`, word concatenation for words) with the outer
-    loop over self.  Only :class:`LaurentScalar` is evaluated in this
-    order, so its key order fixes floating-point bits; ``QuotientPoly``
-    sorts its keys and exponents first.
+    their order; a product's keys combine by ``+`` (word concatenation for
+    ``FreePoly``) with the outer loop over self.  ``QuotientPoly`` sorts
+    its keys and exponents before it evaluates.
     """
     __slots__ = _fields = ("_terms",)
 
@@ -73,17 +72,18 @@ class Terms(Record):
         return type(self)({k: s * c for k, c in self._terms.items()})
 
 
-class LaurentScalar(Terms):
+class LaurentScalar(Record):
     """``sum_k (_terms[k] / _den) q^k``: integer numerators over one
-    positive common denominator.
+    positive common denominator, none of them zero.
 
     The form is canonical: ``gcd(_den, *numerators) == 1`` and zero is
     ``{}`` over 1, so equal values have equal fields.  Arithmetic runs on
-    ``int`` and reduces once per result; keys keep the order documented
-    on :class:`Terms`.
+    ``int`` and reduces once per result.  A sum keeps self's exponents
+    first, then the other operand's new ones, in their order; a product's
+    outer loop is over self.  :meth:`eval_at` sums in this order, so the
+    order fixes floating-point bits.
     """
-    __slots__ = ("_den",)
-    _fields = ("_terms", "_den")
+    __slots__ = _fields = ("_terms", "_den")
 
     @classmethod
     def _raw(cls, nums: dict, den: int) -> "LaurentScalar":
@@ -109,6 +109,9 @@ class LaurentScalar(Terms):
         """Exponent -> ``Fraction``, in key order."""
         den = self._den
         return {k: Fraction(c, den) for k, c in self._terms.items()}
+
+    def __bool__(self):
+        return bool(self._terms)
 
     @classmethod
     def from_rational(cls, value) -> "LaurentScalar":
@@ -229,7 +232,8 @@ class LaurentScalar(Terms):
 # _raw writes through the slots' own setters, bound once: Record refuses
 # assignment, and these cost less per result than object.__setattr__
 _new = object.__new__
-_set_terms, _set_den = Terms._terms.__set__, LaurentScalar._den.__set__
+_set_terms, _set_den = (LaurentScalar._terms.__set__,
+                        LaurentScalar._den.__set__)
 
 ZERO = LaurentScalar({}, 1)
 ONE = LaurentScalar({0: 1}, 1)

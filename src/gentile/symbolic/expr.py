@@ -141,16 +141,19 @@ class Algebra(Record):
 
     ``gen`` maps a generator name to a value, ``scalar`` a LaurentScalar,
     ``mul`` is (x, y) -> x y, ``qscale`` x -> q x, and ``power`` (x, k) ->
-    x^k, or None for repeated ``mul``.
+    x^k, or None for repeated ``mul``.  ``relabel`` is (x, {old: new}) ->
+    the value x would have had with each generator name renamed, or None:
+    a renaming sum then folds its body once per renaming.
     """
-    __slots__ = _fields = ("gen", "scalar", "mul", "qscale", "power")
+    __slots__ = _fields = ("gen", "scalar", "mul", "qscale", "power",
+                           "relabel")
 
 
-def _renamed(alg: Algebra, pairs) -> Algebra:
-    """``alg`` with each generator name first renamed by (old, new) pairs."""
-    to, gen = dict(pairs), alg.gen
+def _renamed(alg: Algebra, to: dict) -> Algebra:
+    """``alg`` with each generator name first renamed by ``to``."""
+    gen = alg.gen
     return Algebra(lambda name: gen(to.get(name, name)), alg.scalar, alg.mul,
-                   alg.qscale, alg.power)
+                   alg.qscale, alg.power, alg.relabel)
 
 
 def fold(e: Expr, alg: Algebra):
@@ -159,7 +162,9 @@ def fold(e: Expr, alg: Algebra):
     ``[x,y]_n`` is ``x y - q (y x)``.  A product sum folds each operand
     once, multiplies each ordering left to right and adds the products
     left to right, starting from the first.  A renaming sum adds its
-    body's values under each renaming of ``gen`` the same way.
+    body's values under each renaming the same way: its body is folded
+    once and relabeled per renaming if ``alg.relabel`` is set, and folded
+    with ``gen`` renamed per renaming otherwise.
     """
     if isinstance(e, Gen):
         return alg.gen(e.name)
@@ -189,6 +194,10 @@ def fold(e: Expr, alg: Algebra):
     if isinstance(e, RenameSum):
         symbols = list(e.symbols)
         orders = (_rotations if e.cyclic else permutations)(symbols)
-        return reduce(add, (fold(e.body, _renamed(alg, zip(symbols, order)))
-                            for order in orders))
+        renamings = (dict(zip(symbols, order)) for order in orders)
+        if alg.relabel is not None:
+            body = fold(e.body, alg)
+            return reduce(add, (alg.relabel(body, to) for to in renamings))
+        return reduce(add, (fold(e.body, _renamed(alg, to))
+                            for to in renamings))
     raise TypeError(f"unknown node {type(e).__name__}")

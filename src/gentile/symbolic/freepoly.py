@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import mul
 
 from ..laurent import ONE, Q, LaurentScalar, Terms
-from .expr import Algebra, Expr, fold
+from .expr import DEFAULT_ALPHABET, Algebra, Expr, fold
 
 
 class FreePoly(Terms):
@@ -21,9 +21,12 @@ class FreePoly(Terms):
     def scalar(cls, s: LaurentScalar) -> "FreePoly":
         return cls({(): s} if s else {})
 
-    @classmethod
-    def generator(cls, name: str) -> "FreePoly":
-        return cls({(name,): ONE})
+    def relabel(self, to: dict) -> "FreePoly":
+        """Each letter x of each word renamed to ``to.get(x, x)``; for a
+        bijection on names the words stay distinct and keep their order."""
+        get = to.get
+        return FreePoly({tuple(map(get, w, w)): c
+                         for w, c in self._terms.items()})
 
     def specialize_unit(self, sign: int) -> dict:
         """Exact coefficients at q = +1 or q = -1, zeros dropped."""
@@ -49,8 +52,10 @@ class FreePoly(Terms):
         return " + ".join(parts)
 
 
-_FREE = Algebra(gen=FreePoly.generator, scalar=FreePoly.scalar, mul=mul,
-                qscale=lambda p: p.scale(Q), power=None)
+_GEN_FREE = {name: FreePoly({(name,): ONE}) for name in DEFAULT_ALPHABET}
+_FREE = Algebra(gen=_GEN_FREE.__getitem__, scalar=FreePoly.scalar, mul=mul,
+                qscale=lambda p: p.scale(Q), power=None,
+                relabel=FreePoly.relabel)
 
 
 def expand_free(e: Expr) -> FreePoly:

@@ -186,7 +186,7 @@ _GEN_Q = {
 _QUOTIENT = Algebra(
     gen=_GEN_Q.__getitem__,
     scalar=lambda s: QuotientPoly({(0, 0, 0): s} if s else {}), mul=mul,
-    qscale=lambda p: p.scale(Q), power=None)
+    qscale=lambda p: p.scale(Q), power=None, relabel=None)
 
 
 def normal_order(e: Expr) -> QuotientPoly:

@@ -1,6 +1,7 @@
 """Identity catalog and the dual-pipeline audit, including mutation tests."""
 
 import json
+import math
 import re
 from itertools import islice
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 from _reference import (dense_ladder, eval_one, expand_renames,
                         splitmix64_mix, splitmix64_outputs,
                         splitmix64_uniforms)
-from gentile.audit import (RANDOM_DIM, TOL, IdentityResult, SplitMix64,
+from gentile.audit import (DEFAULT_TRIALS, RANDOM_DIM, TOL, IdentityResult,
+                           SplitMix64, _block_algebras, _random_draws,
                            audit_crosscheck, audit_table, eval_expr,
                            run_full_audit)
 from gentile.catalog import (FREE, FORMAL_Q, Q_AT_N, Q_EQ_1, Q_EQ_MINUS_1,
@@ -19,8 +21,10 @@ from gentile.catalog import (FREE, FORMAL_Q, Q_AT_N, Q_EQ_1, Q_EQ_MINUS_1,
 from gentile.errors import GateFailed
 from gentile.linalg import max_abs_diff
 from gentile.rep import build_rep
-from gentile.symbolic import expand_free, generators_of, normal_order, parse
+from gentile.symbolic import (Algebra, cyc_sum, expand_free, fold,
+                              generators_of, normal_order, parse, perm_sum)
 from gentile.symbolic.expr import _children
+from gentile.symbolic.freepoly import _FREE
 from gentile.symbolic.quotient import QUOTIENT_ALPHABET
 
 # documented printed-relation failures; everything else must PASS
@@ -198,13 +202,23 @@ def test_phase_trees_match_matrix_builders(identity_id):
 # -- stacked evaluation is bit-identical to one draw at a time -----------------
 
 
+def _block_fold_one(e, assignment: dict, roots):
+    """The audit's block-form fold of one (10, 10) block per generator at
+    the root of unity whose powers are ``roots``: a batch of one."""
+    batch = {name: m[None] for name, m in assignment.items()}
+    alg = _block_algebras([roots], RANDOM_DIM, slice(None))(batch)
+    return fold(e, alg)[0]
+
+
 def _sequential_residuals(n_values, trials, seed):
     """Worst residual of every formal-q FREE entry, one draw at a time,
-    from the reference stream."""
+    from the reference stream, each row folded alone in block form."""
     draws = splitmix64_uniforms(seed)
+    half_width = math.sqrt(3.0) / 2.0
 
-    def block():
-        return np.array(list(islice(draws, 25))).reshape(5, 5)
+    def part():
+        u = np.array(list(islice(draws, 25))).reshape(5, 5)
+        return (2.0 * u - 1.0) * half_width
 
     worst = {}
     for entry in build_catalog():
@@ -217,12 +231,12 @@ def _sequential_residuals(n_values, trials, seed):
             for _ in range(trials):
                 assign = {}
                 for name in names:
-                    r = np.sqrt(block())
-                    phi = 2.0 * np.pi * block()
-                    assign[name] = r * np.exp(1j * phi)
-                worst[entry.id] = max(worst[entry.id], max_abs_diff(
-                    eval_one(entry.lhs, assign, roots, 5),
-                    eval_one(entry.rhs, assign, roots, 5)))
+                    re, im = part(), part()
+                    assign[name] = np.block([[re, -im], [im, re]])
+                diff = (_block_fold_one(entry.lhs, assign, roots)
+                        - _block_fold_one(entry.rhs, assign, roots))
+                worst[entry.id] = max(worst[entry.id], float(
+                    np.hypot(diff[:5, :5], diff[5:, :5]).max()))
     return worst
 
 
@@ -249,6 +263,57 @@ def test_eval_expr_stacked_matches_row_by_row():
     for i, roots in enumerate(tables):
         row = eval_one(expr, {k: v[i] for k, v in gens.items()}, roots, 4)
         assert stacked[i].tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_block_folds_match_complex_folds(seed):
+    # the block form is an exact ring embedding, so the block and the
+    # complex fold of the default audit's draws differ by rounding alone,
+    # in the left blocks that the residual reads and in the right ones
+    n_values = range(1, 25)
+    tables = [build_rep(n).roots for n in n_values]
+    rows = np.repeat(np.arange(len(tables)), DEFAULT_TRIALS)
+    rng, d = SplitMix64(seed), RANDOM_DIM
+    block_algebra = _block_algebras(tables, d, rows)
+    for entry in build_catalog():
+        if entry.strategy != FREE or entry.specialization != FORMAL_Q:
+            continue
+        blocks = _random_draws(
+            generators_of(entry.lhs) | generators_of(entry.rhs), rng,
+            len(rows))
+        alg = block_algebra(blocks)
+        gens = {name: b[:, :d, :d] + 1j * b[:, d:, :d]
+                for name, b in blocks.items()}
+        for side in (entry.lhs, entry.rhs):
+            block = fold(side, alg)
+            value = eval_expr(side, gens, tables, d, rows)
+            bound = 1e-14 * np.abs(value).max()
+            left = block[:, :d, :d] + 1j * block[:, d:, :d]
+            right = block[:, d:, d:] - 1j * block[:, :d, d:]
+            assert max_abs_diff(left, value) <= bound, entry.id
+            assert max_abs_diff(right, value) <= bound, entry.id
+
+
+def test_block_fold_stacked_matches_row_by_row():
+    # each row of a stacked block fold is that row folded alone, bit for
+    # bit, with the rows' tables shared as in the audit
+    expr = (parse("[u^2, 1/3 q^2 v]_n + q^-1 sumperm(u, v, w) "
+                  "- {sumcyc(u, 2 v, q^3 w), w}")
+            + perm_sum(parse("[u, v]_n w"), ["u", "v", "w"]))
+    tables = [build_rep(n).roots for n in (1, 12, 20)]
+    rows = np.array([0, 2, 1, 1, 0])
+    rng = np.random.default_rng(6)
+    gens = {}
+    for name in "uvw":
+        re, im = rng.standard_normal((2, len(rows), 4, 4))
+        gens[name] = np.block([[re, -im], [im, re]])
+    stacked = fold(expr, _block_algebras(tables, 4, rows)(gens))
+    assert stacked.shape == (len(rows), 8, 8)
+    assert stacked.dtype == np.float64
+    for i, table in enumerate(rows):
+        row = fold(expr, _block_algebras([tables[table]], 4, slice(None))(
+            {k: v[i:i + 1] for k, v in gens.items()}))
+        assert stacked[i].tobytes() == row[0].tobytes(), i
 
 
 def test_eval_expr_shared_tables_match_one_table_per_row():
@@ -293,6 +358,25 @@ def test_renaming_sums_match_their_substituted_copies():
                 == eval_expr(copies, gens, tables, 3, rows).tobytes(), \
                 entry.id
     assert renamed == 67  # sides that hold a renaming sum
+
+
+def test_relabeled_renaming_sums_match_one_fold_per_renaming():
+    # free expansion folds a renaming sum's body once and relabels its
+    # words per renaming: the terms, their coefficients and their order
+    # are those of one fold per renaming, nested renaming sums included
+    assert _FREE.relabel is not None
+    per_renaming = Algebra(*_FREE._values[:-1], None)
+    body = parse("[u, v^2]_n w - q^-1 sumcyc(u, {v, w}, [u, w])")
+    nested = perm_sum(cyc_sum(body, ["u", "v", "w"]) + parse("2 u w v"),
+                      ["u", "v"])
+    sides = [nested] + [side for entry in build_catalog()
+                        for side in (entry.lhs, entry.rhs)]
+    for side in sides:
+        relabeled = fold(side, _FREE)
+        assert list(relabeled.terms.items()) \
+            == list(fold(side, per_renaming).terms.items()), side
+    assert list(expand_free(nested).terms.items()) \
+        == list(expand_free(expand_renames(nested)).terms.items())
 
 
 def test_catalog_holds_no_renamed_copies():

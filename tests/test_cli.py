@@ -400,13 +400,13 @@ def test_models_output_pinned(argv, code, stream, digest, capsys):
 # diagnostic
 PINNED_AUDIT = [
     (["audit", "--n", "1..24"], 0, "out",
-     "3c95b0ac051a9917d4622acb0af2051ad64504458dc720fa5c9dbc51b526dc5b"),
+     "6fe88931f356d5c7759aab54f3fdd40d35b58ce495c01a02e721541a6c45db11"),
     (["audit", "--n", "1..24", "--seed", "7"], 0, "out",
-     "fc7e01990e2fca69e11436a38b2222de7992af38eccb8edfa67d93722d9e7c37"),
+     "502eb160307108bc3fb8b75d302ffde31818897201a4a914695568da0b0ba666"),
     (["audit", "--n", "2..8", "--format", "table"], 0, "out",
-     "74d19c2c45932401d25477611d6814b8c141a333c2828c0834e41c6cc3e6c3f4"),
+     "a48d10b8fae157eb5e5fe46dbb06f8373774d18898fc77a8ca95425948f322fa"),
     (["audit", "--n", "1"], 2, "err",
-     "6b33f7de4dc151ad351afac467a0646109eba150a1f75c50dcd0543f16943e92"),
+     "958b4fa80ebb85a7f4b169280d13f21e27a9ec28e6d730f12b585748356350fc"),
 ]
 
 

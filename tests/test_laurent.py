@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from _reference import laurent_scalar
 from gentile.errors import OutOfRange
-from gentile.laurent import ONE, Q, QINV, ZERO, LaurentScalar, q_integer
+from gentile.laurent import (ONE, Q, QINV, ZERO, LaurentScalar, Terms,
+                             q_integer)
 
 
 def roots_at(n):
@@ -33,6 +34,17 @@ def test_zero_coefficients_dropped():
     s = laurent_scalar({3: Fraction(0), 1: Fraction(2)})
     assert s.terms == {1: Fraction(2)}
     assert not (s - s)
+
+
+def test_scalar_is_not_a_sparse_term_sum():
+    # a scalar is numerators over one denominator, not a map of
+    # coefficients: it has no Terms.collect, which built it from one field
+    # and raised TypeError, and its scale takes an int
+    assert not issubclass(LaurentScalar, Terms)
+    assert not hasattr(LaurentScalar, "collect")
+    assert LaurentScalar._fields == ("_terms", "_den")
+    assert laurent_scalar({1: Fraction(1, 6)}).scale(4) \
+        == laurent_scalar({1: Fraction(2, 3)})
 
 
 def test_construction_takes_the_canonical_fields():

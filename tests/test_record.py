@@ -137,10 +137,13 @@ def test_results_are_frozen_and_hashable():
 def test_algebra_needs_its_power():
     with pytest.raises(TypeError, match=r"^Algebra\(\) takes its fields"):
         Algebra(gen=str, scalar=LaurentScalar, mul=max, qscale=abs)
+    with pytest.raises(TypeError, match=r"^Algebra\(\) takes its fields"):
+        Algebra(gen=str, scalar=LaurentScalar, mul=max, qscale=abs,
+                power=None)
     alg = Algebra(gen=str, scalar=LaurentScalar, mul=max, qscale=abs,
-                  power=None)
-    assert alg.power is None
-    assert alg == Algebra(str, LaurentScalar, max, abs, None)
+                  power=None, relabel=None)
+    assert alg.power is None and alg.relabel is None
+    assert alg == Algebra(str, LaurentScalar, max, abs, None, None)
 
 
 def _record_classes() -> list:
@@ -173,7 +176,7 @@ def _instances():
              "[b, N]", "{b, N}", "sumperm(b, N)", "sumcyc(b, N)"]
     return [*map(parse, nodes), perm_sum(Mul(X, Y), ["x", "y"]),
             _tokenize("b")[0],
-            Algebra(str, str, max, abs, None),
+            Algebra(str, str, max, abs, None, None),
             q_integer(3), expand_free(parse("u v")),
             normal_order(parse("b adag")),
             IdentityEntry("e1", X, Y, FORMAL_Q), _result(), build_rep(3),
