@@ -4,14 +4,15 @@ Every verdict comes from exact expansion: a free polynomial over formal q
 for FREE entries, the quotient normal form for QUOTIENT entries.  Numeric
 spot-checks evaluate the same expression trees with random complex
 matrices, in real block form (FREE), or in the Gentile matrix
-representation (QUOTIENT).  A FAIL verdict on a printed relation is a
-first-class outcome; only disagreement between the two pipelines is an
-error.
+representations of the whole sweep at once, in band form (QUOTIENT).  A
+FAIL verdict on a printed relation is a first-class outcome; only
+disagreement between the two pipelines is an error.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import numpy as np
 
@@ -19,9 +20,8 @@ from ._record import Record
 from .catalog import FORMAL_Q, FREE, Q_EQ_1, build_catalog
 from .errors import GateFailed
 from .laurent import Q
-from .linalg import max_abs_diff
-from .rep import build_rep
-from .symbolic import (Algebra, Expr, expand_free, fold, generators_of,
+from .rep import Bands, build_rep, sweep_ladder
+from .symbolic import (Algebra, expand_free, fold, generators_of,
                        normal_order)
 
 DEFAULT_TRIALS = 3
@@ -83,32 +83,40 @@ class SplitMix64:
         return u.reshape(shape)
 
 
-def _complex_algebra(assignment: dict, roots, dim: int,
-                     rows=slice(None)) -> Algebra:
-    """The algebra of :func:`eval_expr`, built once to fold many trees
-    with one assignment and one set of tables."""
-    eye = np.eye(dim, dtype=complex)
+def sweep_algebra(reps) -> Algebra:
+    """The algebra of a sweep's matrices in band form (:class:`Bands`),
+    built once to fold many trees over the sweep ``reps``.
+
+    b is offset +1 with ``amp[r]`` for r < n, a^dag offset -1 with
+    ``amp[r - 1]`` for 1 <= r <= n, and N offset 0 with r for r <= n.  A
+    scalar is offset 0 with its value at each rep's q, evaluated once per
+    distinct scalar; ``qscale`` multiplies each row by its rep's q, and a
+    power is repeated multiplication.  The generator arrays are shared
+    and read-only.
+    """
+    mask, amp = sweep_ladder(reps)
+    adag = np.zeros_like(amp)
+    adag[:, 1:] = amp[:, :-1]
+    num = np.where(mask, np.arange(mask.shape[1], dtype=complex), 0)
+    for band in (adag, amp, num):
+        band.flags.writeable = False  # shared by every fold
+    gens = {"adag": Bands({-1: adag}), "b": Bands({1: amp}),
+            "N": Bands({0: num})}
+    q = np.array([rep.q for rep in reps])[:, None]
+    values = {}
 
     def scalar(s):
-        return np.array([s.eval_at(r) for r in roots])[rows, None, None] * eye
+        key = (tuple(s._terms.items()), s._den)
+        at = values.get(key)
+        if at is None:
+            at = values[key] = np.array([[s.eval_at(rep.roots)]
+                                         for rep in reps])
+        return Bands({0: np.where(mask, at, 0)})
 
-    q = np.array([r[1] for r in roots])[rows, None, None]
-    return Algebra(gen=assignment.__getitem__, scalar=scalar, mul=np.matmul,
-                   qscale=lambda x: q * x, power=np.linalg.matrix_power,
-                   relabel=None)
-
-
-def eval_expr(e: Expr, assignment: dict, roots, dim: int,
-              rows=slice(None)) -> np.ndarray:
-    """Numeric matrix values of an expression tree for a batch of B rows.
-
-    Generators are stacked ``(B, dim, dim)`` arrays and ``roots`` is a
-    list of tables, each the powers q^0 .. q^n of a root of unity (a
-    ``GentileRep.roots``); row i is taken at table ``rows[i]``, by default
-    table i.  Each scalar is evaluated once per table.  Every slice of the
-    result equals the evaluation of that row alone bit for bit.
-    """
-    return fold(e, _complex_algebra(assignment, roots, dim, rows))
+    return Algebra(gen=gens.__getitem__, scalar=scalar, mul=mul,
+                   qscale=lambda x: Bands({o: q * band
+                                           for o, band in x.bands.items()}),
+                   power=None, relabel=None)
 
 
 def _to_block(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -128,17 +136,25 @@ def _to_block(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def _block_algebras(roots, dim: int, rows):
     """A map from generators in real block form (:func:`_to_block`),
-    stacked ``(B, 2 dim, 2 dim)`` float64 arrays, to :func:`eval_expr`'s
-    algebra in that form: a scalar s is the block of s I, and q x is the
-    block product of q I with x, q's block built once for all the maps.
+    stacked ``(B, 2 dim, 2 dim)`` float64 arrays, to the algebra of
+    stacked complex matrices in that form, row i at table ``rows[i]`` of
+    ``roots``: a scalar s is the block of s I, evaluated once per distinct
+    scalar, and q x is the block product of q I with x, q's block built
+    once for all the maps.
 
     Every slice of a folded value equals that row folded alone, bit for
     bit.
     """
     eye = np.eye(dim)
+    values = {}
 
     def scalar(s):
-        v = np.array([s.eval_at(r) for r in roots])[rows, None, None]
+        # evaluated once per distinct scalar, keyed on its fields
+        key = (tuple(s._terms.items()), s._den)
+        v = values.get(key)
+        if v is None:
+            v = values[key] = np.array([s.eval_at(r) for r in roots])[
+                rows, None, None]
         return _to_block(v.real * eye, v.imag * eye)
 
     q = scalar(Q)
@@ -194,17 +210,6 @@ def audit_table(results) -> str:
     return "\n".join(lines)
 
 
-def ladder_matrices(rep) -> dict:
-    """The dense a^dag, b and N of ``rep`` as read-only batches of one
-    ``(1, dim, dim)``, keyed by generator name for :func:`eval_expr`."""
-    amp = np.asarray(rep.amp)
-    mats = {"adag": np.diag(amp, -1), "b": np.diag(amp, 1),
-            "N": np.diag(np.arange(rep.dim, dtype=complex))}
-    for m in mats.values():
-        m.flags.writeable = False
-    return {name: m[None] for name, m in mats.items()}
-
-
 def _digest(poly, limit: int = 120) -> str:
     text = repr(poly)
     return text if len(text) <= limit else text[:limit] + "..."
@@ -253,8 +258,8 @@ def run_full_audit(n_values, seed, trials=DEFAULT_TRIALS, entries=None):
     the limit forms, and filed in the free or limit list.  Formal-q FREE
     entries are also spot-checked with random complex matrices, in real
     block form, and QUOTIENT entries get a normal-form verdict and are
-    evaluated in the Gentile representation at every n, with one complex
-    algebra per n; both go to the matrix list.
+    evaluated in the Gentile representations of all n at once, in band
+    form, each side folded once; both go to the matrix list.
 
     Draw order, which keeps a seed's output stable: one
     ``SplitMix64(seed)`` stream serves the FREE formal-q entries in catalog
@@ -274,7 +279,7 @@ def run_full_audit(n_values, seed, trials=DEFAULT_TRIALS, entries=None):
     # the batch's rows are (n, trial) in order, each with its n's table
     rows = np.repeat(np.arange(len(n_values)), trials)
     block_algebra = _block_algebras(tables, RANDOM_DIM, rows)
-    free, limit, matrix, algebras = [], [], [], {}
+    free, limit, matrix, sweep = [], [], [], None
     for entry in build_catalog() if entries is None else entries:
         spec = entry.specialization
         if entry.strategy == FREE:
@@ -299,17 +304,13 @@ def run_full_audit(n_values, seed, trials=DEFAULT_TRIALS, entries=None):
         else:
             residual_poly = normal_order(entry.lhs) - normal_order(entry.rhs)
             verdict = "FAIL" if residual_poly else "PASS"
-            # built at the first QUOTIENT entry: their ladder matrices,
-            # built before the FREE spot checks, raised the default audit's
+            # built at the first QUOTIENT entry: the ladder matrices, built
+            # before the FREE spot checks, once raised the default audit's
             # peak RSS by 0.2 MB
-            if not algebras:
-                algebras = {n: _complex_algebra(
-                    ladder_matrices(reps[n]), [reps[n].roots], reps[n].dim)
-                    for n in n_values}
-            worst = 0.0
-            for alg in algebras.values():
-                worst = max(worst, max_abs_diff(fold(entry.lhs, alg),
-                                                fold(entry.rhs, alg)))
+            if sweep is None:
+                sweep = sweep_algebra([reps[n] for n in n_values])
+            diff = fold(entry.lhs, sweep) - fold(entry.rhs, sweep)
+            worst = float(diff.row_max(len(n_values)).max())
         matrix.append(IdentityResult(
             identity_id=entry.id, strategy=entry.strategy,
             specialization=spec, residual_digest=None,

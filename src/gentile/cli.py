@@ -21,19 +21,18 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .audit import (audit_crosscheck, audit_table, eval_expr,
-                    ladder_matrices, run_full_audit)
+from .audit import (audit_crosscheck, audit_table, run_full_audit,
+                    sweep_algebra)
 from .coherent import (EIGENSTATE_TOL, LambdaChoice, build_coherent,
                        closed_form_modulus_gap, eigenstate_residual,
                        normalization_poly)
 from .errors import (DegenerateNodes, GateFailed, GentileError, OutOfRange,
                      ParseError)
-from .linalg import max_abs_diff
 from .oscillator import spectrum_crosscheck
 from .rep import build_rep, number_from_arcsin
 from .su2 import (N_LIMIT, DiagonalChoice, newton_coefficients,
                   solve_representation, verify_representation)
-from .symbolic import normal_order, parse
+from .symbolic import fold, normal_order, parse
 
 DEFAULT_SWEEP = "1..24"
 
@@ -112,7 +111,9 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-# Largest n accepted: audit and eval build (n+1) x (n+1) matrices per n.
+# Largest n accepted.  audit and eval hold a sweep's values as one
+# (len(n_values), n+1) complex array per band, 16 MB each at --n 1..1024,
+# so their memory grows as n^2; audit fails its own gate at n = 1024.
 MAX_N = 1024
 
 # Longest normal-form word eval prints.  Nested powers grow a word
@@ -255,6 +256,11 @@ def cmd_su2(args) -> str:
     return _dump_json(records)
 
 
+def _direct_beyond(n: int) -> OutOfRange:
+    return OutOfRange(f"a matrix product at n = {n} is beyond float range, "
+                      "so it cannot be evaluated")
+
+
 def cmd_eval(args) -> str:
     expr = parse(args.expression)
     poly = normal_order(expr)  # OutOfRange -> exit 1 via main()
@@ -263,20 +269,24 @@ def cmd_eval(args) -> str:
         raise OutOfRange(f"a normal-form word of {longest} letters is above "
                          f"{MAX_WORD}, so it cannot be printed")
     n_values = parse_n_values(args.n)
-    records = []
-    for n in n_values:
-        rep = build_rep(n)
-        # direct side first: eval_at refuses a scalar beyond float range
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                direct = eval_expr(expr, ladder_matrices(rep), [rep.roots],
-                                   rep.dim)[0]
-        except FloatingPointError:
-            raise OutOfRange(f"a matrix product at n = {n} is beyond float "
-                             "range, so it cannot be evaluated") from None
-        ordered = poly.eval_rep(rep)
-        records.append({"n": n,
-                        "matrix_residual": max_abs_diff(direct, ordered)})
+    reps = [build_rep(n) for n in n_values]
+    # the direct side over the sweep; eval_at refuses a scalar beyond float
+    # range, and a row that is not finite names its own n
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = fold(expr, sweep_algebra(reps))
+        size = direct.row_max(len(reps))
+    beyond = [n for n, s in zip(n_values, size) if not math.isfinite(s)]
+    # refused in the order of a sweep one n at a time: the direct side at
+    # the first n, the normal form's coefficients, then the direct side at
+    # each later n
+    if beyond and beyond[0] == n_values[0]:
+        raise _direct_beyond(beyond[0])
+    poly._band_tables()  # OutOfRange -> exit 1 via main()
+    if beyond:
+        raise _direct_beyond(beyond[0])
+    residuals = (direct - poly.eval_rep(reps)).row_max(len(reps))
+    records = [{"n": n, "matrix_residual": float(r)}
+               for n, r in zip(n_values, residuals)]
     if args.format == "table":
         lines = [f"normal form: {poly!r}"]
         for row in records:

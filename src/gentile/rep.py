@@ -31,7 +31,7 @@ class GentileRep(Record):
 
     The table of q and the ladder amplitudes are the data: a_dag and b
     carry amp on their sub- and superdiagonal, a and b_dag conj(amp).
-    ``audit.ladder_matrices`` builds the dense matrices.
+    ``audit.sweep_algebra`` builds a sweep's matrices in band form.
     """
 
     __slots__ = _fields = (
@@ -75,6 +75,82 @@ def build_rep(n: int) -> GentileRep:
     brackets = tuple(accumulate(roots, initial=0))
     amp = tuple(map(cmath.sqrt, brackets[1:n + 1]))
     return GentileRep(n=n, roots=roots, bracket_numbers=brackets, amp=amp)
+
+
+def sweep_ladder(reps):
+    """``(mask, amp)`` of a sweep of reps, each a ``(len(reps), L)`` array
+    with L the largest dim: ``mask[i, r]`` is True for r <= n_i, and
+    ``amp[i, r]`` is rep i's ``amp[r]`` for r < n_i and 0 beyond."""
+    dims = np.array([rep.dim for rep in reps])
+    mask = np.arange(dims.max()) < dims[:, None]
+    amp = np.zeros(mask.shape, dtype=complex)
+    for row, rep in zip(amp, reps):
+        row[:rep.n] = rep.amp
+    return mask, amp
+
+
+class Bands(Record):
+    """The matrices of a sweep of reps in band form.
+
+    ``bands`` maps each offset o (column - row), in ascending order, to one
+    ``(len(reps), L)`` complex array, L the largest dim, whose row i, index
+    r holds entry (r, r + o) of rep i's matrix; every slot outside that
+    matrix is exactly 0.  A product sums its terms over the pairs of
+    offsets in ascending order, so each row has the bits of that rep's
+    sweep alone.  No array is written after it is built, so values share
+    them.
+    """
+    __slots__ = _fields = ("bands",)
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other, op):
+        """op over the union of offsets, an offset missing on one side
+        taken as 0."""
+        x, y = self.bands, other.bands
+        return Bands({o: x[o] if o not in y else op(x.get(o, 0), y[o])
+                      for o in sorted(x.keys() | y.keys())})
+
+    def __mul__(self, other):
+        """(XY)[o1 + o2][r] = sum of X[o1][r] Y[o2][r + o1]; a term is
+        formed only where both slots can lie in a matrix, and an offset
+        with |o| >= L is dropped."""
+        out = {}
+        for o1, x in self.bands.items():
+            width = x.shape[1]
+            for o2, y in other.bands.items():
+                o = o1 + o2
+                lo, hi = max(0, -o1, -o), min(width, width - o1, width - o)
+                if lo >= hi:
+                    continue
+                acc = out.get(o)
+                if acc is None:
+                    acc = out[o] = np.zeros(x.shape, dtype=complex)
+                acc[:, lo:hi] += x[:, lo:hi] * y[:, lo + o1:hi + o1]
+        return Bands(dict(sorted(out.items())))
+
+    def __eq__(self, other):
+        if other.__class__ is not Bands:
+            return NotImplemented
+        return self._bits() == other._bits()
+
+    def __hash__(self):
+        return hash(self._bits())
+
+    def _bits(self):
+        return tuple((o, band.tobytes()) for o, band in self.bands.items())
+
+    def row_max(self, rows: int) -> np.ndarray:
+        """The largest entrywise modulus of each of the ``rows`` matrices,
+        0 for a sweep with no band; NaN or inf where a row is not finite."""
+        worst = np.zeros(rows)
+        for band in self.bands.values():
+            np.maximum(worst, np.abs(band).max(axis=1), out=worst)
+        return worst
 
 
 def _close_pairs(values, tol: float):

@@ -29,6 +29,7 @@ import numpy as np
 from .._record import _setattr
 from ..errors import OutOfRange
 from ..laurent import ONE, Q, LaurentScalar, Terms, q_integer
+from ..rep import Bands, sweep_ladder
 from .expr import Algebra, Expr, fold, generators_of
 
 QUOTIENT_ALPHABET = frozenset({"adag", "b", "N"})
@@ -139,43 +140,59 @@ class QuotientPoly(Terms):
         _setattr(self, "_bands", (exps, values, tuple(groups)))
         return self._bands
 
-    def eval_rep(self, rep) -> np.ndarray:
-        """Numeric value in the matrix representation of one Gentile mode.
+    def eval_rep(self, reps) -> Bands:
+        """Numeric value in the matrix representations of a sweep of
+        Gentile modes ``reps``, in band form (:class:`Bands`).
 
         adag^j b^k N^m maps |nu> to nu^m times the product of the ladder
         amplitudes along the way to |nu - k + j>, so each (j, k) group
-        fills one band of the matrix; words with j or k above n vanish.
+        fills the band at offset k - j; words with j or k above n vanish.
         """
         exps, values, groups = self._band_tables()
-        n, dim, roots = rep.n, rep.dim, rep.roots
-        total = np.zeros((dim, dim), dtype=complex)
-        # q^e from the rep's table, e reduced mod n+1 as an int
-        coefs = values @ np.array([roots[e % dim] for e in exps],
-                                  dtype=complex)
+        mask, amp = sweep_ladder(reps)
+        dim = mask.shape[1]
+        # coefs[t, i] = sum of values[t, e] q_i^e over e in order, q^e from
+        # rep i's table with e reduced mod n+1 as an int: no BLAS kernel
+        # decides the bits, and each row has those of its rep alone
+        coefs = np.zeros((len(values), len(reps)), dtype=complex)
+        for column, e in zip(values.T, exps):
+            coefs += column[:, None] * np.array(
+                [rep.roots[e % rep.dim] for rep in reps])
         # b|nu> = amp[nu-1]|nu-1>, adag|mu> = amp[mu]|mu+1>
-        amp = np.asarray(rep.amp)
-        max_j = max((j for j, _, _, _ in groups if j <= n), default=0)
-        max_k = max((k for _, k, _, _ in groups if k <= n), default=0)
-        # lowered[k, nu]: amplitude of b^k on |nu>, for nu >= k
-        lowered = np.ones((max_k + 1, dim), dtype=complex)
+        max_j = max((j for j, _, _, _ in groups if j < dim), default=0)
+        max_k = max((k for _, k, _, _ in groups if k < dim), default=0)
+        # lowered[k][i, nu]: amplitude of b^k on |nu> of rep i, for
+        # k <= nu <= n_i, and 0 elsewhere
+        lowered = [mask.astype(complex)]
         for k in range(1, max_k + 1):
-            lowered[k, k:] = lowered[k - 1, k:] * amp[:dim - k]
-        # raised[j, mu]: amplitude of adag^j on |mu>, for mu + j <= n
-        raised = np.ones((max_j + 1, dim), dtype=complex)
+            lowered.append(np.zeros_like(amp))
+            lowered[k][:, k:] = lowered[k - 1][:, k:] * amp[:, :dim - k]
+        # raised[j][i, mu]: amplitude of adag^j on |mu> of rep i, for
+        # mu + j <= n_i, and 0 elsewhere
+        raised = lowered[:1]
         for j in range(1, max_j + 1):
-            raised[j, :dim - j] = raised[j - 1, :dim - j] * amp[j - 1:]
-        flat = total.reshape(-1)
+            raised.append(np.zeros_like(amp))
+            raised[j][:, :dim - j] = (raised[j - 1][:, :dim - j]
+                                      * amp[:, j - 1:dim - 1])
+        out = {}
         for j, k, rows, ms in groups:
-            width = n + 1 - max(j, k)
+            width = dim - max(j, k)
             if width <= 0:
                 continue
             nu = np.arange(k, k + width, dtype=float)
-            band = coefs[rows] @ nu ** ms[:, None]
-            band *= lowered[k, k:k + width] * raised[j, :width]
-            # entries (nu - k + j, nu), nu = k .. k + width - 1
-            start = j * dim + k
-            flat[start:start + width * (dim + 1):dim + 1] += band
-        return total
+            poly = np.zeros((len(reps), width), dtype=complex)
+            for c, m in zip(coefs[rows], ms):
+                poly += c[:, None] * nu ** m
+            band = np.zeros_like(amp)
+            # entries (nu - k + j, nu), nu = k .. k + width - 1, in rep i's
+            # matrix while max(j, k) + the index <= n_i; 0 beyond it, also
+            # where a larger rep's nu^m is beyond float range
+            band[:, j:j + width] = np.where(
+                mask[:, -width:],
+                poly * lowered[k][:, k:k + width] * raised[j][:, :width], 0)
+            prev = out.get(k - j)
+            out[k - j] = band if prev is None else prev + band
+        return Bands(dict(sorted(out.items())))
 
 
 _GEN_Q = {

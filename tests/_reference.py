@@ -18,7 +18,10 @@ tree substitution is the copy walk that renaming sums replaced: ``fold``
 of a ``RenameSum`` must give exactly the values of its fully substituted
 tree.  A Laurent scalar given as a map exponent -> rational is summed
 from the library's monomials: the library builds Laurent scalars only
-from their fields, numerators over one denominator.  Only the eigensolver
+from their fields, numerators over one denominator.  The dense complex
+evaluator, its ladder matrices and the one-rep dense normal form are the
+matrix routes that the sweep's band form replaced; the bands must
+densify to their values within rounding.  Only the eigensolver
 and the Bose-limit check check their input: the others are called only
 with valid arguments.
 """
@@ -31,7 +34,6 @@ from itertools import permutations
 
 import numpy as np
 
-from gentile.audit import eval_expr
 from gentile.coherent import LambdaChoice, closed_form_deltas, lambda_value
 from gentile.errors import GentileError
 from gentile.laurent import ZERO, LaurentScalar
@@ -42,7 +44,8 @@ from gentile.oscillator import (CLUSTER_TOL, _case_levels,
 from gentile.rep import build_rep
 from gentile.su2 import (NODE_SEPARATION, TOL, DiagonalChoice,
                          ladder_targets, leja_order, operator_diagonal)
-from gentile.symbolic import Add, Expr, Gen, RenameSum
+from gentile.symbolic import (Add, Algebra, Expr, Gen, Mul, Pow,
+                              ProductSum, RenameSum, Scal, Sub, fold)
 
 
 def laurent_scalar(terms) -> LaurentScalar:
@@ -72,11 +75,120 @@ def dense_ladder(rep):
             np.diag(np.arange(rep.dim, dtype=float)).astype(complex))
 
 
+def _complex_algebra(assignment: dict, roots, dim: int,
+                     rows=slice(None)) -> Algebra:
+    """The algebra of :func:`eval_expr`, built once to fold many trees
+    with one assignment and one set of tables."""
+    eye = np.eye(dim, dtype=complex)
+
+    def scalar(s):
+        return np.array([s.eval_at(r) for r in roots])[rows, None, None] * eye
+
+    q = np.array([r[1] for r in roots])[rows, None, None]
+    return Algebra(gen=assignment.__getitem__, scalar=scalar, mul=np.matmul,
+                   qscale=lambda x: q * x, power=np.linalg.matrix_power,
+                   relabel=None)
+
+
+def eval_expr(e: Expr, assignment: dict, roots, dim: int,
+              rows=slice(None)) -> np.ndarray:
+    """Numeric matrix values of an expression tree for a batch of B rows.
+
+    Generators are stacked ``(B, dim, dim)`` arrays and ``roots`` is a
+    list of tables, each the powers q^0 .. q^n of a root of unity (a
+    ``GentileRep.roots``); row i is taken at table ``rows[i]``, by default
+    table i.  Each scalar is evaluated once per table.  Every slice of the
+    result equals the evaluation of that row alone bit for bit.
+    """
+    return fold(e, _complex_algebra(assignment, roots, dim, rows))
+
+
 def eval_one(e, assignment: dict, roots, dim: int) -> np.ndarray:
-    """``audit.eval_expr`` of one (dim, dim) matrix per generator, at the
+    """:func:`eval_expr` of one (dim, dim) matrix per generator, at the
     root of unity whose powers are ``roots``: a batch of one."""
     batch = {name: m[None] for name, m in assignment.items()}
     return eval_expr(e, batch, [roots], dim)[0]
+
+
+def ladder_matrices(rep) -> dict:
+    """The dense a^dag, b and N of ``rep`` as read-only batches of one
+    ``(1, dim, dim)``, keyed by generator name for :func:`eval_expr`."""
+    amp = np.asarray(rep.amp)
+    mats = {"adag": np.diag(amp, -1), "b": np.diag(amp, 1),
+            "N": np.diag(np.arange(rep.dim, dtype=complex))}
+    for m in mats.values():
+        m.flags.writeable = False
+    return {name: m[None] for name, m in mats.items()}
+
+
+def densify(value, reps) -> list:
+    """The dense (dim, dim) matrix of each rep of a sweep from a value in
+    band form (``rep.Bands``); every slot outside a rep's matrix must be
+    exactly 0."""
+    dense = [np.zeros((rep.dim, rep.dim), dtype=complex) for rep in reps]
+    for o, band in value.bands.items():
+        assert band.shape == (len(reps), max(rep.dim for rep in reps))
+        for row, rep, out in zip(band, reps, dense):
+            r = np.arange(len(row))
+            inside = (r < rep.dim) & (r + o >= 0) & (r + o < rep.dim)
+            assert not row[~inside].any(), (o, rep.n)
+            out[r[inside], r[inside] + o] = row[inside]
+    return dense
+
+
+def dense_eval_rep(poly, rep) -> np.ndarray:
+    """``QuotientPoly.eval_rep`` one rep at a time into a dense matrix:
+    each (j, k) group of the normal form fills one band."""
+    exps, values, groups = poly._band_tables()
+    n, dim, roots = rep.n, rep.dim, rep.roots
+    total = np.zeros((dim, dim), dtype=complex)
+    coefs = values @ np.array([roots[e % dim] for e in exps], dtype=complex)
+    amp = np.asarray(rep.amp)
+    max_j = max((j for j, _, _, _ in groups if j <= n), default=0)
+    max_k = max((k for _, k, _, _ in groups if k <= n), default=0)
+    lowered = np.ones((max_k + 1, dim), dtype=complex)
+    for k in range(1, max_k + 1):
+        lowered[k, k:] = lowered[k - 1, k:] * amp[:dim - k]
+    raised = np.ones((max_j + 1, dim), dtype=complex)
+    for j in range(1, max_j + 1):
+        raised[j, :dim - j] = raised[j - 1, :dim - j] * amp[j - 1:]
+    flat = total.reshape(-1)
+    for j, k, rows, ms in groups:
+        width = n + 1 - max(j, k)
+        if width <= 0:
+            continue
+        nu = np.arange(k, k + width, dtype=float)
+        band = coefs[rows] @ nu ** ms[:, None]
+        band *= lowered[k, k:k + width] * raised[j, :width]
+        # entries (nu - k + j, nu), nu = k .. k + width - 1
+        start = j * dim + k
+        flat[start:start + width * (dim + 1):dim + 1] += band
+    return total
+
+
+def norm_bound(e, norms) -> float:
+    """Upper bound on the operator norm of every subexpression value."""
+    if isinstance(e, Gen):
+        return norms[e.name]
+    if isinstance(e, Scal):
+        return float(sum(abs(c) for c in e.value.terms.values()))
+    if isinstance(e, (Add, Sub)):
+        return norm_bound(e.left, norms) + norm_bound(e.right, norms)
+    if isinstance(e, Pow):
+        return norm_bound(e.base, norms) ** e.exponent
+    if isinstance(e, ProductSum):
+        m = len(e.operands)
+        orders = m if e.cyclic else math.factorial(m)
+        return orders * math.prod(norm_bound(x, norms) for x in e.operands)
+    if isinstance(e, RenameSum):
+        symbols = list(e.symbols)
+        orders = ([symbols[k:] + symbols[:k] for k in range(len(symbols))]
+                  if e.cyclic else permutations(symbols))
+        return sum(norm_bound(e.body, {**norms, **{
+            s: norms[t] for s, t in zip(symbols, order)}})
+            for order in orders)
+    product_bound = norm_bound(e.left, norms) * norm_bound(e.right, norms)
+    return product_bound if isinstance(e, Mul) else 2.0 * product_bound
 
 
 # SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number

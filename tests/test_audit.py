@@ -3,25 +3,27 @@
 import json
 import math
 import re
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _reference import (dense_ladder, eval_one, expand_renames,
+from _reference import (dense_ladder, densify, eval_expr, eval_one,
+                        expand_renames, laurent_scalar, norm_bound,
                         splitmix64_mix, splitmix64_outputs,
                         splitmix64_uniforms)
 from gentile.audit import (DEFAULT_TRIALS, RANDOM_DIM, TOL, IdentityResult,
                            SplitMix64, _block_algebras, _random_draws,
-                           audit_crosscheck, audit_table, eval_expr,
-                           run_full_audit)
+                           audit_crosscheck, audit_table, run_full_audit,
+                           sweep_algebra)
 from gentile.catalog import (FREE, FORMAL_Q, Q_AT_N, Q_EQ_1, Q_EQ_MINUS_1,
                              QUOTIENT, IdentityEntry, build_catalog)
 from gentile.errors import GateFailed
 from gentile.linalg import max_abs_diff
 from gentile.rep import build_rep
-from gentile.symbolic import (Algebra, cyc_sum, expand_free, fold,
+from gentile.symbolic import (Algebra, Gen, Scal, cyc_sum, expand_free, fold,
                               generators_of, normal_order, parse, perm_sum)
 from gentile.symbolic.expr import _children
 from gentile.symbolic.freepoly import _FREE
@@ -490,3 +492,81 @@ def test_report_json_shape_and_determinism():
 def test_report_table_renders(audit):
     text = audit_table(audit[0])
     assert "appA_uvwo_brackets_printed" in text
+
+
+# -- the sweep algebra: every n of a sweep at once, in band form ---------------
+
+# one tree per generator and per node kind, over the quotient alphabet
+NODE_TREES = {
+    "Gen-adag": Gen("adag"),
+    "Gen-b": Gen("b"),
+    "Gen-N": Gen("N"),
+    "Scal": Scal(laurent_scalar({-1: 1, 2: Fraction(-2, 3)})),
+    "Add": parse("b + 2 N"),
+    "Sub": parse("adag - 3/2 b"),
+    "Mul": parse("b N adag"),
+    "Pow": parse("(b + q adag)^4"),
+    "NBracket": parse("[b, adag]_n"),
+    "Commutator": parse("[N, b^2]"),
+    "AntiCommutator": parse("{adag, b N}"),
+    "ProductSum": parse("sumperm(adag, b, N)"),
+    "RenameSum": cyc_sum(parse("adag b^2 N - q N"), ["adag", "b", "N"]),
+}
+
+
+@pytest.mark.parametrize("kind", NODE_TREES)
+def test_sweep_folds_every_node_kind_to_the_dense_reference(kind):
+    expr = NODE_TREES[kind]
+    assert type(expr).__name__ == kind.partition("-")[0]
+    reps = [build_rep(n) for n in (*range(1, 9), 33)]
+    eps = np.finfo(float).eps
+    value = fold(expr, sweep_algebra(reps))
+    for rep, got in zip(reps, densify(value, reps)):
+        assignment = _rep_assignment(rep)
+        norms = {name: float(np.linalg.norm(m, 2))
+                 for name, m in assignment.items()}
+        want = eval_one(expr, assignment, rep.roots, rep.dim)
+        bound = 64 * (rep.n + 1) * eps * norm_bound(expr, norms)
+        assert max_abs_diff(got, want) <= bound, rep.n
+
+
+def _assert_row_alone(sweep, alone, i, dim):
+    """Row i of a sweep's value has the bits of the value of that rep's
+    sweep alone, in each offset of either; a missing offset reads 0."""
+    zero = np.zeros(dim, dtype=complex)
+    for o in sweep.bands.keys() | alone.bands.keys():
+        row = sweep.bands[o][i, :dim] if o in sweep.bands else zero
+        want = alone.bands[o][0] if o in alone.bands else zero
+        assert row.tobytes() == want.tobytes(), (o, dim - 1)
+
+
+@pytest.mark.parametrize("text", [
+    "b + N + adag",
+    "(b + adag)^5 N",
+    "[b, adag]_n - q^3 (adag b)^2",
+    "{(b) (sumcyc(adag,adag,N)),[N,7/9 q^-1 (b^2)]_n}",
+    "b^31 adag^30 + 1/3 N^4 b^2",
+])
+def test_sweep_rows_match_each_n_alone(text):
+    # both sides, folded and normal-ordered, over n = 1..32 at once
+    expr = parse(text)
+    poly = normal_order(expr)
+    reps = [build_rep(n) for n in range(1, 33)]
+    direct, ordered = fold(expr, sweep_algebra(reps)), poly.eval_rep(reps)
+    for value in (direct, ordered):
+        densify(value, reps)  # every slot outside a matrix is 0
+    for i, rep in enumerate(reps):
+        _assert_row_alone(direct, fold(expr, sweep_algebra([rep])), i,
+                          rep.dim)
+        _assert_row_alone(ordered, poly.eval_rep([rep]), i, rep.dim)
+
+
+def test_multi_band_and_empty_values():
+    reps = [build_rep(n) for n in (1, 2, 3)]
+    alg = sweep_algebra(reps)
+    assert list(fold(parse("b + N + adag"), alg).bands) == [-1, 0, 1]
+    assert list(fold(parse("(b + adag)^5 N"), alg).bands) == [-3, -1, 1, 3]
+    # b^5 is 0 at n = 1..3: no band is left on either side
+    assert fold(parse("b^5"), alg).bands == {}
+    assert normal_order(parse("b^5")).eval_rep(reps).bands == {}
+    assert fold(parse("b^5 - b^5"), alg).row_max(3).tolist() == [0.0] * 3

@@ -315,7 +315,7 @@ PINNED_EVAL = [
      "-2/3*q^4 + 2/3*q^5 + 4/3*q^6 + 2/3*q^7 + "
      "-2/3*q^8)*adag*adag*b*b*b*N + (1/3*q^3 + 1/3*q^4 + -1/3*q^5 + "
      "-2/3*q^6 + -1/3*q^7 + 1/3*q^8 + 1/3*q^9)*adag*adag*b*b*b*N*N",
-     "4668e43a71ec27cf19e4298e7c132851f1c3f26b069bb56db37d59dc37733a73"),
+     "18c98ed5ee87684c6a8c95b4c1f6e7e10a0a16c76a6d88e7978a693d2883d054"),
     ("{(b) (sumcyc(adag,adag,N)),[N,7/9 q^-1 (b^2)]_n}",
      "(-7/3*q^-1 + -7 + -28/3*q + -7*q^2 + -7/3*q^3)*b + (-14/3 + "
      "-28/3*q + -28/3*q^2 + -14/3*q^3)*b*N + (7/3*q^-1 + 7/3 + "
@@ -327,7 +327,7 @@ PINNED_EVAL = [
      "-7/3*q^6)*adag*adag*b*b*b + (-7*q + 7/3*q^2 + "
      "-14/3*q^6)*adag*adag*b*b*b*N + (7/3*q + -7/3*q^2 + 7/3*q^5 + "
      "-7/3*q^6)*adag*adag*b*b*b*N*N",
-     "60f78558f573a69933d6298d634308c4f98cc20939845e76a06278076c5ac792"),
+     "e365b50df741f3949e6f0efe4db70b1431a3704923999f986190a5c3fab2d3a5"),
 ]
 
 
@@ -400,11 +400,11 @@ def test_models_output_pinned(argv, code, stream, digest, capsys):
 # diagnostic
 PINNED_AUDIT = [
     (["audit", "--n", "1..24"], 0, "out",
-     "6fe88931f356d5c7759aab54f3fdd40d35b58ce495c01a02e721541a6c45db11"),
+     "a218649985012de1060b710003876c4e0dd2317d854d70250cf2d88f0117cd03"),
     (["audit", "--n", "1..24", "--seed", "7"], 0, "out",
-     "502eb160307108bc3fb8b75d302ffde31818897201a4a914695568da0b0ba666"),
+     "61527abdc5a87ee30758f581fed3ca42643da87d5947ee442d40a592c98152dc"),
     (["audit", "--n", "2..8", "--format", "table"], 0, "out",
-     "a48d10b8fae157eb5e5fe46dbb06f8373774d18898fc77a8ca95425948f322fa"),
+     "8be0ef032331bb26912013a816c98eeea4f3a2518ffb4875c247c027d658b298"),
     (["audit", "--n", "1"], 2, "err",
      "958b4fa80ebb85a7f4b169280d13f21e27a9ec28e6d730f12b585748356350fc"),
 ]
@@ -547,8 +547,13 @@ _DIRECT_BEYOND = ("a matrix product at n = {} is beyond float range, so it "
     # b^5 is 0 at n = 1, so only the normal form's 10^400 b^5 overflows
     (f"{_E200} b^5 {_E200}", "1", "a coefficient of the normal form is "
      "beyond float range, so it cannot be evaluated"),
+    # 41^192 is beyond float range and 40^192 is not: the sweep's last row
+    # names its n, and the normal form's 41^192, beyond a smaller n's
+    # matrix, is never evaluated
+    ("N^64 N^64 N^64", "1..41", _DIRECT_BEYOND.format(41)),
 ], ids=["coefficient", "scalar-power", "direct-overflow",
-        "direct-overflow-then-invalid", "normal-form-overflow"])
+        "direct-overflow-then-invalid", "normal-form-overflow",
+        "direct-overflow-last-n"])
 def test_eval_beyond_float_range_exit_one(expression, n, message, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -557,6 +562,29 @@ def test_eval_beyond_float_range_exit_one(expression, n, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_eval_below_float_limit_exit_zero(capsys):
+    # 40^192 is finite, so the sweep up to 40 is evaluated with no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval", "N^64 N^64 N^64", "--n", "1..40"]) == 0
+    assert caught == []
+    per_n = json.loads(capsys.readouterr().out)["per_n"]
+    assert [row["n"] for row in per_n] == list(range(1, 41))
+    assert all(math.isfinite(row["matrix_residual"]) for row in per_n)
+
+
+def test_eval_rows_below_a_normal_form_overflow_stay_finite(capsys):
+    # the normal form's 41^192 is beyond float range, and beyond the
+    # matrices of n = 39 and 40: their rows keep the residuals of a sweep
+    # without 41, as when each n was evaluated alone
+    expression = "(1/2 N)^64 (1/2 N)^64 (1/2 N)^64"
+    assert main(["eval", expression, "--n", "39..40"]) == 0
+    alone = json.loads(capsys.readouterr().out)["per_n"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["eval", expression, "--n", "39..41"]) == 0
+    assert json.loads(capsys.readouterr().out)["per_n"][:2] == alone
 
 
 @pytest.mark.parametrize("expression,offset", [
@@ -890,6 +918,10 @@ def _edge_argvs(tmp_path):
         (["eval", f"{_E200} b {_E200}", "--n", "1"], 1),
         # and in the normal form only: b^5 is 0 at n = 1
         (["eval", f"{_E200} b^5 {_E200}", "--n", "1"], 1),
+        # beyond float range at the last n of the sweep only
+        (["eval", "N^64 N^64 N^64", "--n", "40..41"], 1),
+        # a normal-form word above every n of the sweep
+        (["eval", "b^5 - N", "--n", "1..3"], 0),
         (["eval", "(((2^64)^64)^64) b", "--n", "1"], 1),
         (["eval", "b #", "--n", "1"], 1),
         (["eval", "1" * 4301, "--n", "1"], 1),
@@ -1005,6 +1037,13 @@ UNREACHED = {
         _VALUE + "; every printed coefficient is nonzero",
     ("gentile.laurent.Terms.__hash__",
      "return hash(frozenset(self._terms.items()))"): _VALUE,
+    ("gentile.rep.Bands.__eq__", "if other.__class__ is not Bands:"): _VALUE,
+    ("gentile.rep.Bands.__eq__", "return NotImplemented"): _VALUE,
+    ("gentile.rep.Bands.__eq__", "return self._bits() == other._bits()"):
+        _VALUE,
+    ("gentile.rep.Bands.__hash__", "return hash(self._bits())"): _VALUE,
+    ("gentile.rep.Bands._bits", "return tuple((o, band.tobytes()) "
+     "for o, band in self.bands.items())"): _VALUE,
     ("gentile.symbolic.freepoly.FreePoly.__repr__", 'return "0"'):
         _VALUE + "; the audit prints a zero residual as 0 itself",
     ("gentile.laurent.LaurentScalar.__add__", "return NotImplemented"):

@@ -179,6 +179,8 @@ def _instances():
             Algebra(str, str, max, abs, None, None),
             q_integer(3), expand_free(parse("u v")),
             normal_order(parse("b adag")),
+            normal_order(parse("b adag")).eval_rep([build_rep(2),
+                                                    build_rep(3)]),
             IdentityEntry("e1", X, Y, FORMAL_Q), _result(), build_rep(3),
             number_from_arcsin(build_rep(3)),
             build_coherent(3, LambdaChoice("plus")),
@@ -225,7 +227,7 @@ def test_shared_scalar_constants_are_frozen():
 def test_normal_form_eval_tables_are_not_fields():
     # the cached float tables stay out of ==, hash and repr
     filled, fresh = (normal_order(parse("b adag")) for _ in range(2))
-    filled.eval_rep(build_rep(2))
+    filled.eval_rep([build_rep(2)])
     assert filled == fresh and hash(filled) == hash(fresh)
     assert repr(filled) == repr(fresh)
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from _reference import (BITWISE_N, arcsin_collisions, bracket_number,
-                        dense_arcsin_values, dense_ladder, dense_sine_matrix)
+                        dense_arcsin_values, dense_ladder, dense_sine_matrix,
+                        densify)
 from gentile import audit
-from gentile.audit import ladder_matrices
+from gentile.audit import sweep_algebra
 from gentile.catalog import FREE, QUOTIENT, build_catalog
 from gentile.errors import GateFailed
 from gentile.linalg import max_abs_diff
@@ -118,38 +119,46 @@ def test_matrices_readonly():
     rep = build_rep(2)
     with pytest.raises(TypeError):  # a tuple
         rep.amp[0] = 1.0
-    for m in ladder_matrices(rep).values():
-        with pytest.raises(ValueError):
-            m[0, ...] = 1.0
+    # the sweep's generator bands are shared by every fold
+    alg = sweep_algebra([rep, build_rep(5)])
+    for value in map(alg.gen, ("adag", "b", "N")):
+        for band in value.bands.values():
+            with pytest.raises(ValueError):
+                band[0, ...] = 1.0
 
 
 def test_ladder_matrices_are_the_dense_ladder():
-    # a batch of one of each dense reference matrix, bit for bit
-    for n in range(1, 129):
-        rep = build_rep(n)
-        mats = ladder_matrices(rep)
-        assert list(mats) == ["adag", "b", "N"]
-        for m, want in zip(mats.values(), dense_ladder(rep)):
-            assert m.shape == (1, n + 1, n + 1) and m.dtype == complex
-            assert m[0].tobytes() == want.tobytes(), n
+    # the sweep's generators densify to each dense reference matrix, bit
+    # for bit, over one sweep of n = 1..128
+    reps = [build_rep(n) for n in range(1, 129)]
+    alg = sweep_algebra(reps)
+    gens = [densify(alg.gen(name), reps) for name in ("adag", "b", "N")]
+    assert [list(alg.gen(name).bands) for name in ("adag", "b", "N")] \
+        == [[-1], [1], [0]]
+    for rep, *mats in zip(reps, *gens):
+        for m, want in zip(mats, dense_ladder(rep)):
+            assert m.dtype == complex
+            assert m.tobytes() == want.tobytes(), rep.n
 
 
 def test_matrices_built_once_from_amp(monkeypatch):
     rep = build_rep(5)
     assert len(rep.amp) == 5 and {type(x) for x in rep.amp} == {complex}
     amp = np.asarray(rep.amp)
-    mats = ladder_matrices(rep)
-    assert amp.tobytes() == mats["adag"][0].diagonal(-1).tobytes() \
-        == mats["b"][0].diagonal(1).tobytes()
-    assert np.count_nonzero(mats["adag"]) == np.count_nonzero(amp)
-    # the audit builds them once per n, and only for a QUOTIENT entry
+    alg = sweep_algebra([rep])
+    assert amp.tobytes() == alg.gen("adag").bands[-1][0, 1:].tobytes() \
+        == alg.gen("b").bands[1][0, :5].tobytes()
+    assert np.count_nonzero(alg.gen("adag").bands[-1]) \
+        == np.count_nonzero(amp)
+    # the audit builds one sweep algebra for all n, and only for a
+    # QUOTIENT entry
     built = []
 
-    def counted(rep):
-        built.append(rep.n)
-        return ladder_matrices(rep)
+    def counted(reps):
+        built.append([r.n for r in reps])
+        return sweep_algebra(reps)
 
-    monkeypatch.setattr(audit, "ladder_matrices", counted)
+    monkeypatch.setattr(audit, "sweep_algebra", counted)
     free = [e for e in build_catalog() if e.strategy == FREE]
     audit.run_full_audit(n_values=(2, 5), trials=1, seed=0,
                          entries=free[:2])
@@ -157,7 +166,7 @@ def test_matrices_built_once_from_amp(monkeypatch):
     quotient = [e for e in build_catalog() if e.strategy == QUOTIENT]
     audit.run_full_audit(n_values=(2, 5), trials=1, seed=0,
                          entries=free[:1] + quotient[:3])
-    assert built == [2, 5]
+    assert built == [[2, 5]]
 
 
 def test_arcsin_audit_prediction():

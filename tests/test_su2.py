@@ -232,10 +232,10 @@ def test_solve_and_verify_match_scalar_route_bitwise(choice):
         solved += 1
         divided, p_ref = scalar_solve(n, choice)
         nodes = operator_diagonal(build_rep(n), choice)[1:].tolist()
-        p = [newton_eval(rep.nodes, rep.divided, x) for x in nodes]
+        p = newton_eval(rep.nodes, rep.divided, nodes)
         assert np.array(rep.divided).tobytes() \
             == np.array(divided).tobytes(), n
-        assert np.array(p).tobytes() == np.array(p_ref).tobytes(), n
+        assert p.tobytes() == np.array(p_ref).tobytes(), n
         residuals, ok = verify_representation(rep)
         expected, expected_ok = dense_verify_representation(rep)
         assert repr(residuals) == repr(expected), n

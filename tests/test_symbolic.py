@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _reference import dense_ladder, eval_one, laurent_scalar, substitute
+from _reference import (dense_eval_rep, dense_ladder, densify, eval_one,
+                        laurent_scalar, norm_bound, substitute)
 from gentile.errors import OutOfRange, ParseError
 from gentile.laurent import ONE, Q, QINV, ZERO, LaurentScalar, q_integer
 from gentile.linalg import max_abs_diff
@@ -369,7 +370,7 @@ def test_normal_order_matches_representation(word, n):
     rep = build_rep(n)
     assignment = dict(zip(("adag", "b", "N"), dense_ladder(rep)))
     direct = eval_one(expr, assignment, rep.roots, rep.dim)
-    ordered = normal_order(expr).eval_rep(rep)
+    ordered, = densify(normal_order(expr).eval_rep([rep]), [rep])
     scale = max(1.0, float(np.max(np.abs(direct))))
     assert max_abs_diff(direct, ordered) <= 1e-10 * scale
 
@@ -379,14 +380,18 @@ def test_normal_order_matches_representation(word, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 32])
 def test_eval_rep_matches_dense_powers(n):
-    rep = build_rep(n)
+    # each word over a sweep that holds n between smaller and larger reps
+    reps = [build_rep(m) for m in (1, n, 4, 33)]
+    rep = reps[1]
     a_dag, b, num = dense_ladder(rep)
     coef = laurent_scalar({-1: Fraction(1, 3), 2: Fraction(2)})
     eps = np.finfo(float).eps
     for j in sorted({0, 1, 2, 3, 6, n, n + 1}):
         for k in sorted({0, 1, 2, 3, 6, n, n + 1}):
             for m in range(5):
-                got = QuotientPoly({(j, k, m): coef}).eval_rep(rep)
+                value = QuotientPoly({(j, k, m): coef}).eval_rep(reps)
+                assert set(value.bands) <= {k - j}
+                got = densify(value, reps)[1]
                 dense = (np.linalg.matrix_power(a_dag, j)
                          @ np.linalg.matrix_power(b, k)
                          @ np.linalg.matrix_power(num, m))
@@ -402,7 +407,7 @@ def test_eval_rep_matches_dense_powers(n):
 def test_eval_rep_coefficient_beyond_float_range():
     poly = QuotientPoly({(0, 1, 0): LaurentScalar.from_rational(10 ** 400)})
     with pytest.raises(OutOfRange, match="beyond float range"):
-        poly.eval_rep(build_rep(2))
+        poly.eval_rep([build_rep(2)])
 
 
 # -- fold: normal form against direct evaluation, every node kind -------------
@@ -435,24 +440,6 @@ def _trees(draw, depth, degree):
     return cls(draw(_trees(depth - 1, left)), draw(_trees(depth - 1, right)))
 
 
-def _norm_bound(e, norms) -> float:
-    """Upper bound on the operator norm of every subexpression value."""
-    if isinstance(e, Gen):
-        return norms[e.name]
-    if isinstance(e, Scal):
-        return float(sum(abs(c) for c in e.value.terms.values()))
-    if isinstance(e, (Add, Sub)):
-        return _norm_bound(e.left, norms) + _norm_bound(e.right, norms)
-    if isinstance(e, Pow):
-        return _norm_bound(e.base, norms) ** e.exponent
-    if isinstance(e, ProductSum):
-        m = len(e.operands)
-        orders = m if e.cyclic else math.factorial(m)
-        return orders * math.prod(_norm_bound(x, norms) for x in e.operands)
-    product_bound = _norm_bound(e.left, norms) * _norm_bound(e.right, norms)
-    return product_bound if isinstance(e, Mul) else 2.0 * product_bound
-
-
 @settings(max_examples=80, deadline=None)
 @given(_trees(3, 6))
 def test_normal_order_matches_eval_expr_every_node(expr):
@@ -462,16 +449,20 @@ def test_normal_order_matches_eval_expr_every_node(expr):
     scales with the tree's norm bound plus the normal form's term sizes.
     """
     poly = normal_order(expr)
-    for n in (1, 2, 3, 5):
-        rep = build_rep(n)
+    reps = [build_rep(n) for n in (1, 2, 3, 5)]
+    for rep, ordered in zip(reps, densify(poly.eval_rep(reps), reps)):
+        n = rep.n
         assignment = dict(zip(("adag", "b", "N"), dense_ladder(rep)))
         norms = {name: float(np.linalg.norm(mat, 2))
                  for name, mat in assignment.items()}
         direct = eval_one(expr, assignment, rep.roots, rep.dim)
-        ordered = poly.eval_rep(rep)
         nf_size = sum(
             float(sum(abs(c) for c in coeff.terms.values()))
             * norms["adag"] ** j * norms["b"] ** k * norms["N"] ** m
             for (j, k, m), coeff in poly.terms.items())
-        size = 1.0 + _norm_bound(expr, norms) + nf_size
+        size = 1.0 + norm_bound(expr, norms) + nf_size
         assert max_abs_diff(direct, ordered) <= 64 * (n + 1) * 2.2e-16 * size
+        # the sweep's normal form against the one-rep dense band loop, which
+        # sums the same terms in another order
+        assert max_abs_diff(ordered, dense_eval_rep(poly, rep)) \
+            <= 64 * (n + 1) * 2.2e-16 * (1.0 + nf_size)
