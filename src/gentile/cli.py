@@ -185,8 +185,8 @@ def _spectrum_csv(reports) -> str:
 def cmd_spectrum(args) -> str:
     n_values = parse_n_values(args.n)
     reports, failures = [], []
-    for n in n_values:
-        passed, deviation, report = spectrum_crosscheck(n)
+    for n, (passed, deviation, report) in zip(
+            n_values, spectrum_crosscheck(n_values)):
         reports.append(report)
         if not passed:
             failures.append({"n": n, "deviation": deviation})
@@ -229,36 +229,38 @@ def cmd_su2(args) -> str:
         raise OutOfRange(f"n = {n_values[-1]} is above {N_LIMIT[choice]}, "
                          f"the largest n up to which --A {choice.value} "
                          "passes verify_representation")
-    records, failures, solved = [], [], []
-    for n in n_values:
-        try:
-            rep = solve_representation(n, choice)
-        except DegenerateNodes as exc:
+    records, solved = [], []
+    for n, rep in zip(n_values, solve_representation(n_values, choice)):
+        if isinstance(rep, DegenerateNodes):
             records.append({
                 "n": n, "choice": choice.value,
-                "degenerate_nodes": {"pair": exc.pair,
-                                     "separation": exc.separation},
+                "degenerate_nodes": {"pair": rep.pair,
+                                     "separation": rep.separation},
             })
             continue
-        residuals, ok = verify_representation(rep)
-        record = {"n": n, "j": rep.j, "choice": choice.value,
-                  "residuals": residuals}
+        record = {"n": n, "j": rep.j, "choice": choice.value}
         records.append(record)
         solved.append((record, rep))
+    reps = [rep for _, rep in solved]
+    failures = []
+    for (record, rep), (residuals, ok) in zip(
+            solved, verify_representation(reps) if reps else []):
+        record["residuals"] = residuals
         if not ok:
-            failures.append({"n": n, "residuals": residuals})
+            failures.append({"n": rep.n, "residuals": residuals})
     if failures:
         raise GateFailed("verify_representation", failures)
     # lambda is solved only for a report that is printed
-    for record, rep in solved:
-        lambdas = np.conj(newton_coefficients(rep.nodes, rep.divided))
-        record["lambdas"] = lambdas.tolist()
+    if reps:
+        lambdas = np.conj(newton_coefficients(reps))
+        for (record, rep), row in zip(solved, lambdas):
+            record["lambdas"] = row[:rep.n].tolist()
     return _dump_json(records)
 
 
-def _direct_beyond(n: int) -> OutOfRange:
-    return OutOfRange(f"a matrix product at n = {n} is beyond float range, "
-                      "so it cannot be evaluated")
+def _beyond(what: str, n: int) -> OutOfRange:
+    return OutOfRange(f"{what} at n = {n} is beyond float range, so it "
+                      "cannot be evaluated")
 
 
 def cmd_eval(args) -> str:
@@ -275,16 +277,21 @@ def cmd_eval(args) -> str:
     with np.errstate(over="ignore", invalid="ignore"):
         direct = fold(expr, sweep_algebra(reps))
         size = direct.row_max(len(reps))
-    beyond = [n for n, s in zip(n_values, size) if not math.isfinite(s)]
     # refused in the order of a sweep one n at a time: the direct side at
-    # the first n, the normal form's coefficients, then the direct side at
-    # each later n
-    if beyond and beyond[0] == n_values[0]:
-        raise _direct_beyond(beyond[0])
+    # the first n, the normal form's coefficients, then at each n the
+    # direct side and the normal form's matrix
+    if not math.isfinite(size[0]):
+        raise _beyond("a matrix product", n_values[0])
     poly._band_tables()  # OutOfRange -> exit 1 via main()
-    if beyond:
-        raise _direct_beyond(beyond[0])
-    residuals = (direct - poly.eval_rep(reps)).row_max(len(reps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        normal = poly.eval_rep(reps)
+        normal_size = normal.row_max(len(reps))
+    for n, s, t in zip(n_values, size, normal_size):
+        if not math.isfinite(s):
+            raise _beyond("a matrix product", n)
+        if not math.isfinite(t):
+            raise _beyond("the normal form", n)
+    residuals = (direct - normal).row_max(len(reps))
     records = [{"n": n, "matrix_residual": float(r)}
                for n, r in zip(n_values, residuals)]
     if args.format == "table":
@@ -300,10 +307,10 @@ def cmd_eval(args) -> str:
 
 def cmd_arcsin_audit(args) -> str:
     n_values = parse_n_values(args.n)
+    reps = [build_rep(n) for n in n_values]
     records = []
-    for n in n_values:
-        # GateFailed -> exit 2 via main()
-        audit = number_from_arcsin(build_rep(n))
+    # GateFailed -> exit 2 via main()
+    for n, audit in zip(n_values, number_from_arcsin(reps)):
         records.append({
             "n": n,
             "table": audit.table,

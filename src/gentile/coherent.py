@@ -27,16 +27,6 @@ class LambdaChoice(Enum):
     ALTERNATING = "alternating"
 
 
-def lambda_value(choice, v: int, roots) -> complex:
-    """The twist phase lambda(nu, n), from the table ``roots`` of
-    q^0 .. q^n (``GentileRep.roots``)."""
-    if choice is LambdaChoice.ROOT_OF_UNITY_PLUS:
-        return roots[v]
-    if choice is LambdaChoice.ROOT_OF_UNITY_MINUS:
-        return roots[-v % len(roots)]
-    return complex((-1) ** v)  # ALTERNATING
-
-
 class CoherentState(Record):
     """The coherent state on the module with basis |nu> psi^k, 0 <= nu,
     k <= rep.n; b acts with the amplitudes ``rep.amp``, psi with ``lam``."""
@@ -52,7 +42,14 @@ class CoherentState(Record):
 def build_coherent(n: int, choice) -> CoherentState:
     """Coherent state from the delta recursion, diagonal in (nu, k)."""
     rep = build_rep(n)
-    lam = tuple(lambda_value(choice, v, rep.roots) for v in range(n + 1))
+    # lambda(nu, n) for nu = 0..n: q^nu, q^-nu or (-1)^nu, the powers of q
+    # read from the rep's table
+    if choice is LambdaChoice.ROOT_OF_UNITY_PLUS:
+        lam = rep.roots
+    elif choice is LambdaChoice.ROOT_OF_UNITY_MINUS:
+        lam = rep.roots[:1] + rep.roots[:0:-1]
+    else:
+        lam = tuple(complex((-1) ** v) for v in range(n + 1))
     amp = rep.amp  # sqrt(<1>) .. sqrt(<n>)
     delta = [1 + 0j]
     for v in range(n):

@@ -10,7 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """Entrywise maximum modulus of a - b.  Exactly 0 for identical input."""
-    diff = np.abs(np.subtract(a, b))
-    return float(np.max(diff)) if diff.size else 0.0
+def max_abs_diff(a: np.ndarray, b: np.ndarray, inside) -> list:
+    """Entrywise maximum modulus of a - b over the slots ``inside`` of each
+    row, as Python floats: exactly 0 for identical input, NaN where a slot
+    inside is NaN."""
+    return np.max(np.where(inside, np.abs(np.subtract(a, b)), 0.0),
+                  axis=1).tolist()

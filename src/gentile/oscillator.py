@@ -16,23 +16,25 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from ._record import Record
-from .rep import build_rep, require_hermitian
+from .rep import (build_rep, quadratic_diagonals, require_hermitian,
+                  sweep_ladder)
 
 CLUSTER_TOL = 1e-9
 SPECTRUM_TOL = 1e-10  # levels vs eigenvalues; also H's Hermiticity
 
 
-def build_hamiltonian(n: int) -> np.ndarray:
+def build_hamiltonian(reps) -> np.ndarray:
     """Diagonal of the quadratic Hamiltonian
     (1/4)[alpha a^dag b + beta b a^dag + h.c.] with alpha = 1 and
-    beta = conj(q).
+    beta = conj(q), for each rep of a sweep: one row each, 0 beyond the
+    rep.
 
     Each term pairs a raising with a lowering ladder matrix, so H is
-    diagonal (see ``GentileRep.quadratic_diagonals``).
+    diagonal (see ``rep.quadratic_diagonals``).
     """
-    rep = build_rep(n)
-    adag_b, bdag_a, a_bdag, b_adag = rep.quadratic_diagonals()
-    alpha, beta = 1 + 0j, rep.q.conjugate()
+    adag_b, bdag_a, a_bdag, b_adag = quadratic_diagonals(*sweep_ladder(reps))
+    alpha = 1 + 0j
+    beta = np.array([[rep.q.conjugate()] for rep in reps])
     return (alpha * adag_b + beta * b_adag
             + np.conj(alpha) * bdag_a + np.conj(beta) * a_bdag) / 4.0
 
@@ -139,19 +141,25 @@ def closed_form_spectrum(n: int) -> SpectrumReport:
         degeneracy_discrepancies=tuple(discrepancies))
 
 
-def spectrum_crosscheck(n: int):
-    """Compare case-formula levels against the eigenvalues of H.
+def spectrum_crosscheck(n_values):
+    """Compare case-formula levels against the eigenvalues of H, one
+    ``(passed, max deviation, report)`` for each n of a sweep.
 
     H is diagonal, so its eigenvalues are the sorted real parts of its
-    diagonal, once H is Hermitian within SPECTRUM_TOL.  Returns
-    (passed, max deviation, report).
+    diagonal, once H is Hermitian within SPECTRUM_TOL at every n.
     """
-    report = closed_form_spectrum(n)
-    h = build_hamiltonian(n)
+    h = build_hamiltonian([build_rep(n) for n in n_values])
     require_hermitian(h, SPECTRUM_TOL)
-    eigvals = np.sort(h.real)
-    expanded = [e for e, m in report.levels for _ in range(m)]
-    if len(expanded) != n + 1:
-        return False, math.inf, report
-    deviation = max(abs(a - b) for a, b in zip(sorted(expanded), eigvals))
-    return deviation <= SPECTRUM_TOL, deviation, report
+    # the slots beyond a rep sort last
+    outside = np.arange(h.shape[1]) > np.array(n_values)[:, None]
+    eigvals = np.sort(np.where(outside, np.inf, h.real), axis=1)
+    results = []
+    for n, row in zip(n_values, eigvals.tolist()):
+        report = closed_form_spectrum(n)
+        expanded = [e for e, m in report.levels for _ in range(m)]
+        if len(expanded) != n + 1:
+            results.append((False, math.inf, report))
+            continue
+        deviation = max(abs(a - b) for a, b in zip(sorted(expanded), row))
+        results.append((deviation <= SPECTRUM_TOL, deviation, report))
+    return results

@@ -49,24 +49,6 @@ class GentileRep(Record):
     def q(self) -> complex:
         return self.roots[1]
 
-    def quadratic_diagonals(self):
-        """Diagonals of a^dag b, b^dag a, a b^dag and b a^dag, in that order.
-
-        Each product pairs a raising with a lowering band, so it is
-        diagonal: (raise lower)[v, v] = raise[v, v-1] lower[v-1, v] for
-        v >= 1 and (lower raise)[v, v] = lower[v, v+1] raise[v+1, v] for
-        v < n.  The bands are amp (a^dag, b) and conj(amp) (a, b^dag).
-        """
-        amp = np.asarray(self.amp)
-        zero = np.zeros(1, dtype=complex)
-        up_down = amp * amp
-        up_down_bar = np.conj(amp) * np.conj(amp)
-        return (np.concatenate((zero, up_down)),
-                np.concatenate((zero, up_down_bar)),
-                np.concatenate((up_down_bar, zero)),
-                np.concatenate((up_down, zero)))
-
-
 def build_rep(n: int) -> GentileRep:
     """The bracket numbers and ladder amplitudes of one mode."""
     theta = 2.0 * math.pi / (n + 1)
@@ -87,6 +69,31 @@ def sweep_ladder(reps):
     for row, rep in zip(amp, reps):
         row[:rep.n] = rep.amp
     return mask, amp
+
+
+def quadratic_diagonals(mask, amp):
+    """Diagonals of a^dag b, b^dag a, a b^dag and b a^dag, in that order,
+    of a sweep's ``sweep_ladder`` arrays, each ``(len(reps), L)``: row i,
+    index v <= n_i holds entry (v, v) of rep i's product, and every slot
+    beyond is 0.
+
+    Each product pairs a raising with a lowering band, so it is
+    diagonal: (raise lower)[v, v] = raise[v, v-1] lower[v-1, v] for
+    v >= 1 and (lower raise)[v, v] = lower[v, v+1] raise[v+1, v] for
+    v < n.  The bands are amp (a^dag, b) and conj(amp) (a, b^dag).
+    """
+    up_down = amp * amp
+    up_down_bar = np.conj(amp) * np.conj(amp)
+    # conj turns amp's padding into -0j: set it back to 0, which a rep's
+    # (n, n) entry of a b^dag is
+    inside = np.zeros_like(mask)
+    inside[:, :-1] = mask[:, 1:]
+    up_down_bar[~inside] = 0
+    adag_b = np.zeros_like(amp)
+    adag_b[:, 1:] = up_down[:, :-1]
+    bdag_a = np.zeros_like(amp)
+    bdag_a[:, 1:] = up_down_bar[:, :-1]
+    return adag_b, bdag_a, up_down_bar, up_down
 
 
 class Bands(Record):
@@ -190,42 +197,53 @@ class ArcsinAudit(Record):
         return bool(self.collisions)
 
 
-def _sine_diagonal(rep: GentileRep) -> np.ndarray:
-    """Diagonal of M = (i/2)(a^dag b - b^dag a + a b^dag - b a^dag)."""
-    adag_b, bdag_a, a_bdag, b_adag = rep.quadratic_diagonals()
+def _sine_diagonal(reps) -> np.ndarray:
+    """Diagonal of M = (i/2)(a^dag b - b^dag a + a b^dag - b a^dag) for
+    each rep of a sweep, one row each, 0 beyond the rep."""
+    adag_b, bdag_a, a_bdag, b_adag = quadratic_diagonals(*sweep_ladder(reps))
     return 0.5j * (adag_b - bdag_a + a_bdag - b_adag)
 
 
-def require_hermitian(diagonal: np.ndarray, tol: float):
-    """``GateFailed("NotHermitian")`` unless m = diag(diagonal) is
-    Hermitian: max |m - m^H| <= tol."""
-    dev = float(np.max(np.abs(diagonal - diagonal.conj())))
-    if not dev <= tol:  # a NaN entry makes dev NaN
-        raise GateFailed("NotHermitian", f"max |m - m^H| = {dev:.3e} "
+def require_hermitian(diagonals: np.ndarray, tol: float):
+    """``GateFailed("NotHermitian")`` for the first row whose
+    m = diag(row) is not Hermitian: max |m - m^H| <= tol."""
+    dev = np.max(np.abs(diagonals - diagonals.conj()), axis=1)
+    failed = ~(dev <= tol)  # a NaN entry makes dev NaN
+    if failed.any():
+        first = float(dev[np.argmax(failed)])
+        raise GateFailed("NotHermitian", f"max |m - m^H| = {first:.3e} "
                          f"exceeds tol {tol:.3e}")
 
 
-def number_from_arcsin(rep: GentileRep) -> ArcsinAudit:
-    """Reconstruct the number operator from the sine combination.
+def number_from_arcsin(reps) -> list:
+    """Reconstruct the number operator from the sine combination, one
+    ``ArcsinAudit`` for each rep of a sweep.
 
     M is diagonal in the Fock basis, with eigenvalue sin(2*pi*nu/(n+1))
     on |nu>, so its principal-branch arcsin, scaled by (n+1)/(2*pi), is
     taken entry by entry on the diagonal.  The per-state table records
     where the reconstruction agrees with nu; collisions between distinct
-    nu values are flagged.
+    nu values are flagged.  The gates are those of a sweep one n at a
+    time: at each n, M Hermitian, then its eigenvalues in [-1, 1].
     """
-    m = _sine_diagonal(rep)
-    require_hermitian(m, ARCSIN_TOL)
+    m = _sine_diagonal(reps)
     diag_m = m.real
-    if not (np.all(diag_m >= -1.0 - ARCSIN_TOL)
-            and np.all(diag_m <= 1.0 + ARCSIN_TOL)):
+    inside = np.all((diag_m >= -1.0 - ARCSIN_TOL)
+                    & (diag_m <= 1.0 + ARCSIN_TOL), axis=1)
+    first = int(np.argmin(inside))  # the first row outside, else 0
+    require_hermitian(m if inside[first] else m[:first + 1], ARCSIN_TOL)
+    if not inside[first]:
         raise GateFailed("DomainError", "eigenvalue outside domain "
                          f"[-1.0, 1.0] by more than {ARCSIN_TOL}")
-    scale = (rep.n + 1) / (2.0 * math.pi)
-    table = []
-    for v, x in enumerate(np.clip(diag_m, -1.0, 1.0).tolist()):
-        value = scale * math.asin(x)
-        table.append((v, value, abs(value - v) <= MATCH_TOL))
-    return ArcsinAudit(table=tuple(table),
-                       collisions=tuple(_close_pairs(diag_m.tolist(),
-                                                     MATCH_TOL)))
+    audits = []
+    for rep, row, clipped in zip(reps, diag_m.tolist(),
+                                 np.clip(diag_m, -1.0, 1.0).tolist()):
+        scale = (rep.n + 1) / (2.0 * math.pi)
+        table = []
+        for v, x in enumerate(clipped[:rep.dim]):
+            value = scale * math.asin(x)
+            table.append((v, value, abs(value - v) <= MATCH_TOL))
+        audits.append(ArcsinAudit(
+            table=tuple(table),
+            collisions=tuple(_close_pairs(row[:rep.dim], MATCH_TOL))))
+    return audits

@@ -21,9 +21,12 @@ from the library's monomials: the library builds Laurent scalars only
 from their fields, numerators over one denominator.  The dense complex
 evaluator, its ladder matrices and the one-rep dense normal form are the
 matrix routes that the sweep's band form replaced; the bands must
-densify to their values within rounding.  Only the eigensolver
-and the Bose-limit check check their input: the others are called only
-with valid arguments.
+densify to their values within rounding.  The one-rep quadratic
+diagonals and the per-nu twist phase are what the sweep's diagonals and
+the coherent state's reads of the roots table replaced; the library must
+give exactly their bits.  The whole-array residual is the tests' measure
+of closeness.  Only the eigensolver and the Bose-limit check check their
+input: the others are called only with valid arguments.
 """
 
 import cmath
@@ -34,14 +37,13 @@ from itertools import permutations
 
 import numpy as np
 
-from gentile.coherent import LambdaChoice, closed_form_deltas, lambda_value
+from gentile.coherent import LambdaChoice, closed_form_deltas
 from gentile.errors import GentileError
 from gentile.laurent import ZERO, LaurentScalar
-from gentile.linalg import max_abs_diff
 from gentile.oscillator import (CLUSTER_TOL, _case_levels,
                                 _prose_multiplicity, build_hamiltonian,
                                 case_class, per_state_energy)
-from gentile.rep import build_rep
+from gentile.rep import build_rep, sweep_ladder
 from gentile.su2 import (NODE_SEPARATION, TOL, DiagonalChoice,
                          ladder_targets, leja_order, operator_diagonal)
 from gentile.symbolic import (Add, Algebra, Expr, Gen, Mul, Pow,
@@ -56,6 +58,36 @@ def laurent_scalar(terms) -> LaurentScalar:
         total = (total
                  + LaurentScalar.from_rational(c) * LaurentScalar.q_power(k))
     return total
+
+
+def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """Entrywise maximum modulus of a - b over one whole array, exactly 0
+    for identical input; ``linalg.max_abs_diff`` takes it row by row."""
+    diff = np.abs(np.subtract(a, b))
+    return float(np.max(diff)) if diff.size else 0.0
+
+
+def lambda_value(choice, v: int, roots) -> complex:
+    """The twist phase lambda(nu, n), from the table ``roots`` of
+    q^0 .. q^n (``GentileRep.roots``)."""
+    if choice is LambdaChoice.ROOT_OF_UNITY_PLUS:
+        return roots[v]
+    if choice is LambdaChoice.ROOT_OF_UNITY_MINUS:
+        return roots[-v % len(roots)]
+    return complex((-1) ** v)  # ALTERNATING
+
+
+def rep_quadratic_diagonals(rep):
+    """Diagonals of a^dag b, b^dag a, a b^dag and b a^dag of one rep, each
+    band product with a 0 appended or prepended."""
+    amp = np.asarray(rep.amp)
+    zero = np.zeros(1, dtype=complex)
+    up_down = amp * amp
+    up_down_bar = np.conj(amp) * np.conj(amp)
+    return (np.concatenate((zero, up_down)),
+            np.concatenate((zero, up_down_bar)),
+            np.concatenate((up_down_bar, zero)),
+            np.concatenate((up_down, zero)))
 
 
 def bracket_number(n: int, v: int) -> complex:
@@ -261,7 +293,7 @@ def ladder_commutation_check(n: int, tol: float = 1e-12):
     """
     rep = build_rep(n)
     a_dag, b, _ = dense_ladder(rep)
-    h = np.diag(build_hamiltonian(n))
+    h = np.diag(build_hamiltonian([rep])[0])
     cos_n = np.diag([math.cos(2 * math.pi * v / (n + 1))
                      for v in range(rep.dim)])
     cos_nm1 = np.diag([math.cos(2 * math.pi * (v - 1) / (n + 1))
@@ -623,10 +655,10 @@ def scalar_solve(n: int, choice):
     """The divided-difference table over the Leja-ordered nodes and p at
     the nodes in state order, on numpy complex128 scalars."""
     rep = build_rep(n)
-    nodes = list(operator_diagonal(rep, choice)[1:])
-    c_plus, amp = ladder_targets(n), np.asarray(rep.amp)
+    nodes = list(operator_diagonal(*sweep_ladder([rep]), choice)[0, 1:])
+    c_plus, amp = ladder_targets([n])[0], np.asarray(rep.amp)
     targets = [c_plus[v] / amp[v] for v in range(n)]
-    order = leja_order(nodes)
+    order = leja_order(np.array([nodes]), np.array([n]))[0].tolist()
     leja = [nodes[k] for k in order]
     divided = scalar_divided_differences(leja, [targets[k] for k in order])
     return divided, [scalar_newton_eval(leja, divided, x) for x in nodes]

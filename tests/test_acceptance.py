@@ -8,14 +8,14 @@ import numpy as np
 
 from _acceptance_log import record
 from _reference import (bose_limit_check, closed_form_rows, dense_ladder,
-                        eval_one, hermitian_eigen, move_relation_check)
+                        eval_one, hermitian_eigen, max_abs_diff,
+                        move_relation_check)
 from gentile.audit import audit_crosscheck, run_full_audit
 from gentile.catalog import build_catalog
 from gentile.cli import main as cli_main
 from gentile.coherent import (LambdaChoice, build_coherent,
                               eigenstate_residual)
 from gentile.errors import DegenerateNodes
-from gentile.linalg import max_abs_diff
 from gentile.oscillator import (build_hamiltonian, closed_form_spectrum,
                                 per_state_energy, spectrum_crosscheck)
 from gentile.rep import build_rep, number_from_arcsin
@@ -52,13 +52,14 @@ def test_criterion_3_spectrum_triangulation():
     start = time.perf_counter()
     worst = 0.0
     ok = True
-    for n in range(1, 65):
-        passed, deviation, report = spectrum_crosscheck(n)
+    n_values = list(range(1, 65))
+    hamiltonians = build_hamiltonian([build_rep(n) for n in n_values])
+    for n, (passed, deviation, report), h in zip(
+            n_values, spectrum_crosscheck(n_values), hamiltonians):
         ok = ok and passed
         worst = max(worst, deviation)
         ok = ok and sum(m for _, m in report.levels) == n + 1
         # closed-form per-state energies against the Hamiltonian diagonal
-        h = build_hamiltonian(n)
         diag_dev = max(abs(h[v].real - per_state_energy(n, v))
                        for v in range(n + 1))
         worst = max(worst, diag_dev)
@@ -70,7 +71,7 @@ def test_criterion_3_spectrum_triangulation():
         g = rng.normal(size=(n + 1, n + 1)) \
             + 1j * rng.normal(size=(n + 1, n + 1))
         u, _ = np.linalg.qr(g)
-        h = np.diag(build_hamiltonian(n))
+        h = np.diag(build_hamiltonian([build_rep(n)])[0])
         eigvals, _ = hermitian_eigen(u @ h @ u.conj().T)
         expected = sorted(e for e, m in closed_form_spectrum(n).levels
                           for _ in range(m))
@@ -172,28 +173,23 @@ def test_criterion_9_su2():
     worst = 0.0
     ok = True
     # n = 99 is the largest n at which every choice and e010 pass
-    for n in range(1, 100):
-        for choice in (DiagonalChoice.NUM, DiagonalChoice.ADAG_B,
-                       DiagonalChoice.BDAG_A):
-            rep = solve_representation(n, choice)
-            residuals, passed = verify_representation(rep)
+    for choice in (DiagonalChoice.NUM, DiagonalChoice.ADAG_B,
+                   DiagonalChoice.BDAG_A):
+        reps = solve_representation(range(1, 100), choice)
+        for residuals, passed in verify_representation(reps):
             ok = ok and passed
             worst = max(worst, max(residuals.values()))  # e010 for adagb
     ok = ok and worst <= 1e-9
     # node collisions: adag a for every n >= 2; a adag once |<v+1>| pairs
     # exist inside states 1..n (first at n=4; solvable at n=2,3 — see ledger)
-    for n in range(2, 17):
-        try:
-            solve_representation(n, DiagonalChoice.ADAG_A)
-            ok = False
-        except DegenerateNodes as exc:
-            ok = ok and sum(exc.pair) == n + 1
-    for n in range(4, 17):
-        try:
-            solve_representation(n, DiagonalChoice.A_ADAG)
-            ok = False
-        except DegenerateNodes:
-            pass
+    for n, exc in zip(range(2, 17),
+                      solve_representation(range(2, 17),
+                                           DiagonalChoice.ADAG_A)):
+        ok = (ok and isinstance(exc, DegenerateNodes)
+              and sum(exc.pair) == n + 1)
+    ok = ok and all(isinstance(exc, DegenerateNodes) for exc in
+                    solve_representation(range(4, 17),
+                                         DiagonalChoice.A_ADAG))
     elapsed = time.perf_counter() - start
     record(9, "su(2) representations for n in 1..99 plus node collisions",
            ok and elapsed < 10.0,
@@ -204,7 +200,7 @@ def test_criterion_10_arcsin_audit():
     ok = True
     worst = 0.0
     for n in range(1, 17):
-        audit = number_from_arcsin(build_rep(n))
+        audit, = number_from_arcsin([build_rep(n)])
         for v, value, _ in audit.table:
             predicted = (n + 1) / (2 * math.pi) \
                 * math.asin(math.sin(2 * math.pi * v / (n + 1)))
@@ -212,7 +208,7 @@ def test_criterion_10_arcsin_audit():
     # asin is ill-conditioned at +/-1, so 1e-15 eigenvalue error can grow
     # to ~sqrt(eps) in the table; 1e-6 is the condition-limited bound
     ok = worst <= 1e-6
-    audit3 = number_from_arcsin(build_rep(3))
+    audit3, = number_from_arcsin([build_rep(3)])
     ok = ok and audit3.collision_flag and (0, 2) in audit3.collisions
     record(10, "Eq. (N2) arcsin reconstruction matches principal-branch "
            "prediction, collision flagged at n=3", ok,

@@ -13,7 +13,7 @@ import pytest
 from _reference import (dense_ladder, densify, eval_expr, eval_one,
                         expand_renames, laurent_scalar, norm_bound,
                         splitmix64_mix, splitmix64_outputs,
-                        splitmix64_uniforms)
+                        max_abs_diff, splitmix64_uniforms)
 from gentile.audit import (DEFAULT_TRIALS, RANDOM_DIM, TOL, IdentityResult,
                            SplitMix64, _block_algebras, _random_draws,
                            audit_crosscheck, audit_table, run_full_audit,
@@ -21,7 +21,6 @@ from gentile.audit import (DEFAULT_TRIALS, RANDOM_DIM, TOL, IdentityResult,
 from gentile.catalog import (FREE, FORMAL_Q, Q_AT_N, Q_EQ_1, Q_EQ_MINUS_1,
                              QUOTIENT, IdentityEntry, build_catalog)
 from gentile.errors import GateFailed
-from gentile.linalg import max_abs_diff
 from gentile.rep import build_rep
 from gentile.symbolic import (Algebra, Gen, Scal, cyc_sum, expand_free, fold,
                               generators_of, normal_order, parse, perm_sum)

@@ -28,7 +28,9 @@ from gentile.cli import (COMMON_OPTIONS, MAX_N, MAX_WORD, OPTION_FLAGS,
                          SUBCOMMANDS, _dump_json, build_parser, main,
                          parse_n_values)
 from gentile.errors import OutOfRange
+from gentile.rep import build_rep
 from gentile.su2 import N_LIMIT, DiagonalChoice
+from gentile.symbolic import normal_order, parse
 from gentile.symbolic.parser import MAX_PERM_OPERANDS, MAX_POWER
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -157,8 +159,8 @@ def test_su2_refuses_n_above_its_limit(choice, monkeypatch, capsys):
     # every n up to the limit passes the gate or has degenerate nodes (a
     # sweep of n = 1..MAX_N); the next n is refused before anything is
     # solved.  adaga and aadag hold to MAX_N, where parse_n_values refuses
-    def solve(n, choice):
-        raise _Solved(n)
+    def solve(n_values, choice):
+        raise _Solved(n_values[-1])
 
     monkeypatch.setattr("gentile.cli.solve_representation", solve)
     limit = N_LIMIT[choice]
@@ -530,6 +532,8 @@ def test_eval_long_word_below_cap(capsys):
 _E200 = "1" + "0" * 200
 _DIRECT_BEYOND = ("a matrix product at n = {} is beyond float range, so it "
                   "cannot be evaluated")
+_NORMAL_BEYOND = ("the normal form at n = {} is beyond float range, so it "
+                  "cannot be evaluated")
 
 
 @pytest.mark.parametrize("expression,n,message", [
@@ -551,9 +555,15 @@ _DIRECT_BEYOND = ("a matrix product at n = {} is beyond float range, so it "
     # names its n, and the normal form's 41^192, beyond a smaller n's
     # matrix, is never evaluated
     ("N^64 N^64 N^64", "1..41", _DIRECT_BEYOND.format(41)),
+    # the direct side's (41/2)^192 is finite, the normal form's 41^192 is
+    # not: its matrix at n = 41 is refused, where it once printed a NaN
+    # residual with exit 0
+    ("(1/2 N)^64 (1/2 N)^64 (1/2 N)^64", "41", _NORMAL_BEYOND.format(41)),
+    ("(1/2 N)^64 (1/2 N)^64 (1/2 N)^64", "1..41", _NORMAL_BEYOND.format(41)),
 ], ids=["coefficient", "scalar-power", "direct-overflow",
         "direct-overflow-then-invalid", "normal-form-overflow",
-        "direct-overflow-last-n"])
+        "direct-overflow-last-n", "normal-form-row-overflow",
+        "normal-form-row-overflow-last-n"])
 def test_eval_beyond_float_range_exit_one(expression, n, message, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -575,16 +585,34 @@ def test_eval_below_float_limit_exit_zero(capsys):
     assert all(math.isfinite(row["matrix_residual"]) for row in per_n)
 
 
+def test_eval_normal_form_below_float_limit_exit_zero(capsys):
+    # the normal form's 40^192 is finite too, so the sweep that stops
+    # below its refusal at 41 is evaluated with no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval", "(1/2 N)^64 (1/2 N)^64 (1/2 N)^64",
+                     "--n", "1..40"]) == 0
+    assert caught == []
+    per_n = json.loads(capsys.readouterr().out)["per_n"]
+    assert [row["n"] for row in per_n] == list(range(1, 41))
+    assert all(math.isfinite(row["matrix_residual"]) for row in per_n)
+
+
 def test_eval_rows_below_a_normal_form_overflow_stay_finite(capsys):
     # the normal form's 41^192 is beyond float range, and beyond the
-    # matrices of n = 39 and 40: their rows keep the residuals of a sweep
-    # without 41, as when each n was evaluated alone
-    expression = "(1/2 N)^64 (1/2 N)^64 (1/2 N)^64"
-    assert main(["eval", expression, "--n", "39..40"]) == 0
-    alone = json.loads(capsys.readouterr().out)["per_n"]
+    # matrices of n = 39 and 40: their rows keep the bits of a sweep
+    # without 41, as when each n was evaluated alone, and eval refuses 41
+    poly = normal_order(parse("(1/2 N)^64 (1/2 N)^64 (1/2 N)^64"))
+    alone = poly.eval_rep([build_rep(n) for n in (39, 40)])
     with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["eval", expression, "--n", "39..41"]) == 0
-    assert json.loads(capsys.readouterr().out)["per_n"][:2] == alone
+        swept = poly.eval_rep([build_rep(n) for n in (39, 40, 41)])
+    assert not np.isfinite(swept.row_max(3)[2])
+    for offset, band in alone.bands.items():
+        assert swept.bands[offset][:2, :band.shape[1]].tobytes() \
+            == band.tobytes(), offset
+    assert main(["eval", "(1/2 N)^64 (1/2 N)^64 (1/2 N)^64",
+                 "--n", "39..41"]) == 1
+    assert capsys.readouterr().err == f"error: {_NORMAL_BEYOND.format(41)}\n"
 
 
 @pytest.mark.parametrize("expression,offset", [
@@ -839,11 +867,11 @@ def _inconsistent_audit(n_values, seed):
      'verdicts for \'appX\': symbolic PASS but numeric residual '
      '1.000e+00"\n}\n'),
     (["spectrum", "--n", "1"], "gentile.cli.spectrum_crosscheck",
-     lambda n: (False, 0.5, None),
+     lambda n_values: [(False, 0.5, None) for _ in n_values],
      '{\n  "contract": "spectrum_crosscheck",\n  "detail": [\n    {\n'
      '      "deviation": 0.5,\n      "n": 1\n    }\n  ]\n}\n'),
     (["spectrum", "--n", "1"], "gentile.oscillator.build_hamiltonian",
-     lambda n: np.full(n + 1, 1j),
+     lambda reps: np.full((len(reps), reps[-1].dim), 1j),
      '{\n  "contract": "NotHermitian",\n  "detail": "max |m - m^H| = '
      '2.000e+00 exceeds tol 1.000e-10"\n}\n'),
     (["coherent", "--n", "1"], "gentile.cli.eigenstate_residual",
@@ -851,16 +879,16 @@ def _inconsistent_audit(n_values, seed):
      '{\n  "contract": "eigenstate_residual",\n  "detail": [\n    {\n'
      '      "n": 1,\n      "residual": 1.0\n    }\n  ]\n}\n'),
     (["su2", "--n", "1"], "gentile.cli.verify_representation",
-     lambda rep: ({"casimir": 1.0}, False),
+     lambda reps: [({"casimir": 1.0}, False) for _ in reps],
      '{\n  "contract": "verify_representation",\n  "detail": [\n    {\n'
      '      "n": 1,\n      "residuals": {\n        "casimir": 1.0\n'
      '      }\n    }\n  ]\n}\n'),
     (["arcsin-audit", "--n", "1"], "gentile.rep._sine_diagonal",
-     lambda rep: np.full(rep.n + 1, 2j),
+     lambda reps: np.full((len(reps), reps[-1].dim), 2j),
      '{\n  "contract": "NotHermitian",\n  "detail": "max |m - m^H| = '
      '4.000e+00 exceeds tol 1.000e-12"\n}\n'),
     (["arcsin-audit", "--n", "1"], "gentile.rep._sine_diagonal",
-     lambda rep: np.full(rep.n + 1, 2 + 0j),
+     lambda reps: np.full((len(reps), reps[-1].dim), 2 + 0j),
      '{\n  "contract": "DomainError",\n  "detail": "eigenvalue outside '
      'domain [-1.0, 1.0] by more than 1e-12"\n}\n'),
 ], ids=["audit", "spectrum", "spectrum-hermitian", "coherent", "su2",
@@ -920,6 +948,8 @@ def _edge_argvs(tmp_path):
         (["eval", f"{_E200} b^5 {_E200}", "--n", "1"], 1),
         # beyond float range at the last n of the sweep only
         (["eval", "N^64 N^64 N^64", "--n", "40..41"], 1),
+        # and in the normal form's matrix only
+        (["eval", "(1/2 N)^64 (1/2 N)^64 (1/2 N)^64", "--n", "40..41"], 1),
         # a normal-form word above every n of the sweep
         (["eval", "b^5 - N", "--n", "1..3"], 0),
         (["eval", "(((2^64)^64)^64) b", "--n", "1"], 1),
@@ -1070,15 +1100,19 @@ UNREACHED = {
     ("gentile.cli.cmd_spectrum",
      'raise GateFailed("spectrum_crosscheck", failures)'): _GATE,
     ("gentile.cli.cmd_su2",
-     'failures.append({"n": n, "residuals": residuals})'): _GATE,
+     'failures.append({"n": rep.n, "residuals": residuals})'): _GATE,
     ("gentile.cli.cmd_su2",
      'raise GateFailed("verify_representation", failures)'): _GATE,
     ("gentile.oscillator.spectrum_crosscheck",
-     "return False, math.inf, report"): _GATE,
+     "results.append((False, math.inf, report))"): _GATE,
+    ("gentile.oscillator.spectrum_crosscheck", "continue"): _GATE,
     ("gentile.rep.number_from_arcsin",
      'raise GateFailed("DomainError", "eigenvalue outside domain "'): _GATE,
     ("gentile.rep.require_hermitian",
-     'raise GateFailed("NotHermitian", f"max |m - m^H| = {dev:.3e} "'): _GATE,
+     "first = float(dev[np.argmax(failed)])"): _GATE,
+    ("gentile.rep.require_hermitian",
+     'raise GateFailed("NotHermitian", f"max |m - m^H| = {first:.3e} "'):
+        _GATE,
     ("gentile.cli.main", "contract, detail = exc.args"): _EXIT_2,
     ("gentile.cli.main", "contract, detail = type(exc).__name__, str(exc)"):
         _EXIT_2 + ", or when a library error no handler names is raised",

@@ -8,11 +8,10 @@ import pytest
 
 from _reference import (BITWISE_N, GrassmannOps, bracket_number,
                         closed_form_rows, dense_eigenstate_residual,
-                        dense_ladder, move_relation_check)
+                        dense_ladder, lambda_value, move_relation_check)
 from gentile.coherent import (LambdaChoice, build_coherent,
                               closed_form_deltas, closed_form_modulus_gap,
-                              eigenstate_residual, lambda_value,
-                              normalization_poly)
+                              eigenstate_residual, normalization_poly)
 from gentile.rep import build_rep
 
 PRINTED_CHOICES = (LambdaChoice.ROOT_OF_UNITY_PLUS,
@@ -37,6 +36,17 @@ def test_lambda_values_match_exponentials(n):
                              (LambdaChoice.ROOT_OF_UNITY_MINUS, -1)):
             want = cmath.exp(sign * 2j * math.pi * v / (n + 1))
             assert abs(lambda_value(choice, v, roots) - want) <= 4e-15
+
+
+@pytest.mark.parametrize("choice", PRINTED_CHOICES)
+def test_coherent_reads_lambda_from_the_roots_table(choice):
+    # the state's lambda table is lambda(nu, n) for nu = 0..n, bit for bit
+    for n in BITWISE_N:
+        lam = build_coherent(n, choice).lam
+        roots = build_rep(n).roots
+        expected = tuple(lambda_value(choice, v, roots) for v in range(n + 1))
+        assert type(lam) is tuple and len(lam) == n + 1, n
+        assert np.array(lam).tobytes() == np.array(expected).tobytes(), n
 
 
 @pytest.mark.parametrize("n", (1, 2, 7, 40))

@@ -1,5 +1,6 @@
 """The reference Jacobi eigensolver and spectral functions, with numpy as
-the test oracle, and ``max_abs_diff``."""
+the test oracle, and the residuals ``linalg.max_abs_diff`` (row by row)
+and ``max_abs_diff`` (one matrix)."""
 
 import math
 import warnings
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from _reference import (DomainError, NoConvergence, NotHermitian, NotSquare,
-                        hermitian_eigen, matrix_function)
-from gentile.linalg import max_abs_diff
+                        hermitian_eigen, matrix_function, max_abs_diff)
+from gentile import linalg
 
 
 def _random_hermitian(rng, dim):
@@ -21,6 +22,18 @@ def test_max_abs_diff():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert max_abs_diff(a, a) == 0.0
     assert max_abs_diff(a, a + 1e-3) == pytest.approx(1e-3)
+    # the library's, row by row over the slots inside only, as Python
+    # floats
+    inside = np.array([[True, False], [True, True]])
+    b = a + np.array([[1e-3, 5.0], [0.0, -2e-3]])
+    assert linalg.max_abs_diff(a, a, inside) == [0.0, 0.0]
+    assert linalg.max_abs_diff(a, b, inside) \
+        == [max_abs_diff(a[0, :1], b[0, :1]), max_abs_diff(a[1], b[1])]
+    b[1, 0] = math.nan
+    b[0, 1] = math.nan
+    worst = linalg.max_abs_diff(a, b, inside)
+    assert worst[0] == pytest.approx(1e-3) and math.isnan(worst[1])
+    assert all(type(x) is float for x in worst)
 
 
 def test_eigen_diagonal_matrix():

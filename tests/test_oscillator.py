@@ -8,9 +8,8 @@ import pytest
 
 from _reference import (BITWISE_N, bose_limit_check, dense_ladder,
                         hermitian_eigen, ladder_commutation_check,
-                        spectrum_clustering)
+                        max_abs_diff, spectrum_clustering)
 from gentile.errors import GateFailed
-from gentile.linalg import max_abs_diff
 from gentile.oscillator import (SPECTRUM_TOL, build_hamiltonian,
                                 case_class, closed_form_spectrum,
                                 per_state_energy, spectrum_crosscheck)
@@ -41,11 +40,13 @@ def test_n3_spectrum_oracle():
 
 
 def test_hamiltonian_diagonal():
-    for n in (1, 2, 3, 5, 8):
-        h = build_hamiltonian(n)
-        assert h.shape == (n + 1,)
+    n_values = (1, 2, 3, 5, 8)
+    rows = build_hamiltonian([build_rep(n) for n in n_values])
+    assert rows.shape == (5, 9)
+    for n, h in zip(n_values, rows):
         for v in range(n + 1):
             assert abs(h[v].real - per_state_energy(n, v)) <= 1e-12
+        assert not h[n + 1:].any()
 
 
 def _dense_hamiltonian(n):
@@ -62,7 +63,8 @@ def test_hamiltonian_matches_dense_products():
     # the dense products are diagonal too, so H loses nothing off it
     eps = np.finfo(float).eps
     for n in range(1, 65):
-        h, ref = np.diag(build_hamiltonian(n)), _dense_hamiltonian(n)
+        h = np.diag(build_hamiltonian([build_rep(n)])[0])
+        ref = _dense_hamiltonian(n)
         assert h.shape == ref.shape == (n + 1, n + 1)
         assert max_abs_diff(h, ref) <= 4 * eps * np.max(np.abs(ref))
 
@@ -71,23 +73,24 @@ def test_eigenvalues_are_sorted_diagonal_bitwise():
     # no report prints the eigenvalues, so only this guards them: the
     # sorted real diagonal is what the Jacobi solver returns for H, and the
     # crosscheck's deviation is the one from the Jacobi eigenvalues
-    for n in BITWISE_N:
-        h = build_hamiltonian(n)
+    rows = build_hamiltonian([build_rep(n) for n in BITWISE_N])
+    for n, h, (_, deviation, report) in zip(
+            BITWISE_N, rows, spectrum_crosscheck(BITWISE_N)):
+        h = h[:n + 1]
         expected, _ = hermitian_eigen(np.diag(h), tol=SPECTRUM_TOL)
         assert np.sort(h.real).tobytes() == expected.tobytes(), n
-        _, deviation, report = spectrum_crosscheck(n)
         levels = sorted(e for e, m in report.levels for _ in range(m))
         assert deviation == max(abs(a - b)
                                 for a, b in zip(levels, expected)), n
 
 
 def test_spectrum_crosscheck_rejects_non_hermitian(monkeypatch):
-    h = build_hamiltonian(4)
-    h[2] += 1e-9j
+    h = build_hamiltonian([build_rep(4)])
+    h[0, 2] += 1e-9j
     monkeypatch.setattr("gentile.oscillator.build_hamiltonian",
-                        lambda n: h)
+                        lambda reps: h)
     with pytest.raises(GateFailed) as failed:
-        spectrum_crosscheck(4)
+        spectrum_crosscheck([4])
     assert failed.value.args == (
         "NotHermitian", "max |m - m^H| = 2.000e-09 exceeds tol 1.000e-10")
 
@@ -104,7 +107,7 @@ def test_per_state_energy_closed_form():
 
 @pytest.mark.parametrize("n", list(range(1, 17)))
 def test_spectrum_crosscheck(n):
-    passed, deviation, report = spectrum_crosscheck(n)
+    (passed, deviation, report), = spectrum_crosscheck([n])
     assert passed, f"deviation {deviation}"
     assert sum(m for _, m in report.levels) == n + 1
 
@@ -146,5 +149,30 @@ def test_bose_limit_precondition():
 
 def test_custom_coefficients_hermitian():
     # alpha=1, beta=conj(q) make H Hermitian by construction
-    h = np.diag(build_hamiltonian(4))
+    h = np.diag(build_hamiltonian([build_rep(4)])[0])
     assert max_abs_diff(h, h.conj().T) <= 1e-14
+
+
+@pytest.mark.parametrize("n_values", [range(1, 131), range(5, 41)],
+                         ids=["1..130", "5..40"])
+def test_spectrum_sweep_rows_equal_each_n_alone(n_values):
+    # H's diagonal and the crosscheck of each n have the bits of that n
+    # swept alone
+    n_values = list(n_values)
+    rows = build_hamiltonian([build_rep(n) for n in n_values])
+    for n, h, result in zip(n_values, rows, spectrum_crosscheck(n_values)):
+        alone = build_hamiltonian([build_rep(n)])[0]
+        assert h[:n + 1].tobytes() == alone.tobytes(), n
+        assert repr(result) == repr(spectrum_crosscheck([n])[0]), n
+
+
+def test_spectrum_gate_raises_at_the_first_non_hermitian_n(monkeypatch):
+    h = build_hamiltonian([build_rep(n) for n in (2, 3, 4)])
+    h[1, 1] += 3e-9j
+    h[2, 0] += 1e-9j
+    monkeypatch.setattr("gentile.oscillator.build_hamiltonian",
+                        lambda reps: h)
+    with pytest.raises(GateFailed) as failed:
+        spectrum_crosscheck([2, 3, 4])
+    assert failed.value.args == (
+        "NotHermitian", "max |m - m^H| = 6.000e-09 exceeds tol 1.000e-10")

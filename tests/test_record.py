@@ -182,10 +182,10 @@ def _instances():
             normal_order(parse("b adag")).eval_rep([build_rep(2),
                                                     build_rep(3)]),
             IdentityEntry("e1", X, Y, FORMAL_Q), _result(), build_rep(3),
-            number_from_arcsin(build_rep(3)),
+            number_from_arcsin([build_rep(3)])[0],
             build_coherent(3, LambdaChoice("plus")),
-            spectrum_crosscheck(3)[2],
-            solve_representation(3, DiagonalChoice.NUM)]
+            spectrum_crosscheck([3])[0][2],
+            solve_representation([3], DiagonalChoice.NUM)[0]]
 
 
 def _mutable_ways(x) -> list:

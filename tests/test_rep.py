@@ -8,13 +8,13 @@ import pytest
 
 from _reference import (BITWISE_N, arcsin_collisions, bracket_number,
                         dense_arcsin_values, dense_ladder, dense_sine_matrix,
-                        densify)
+                        densify, max_abs_diff, rep_quadratic_diagonals)
 from gentile import audit
 from gentile.audit import sweep_algebra
 from gentile.catalog import FREE, QUOTIENT, build_catalog
 from gentile.errors import GateFailed
-from gentile.linalg import max_abs_diff
-from gentile.rep import _sine_diagonal, build_rep, number_from_arcsin
+from gentile.rep import (_sine_diagonal, build_rep, number_from_arcsin,
+                         quadratic_diagonals, sweep_ladder)
 
 
 def test_bracket_number_oracle_n3():
@@ -172,7 +172,7 @@ def test_matrices_built_once_from_amp(monkeypatch):
 def test_arcsin_audit_prediction():
     # principal branch: table value = ((n+1)/2pi) asin(sin(2 pi v/(n+1)))
     for n in range(1, 17):
-        audit = number_from_arcsin(build_rep(n))
+        audit, = number_from_arcsin([build_rep(n)])
         for v, value, agrees in audit.table:
             predicted = (n + 1) / (2 * math.pi) \
                 * math.asin(math.sin(2 * math.pi * v / (n + 1)))
@@ -192,7 +192,7 @@ def test_arcsin_collisions_match_all_pairs_scan():
         rep = build_rep(n)
         expected = arcsin_collisions(
             np.real(np.diag(dense_sine_matrix(rep))).tolist())
-        assert number_from_arcsin(rep).collisions == expected, n
+        assert number_from_arcsin([rep])[0].collisions == expected, n
 
 
 def test_sine_diagonal_matches_dense_products_bitwise():
@@ -202,14 +202,14 @@ def test_sine_diagonal_matches_dense_products_bitwise():
         rep = build_rep(n)
         m = dense_sine_matrix(rep)
         assert np.count_nonzero(m - np.diag(np.diag(m))) == 0, n
-        assert _sine_diagonal(rep).tobytes() == np.diag(m).tobytes(), n
+        assert _sine_diagonal([rep])[0].tobytes() == np.diag(m).tobytes(), n
 
 
 def test_arcsin_table_matches_jacobi_route_bitwise():
     for n in BITWISE_N:
         rep = build_rep(n)
         values = np.array([value for _, value, _ in
-                           number_from_arcsin(rep).table])
+                           number_from_arcsin([rep])[0].table])
         assert values.tobytes() == dense_arcsin_values(rep).tobytes(), n
 
 
@@ -217,29 +217,77 @@ def test_arcsin_table_matches_jacobi_route_bitwise():
                                             (-2.5, "DomainError")])
 def test_arcsin_checks_sine_diagonal(monkeypatch, shift, contract):
     rep = build_rep(4)
-    m = _sine_diagonal(rep) + np.array([0, 0, shift, 0, 0])
-    monkeypatch.setattr("gentile.rep._sine_diagonal", lambda rep: m)
+    m = _sine_diagonal([rep]) + np.array([0, 0, shift, 0, 0])
+    monkeypatch.setattr("gentile.rep._sine_diagonal", lambda reps: m)
     with pytest.raises(GateFailed) as failed:
-        number_from_arcsin(rep)
+        number_from_arcsin([rep])
     assert failed.value.args[0] == contract
 
 
 def test_arcsin_clips_marginal_values(monkeypatch):
     # a value just past 1 within ARCSIN_TOL reads as asin(1)
     rep = build_rep(3)
-    m = np.array([0, 1 + 1e-14, 0, -1 - 1e-14], dtype=complex)
-    monkeypatch.setattr("gentile.rep._sine_diagonal", lambda rep: m)
-    values = [value for _, value, _ in number_from_arcsin(rep).table]
+    m = np.array([[0, 1 + 1e-14, 0, -1 - 1e-14]], dtype=complex)
+    monkeypatch.setattr("gentile.rep._sine_diagonal", lambda reps: m)
+    values = [value for _, value, _ in number_from_arcsin([rep])[0].table]
     assert values[1] == 4 / (2 * math.pi) * (math.pi / 2)
     assert values[3] == -values[1]
 
 
 def test_arcsin_collision_n3():
-    audit = number_from_arcsin(build_rep(3))
+    audit, = number_from_arcsin([build_rep(3)])
     assert audit.collision_flag
     assert (0, 2) in audit.collisions
 
 
 def test_arcsin_no_collision_n2():
-    audit = number_from_arcsin(build_rep(2))
+    audit, = number_from_arcsin([build_rep(2)])
     assert not audit.collision_flag
+
+
+@pytest.mark.parametrize("n_values", [range(1, 131), range(5, 41)],
+                         ids=["1..130", "5..40"])
+def test_quadratic_diagonals_match_each_rep_bitwise(n_values):
+    # row i of each sweep diagonal holds rep i's band product with its 0
+    # appended or prepended, bit for bit, and 0 beyond the rep
+    reps = [build_rep(n) for n in n_values]
+    mask, amp = sweep_ladder(reps)
+    swept = quadratic_diagonals(mask, amp)
+    for i, rep in enumerate(reps):
+        for row, alone in zip(swept, rep_quadratic_diagonals(rep)):
+            assert row[i, :rep.dim].tobytes() == alone.tobytes(), rep.n
+            assert not row[i, rep.dim:].any(), rep.n
+
+
+def _arcsin_bits(audit):
+    return repr(audit.table), audit.collisions
+
+
+@pytest.mark.parametrize("n_values", [range(1, 131), range(5, 41)],
+                         ids=["1..130", "5..40"])
+def test_arcsin_sweep_rows_equal_each_n_alone(n_values):
+    reps = [build_rep(n) for n in n_values]
+    swept = _sine_diagonal(reps)
+    for i, (rep, audit) in enumerate(zip(reps, number_from_arcsin(reps))):
+        assert swept[i, :rep.dim].tobytes() \
+            == _sine_diagonal([rep])[0].tobytes(), rep.n
+        assert _arcsin_bits(audit) \
+            == _arcsin_bits(number_from_arcsin([rep])[0]), rep.n
+
+
+@pytest.mark.parametrize("first,second,contract", [
+    (2.0, 2e-12j, "DomainError"), (2e-12j, 2.0, "NotHermitian"),
+    (0.0, 2e-12j, "NotHermitian"), (0.0, 2.0, "DomainError")],
+    ids=["domain-then-hermitian", "hermitian-then-domain",
+         "hermitian-second", "domain-second"])
+def test_arcsin_gates_raise_at_the_first_failing_n(monkeypatch, first,
+                                                   second, contract):
+    # the gates of a sweep fail as those of one n at a time: at the first
+    # failing n, Hermiticity before the domain
+    reps = [build_rep(2), build_rep(4)]
+    m = _sine_diagonal(reps) + np.array([[0, first, 0, 0, 0],
+                                         [0, 0, second, 0, 0]])
+    monkeypatch.setattr("gentile.rep._sine_diagonal", lambda reps: m)
+    with pytest.raises(GateFailed) as failed:
+        number_from_arcsin(reps)
+    assert failed.value.args[0] == contract

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference import (dense_eval_rep, dense_ladder, densify, eval_one,
-                        laurent_scalar, norm_bound, substitute)
+                        laurent_scalar, max_abs_diff, norm_bound,
+                        substitute)
 from gentile.errors import OutOfRange, ParseError
 from gentile.laurent import ONE, Q, QINV, ZERO, LaurentScalar, q_integer
-from gentile.linalg import max_abs_diff
 from gentile.rep import build_rep
 from gentile.symbolic import (Add, AntiCommutator, Commutator, Expr,
                               FreePoly, Gen, Mul, NBracket, Pow, ProductSum,
